@@ -1,8 +1,8 @@
 """Exact Lie-theory calculator for moduli of principal bundles.
 
-Builds root data over exact rationals, computes centers, fundamental
-groups and outer-automorphism actions of the almost-simple isogeny
-classes, assembles the automorphism-group presentation of each moduli
+Builds root data from integer Cartan matrices, computes centers,
+fundamental groups and outer-automorphism actions of the almost-simple
+isogeny classes, assembles the automorphism-group presentation of each moduli
 component, and provides the Hitchin-base numerology (weights, dimension,
 discriminant component counts, local delta invariants).
 """

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from . import groupclass, moduli, weyl
 from .groupclass import GroupForm, InvalidDegree
 from .moduli import GenusOutOfRange, InconsistentProfile
-from .rootdata import DynkinType, InvalidType, build_root_datum
+from .rootdata import DynkinType, InvalidType, ambient_simple_roots, build_root_datum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,7 +72,7 @@ def _alias_form(kind: str, match) -> tuple[DynkinType, str]:
         if kind == "psl":
             return t, "adjoint"
         r = int(match.group(2))
-        if m % r:
+        if r < 1 or m % r:
             raise UsageError(f"mu_{r} is not a subgroup of the center of SL_{m}")
         return t, f"mu{r}"
     if kind in ("sp", "psp"):
@@ -389,23 +389,20 @@ def cmd_rootdata(args) -> int:
     except InvalidType as exc:
         raise UsageError(str(exc)) from exc
     rd = build_root_datum(t)
-    degrees = weyl.invariant_degrees(rd)
+    ambient_dim, simple_roots = ambient_simple_roots(t)
+    degrees = weyl.invariant_degrees(t)
     lat = groupclass.type_lattices(t)
-    m = weyl.orbits_on_roots(rd).num_orbits
-    try:
-        n = weyl.orbits_on_hyperplane_pairs(rd).num_orbits
-    except weyl.EmptyPairSet:
-        n = 0
-    ordered = weyl.ordered_root_pair_orbit_count(rd)
-    order = weyl.weyl_order(rd)
+    m, n = weyl.discriminant_orbit_counts(t)
+    ordered = weyl.ordered_root_pair_orbit_count(t)
+    order = weyl.weyl_order(t)
     if args.format == "json":
         doc = {
             "schema": "bundleaut.rootdata/1",
             "type": t.label,
             "rank": rd.rank,
-            "ambient_dim": rd.ambient_dim,
+            "ambient_dim": ambient_dim,
             "num_roots": len(rd.roots),
-            "simple_roots": [[str(c) for c in v] for v in rd.simple_roots],
+            "simple_roots": [[str(c) for c in v] for v in simple_roots],
             "cartan": [list(row) for row in rd.cartan],
             "degrees": list(degrees),
             "coxeter_number": degrees[-1],
@@ -420,10 +417,10 @@ def cmd_rootdata(args) -> int:
     else:
         colored = _color_enabled()
         print(_styled(f"type {t.label}", colored))
-        print(f"  rank {rd.rank}, ambient dimension {rd.ambient_dim}, "
+        print(f"  rank {rd.rank}, ambient dimension {ambient_dim}, "
               f"{len(rd.roots)} roots, {len(rd.roots) // 2} hyperplanes")
         print("  simple roots:")
-        for i, v in enumerate(rd.simple_roots):
+        for i, v in enumerate(simple_roots):
             print(f"    a_{i + 1} = ({', '.join(str(c) for c in v)})")
         print("  Cartan matrix:")
         for row in rd.cartan:

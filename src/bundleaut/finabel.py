@@ -1,10 +1,11 @@
 """Exact integer-lattice arithmetic and finite abelian groups.
 
-Smith normal form over Z by elementary row/column reduction, lattice
-quotients with invariant factors and explicit projection maps, finite
-abelian groups in invariant-factor form, subgroup enumeration, and named
-automorphism actions on them.  Matrices are plain lists of lists of Python
-ints; there is no size limit beyond practicality.
+Smith normal form over Z by elementary row/column reduction, quotients of
+Z^r by the row lattice of an integer relation matrix, with invariant factors
+and explicit projection maps, finite abelian groups in invariant-factor
+form, subgroup enumeration, and named automorphism actions on them.
+Matrices are plain lists of lists of Python ints; there is no size limit
+beyond practicality.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-
-from . import linalg
-from .linalg import Vector
 
 IntMatrix = list[list[int]]
 
@@ -36,11 +33,19 @@ def smith_normal_form(m: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatr
     absolute value (first in scan order on ties), which makes the output
     deterministic for a fixed input.
     """
+    s, u, v, _ = _smith_with_inverse(m)
+    return s, u, v
+
+
+def _smith_with_inverse(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """smith_normal_form plus V^-1, kept in step with V: a column operation
+    on V is the inverse row operation on V^-1."""
     s = [list(row) for row in m]
     nrows = len(s)
     ncols = len(s[0]) if nrows else 0
     u = _int_identity(nrows)
     v = _int_identity(ncols)
+    vinv = _int_identity(ncols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
@@ -51,6 +56,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatr
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        vinv[j] = [a + q * b for a, b in zip(vinv[j], vinv[i])]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -61,6 +67,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatr
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     for t in range(min(nrows, ncols)):
         while True:
@@ -102,22 +109,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatr
         if t < min(nrows, ncols) and s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
-    return s, u, v
-
-
-def int_invert(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, exactly."""
-    inv = linalg.invert(m)
-    out = []
-    for row in inv:
-        out.append([_as_int(x) for x in row])
-    return out
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise LatticeError("expected an integer entry")
-    return int(x)
+    return s, u, v, vinv
 
 
 def _prime_powers(n: int) -> dict[int, int]:
@@ -213,10 +205,6 @@ class FiniteAbelianGroup:
         return " x ".join(parts)
 
 
-def direct_sum(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    return from_cyclic_orders(a.invariant_factors + b.invariant_factors)
-
-
 def torsion_power(g: FiniteAbelianGroup, exponent_2g: int) -> FiniteAbelianGroup:
     """(Z/l_1)^{2g} + ... + (Z/l_k)^{2g}, renormalized to invariant factors.
 
@@ -245,17 +233,24 @@ def closure(group: FiniteAbelianGroup, generators) -> frozenset:
     return frozenset(elems)
 
 
-def _row_lattice_basis(rows: IntMatrix, rank: int) -> IntMatrix:
-    """A basis (rank x rank) of the row lattice of an integer matrix."""
-    s, _, v = smith_normal_form(rows)
-    vinv = int_invert(v)
-    basis = []
-    for i in range(rank):
-        d = s[i][i] if i < len(s) else 0
-        if d == 0:
-            raise LatticeError("row lattice does not have full rank")
-        basis.append([d * x for x in vinv[i]])
-    return basis
+def _row_lattice_basis(rows: IntMatrix, rank: int) -> tuple[IntMatrix, list[int], IntMatrix]:
+    """A basis (rank x rank) of the row lattice of an integer matrix.
+
+    The basis is diag(s) V^-1 for the Smith form U M V = S, returned with
+    s and V: a lattice vector x has coordinates (x V)_k / s_k in it."""
+    s, _, v, vinv = _smith_with_inverse(rows)
+    diag = [s[i][i] if i < len(s) else 0 for i in range(rank)]
+    if 0 in diag:
+        raise LatticeError("row lattice does not have full rank")
+    return [[d * x for x in row] for d, row in zip(diag, vinv)], diag, v
+
+
+def _lattice_coords(x, diag: list[int], v: IntMatrix) -> list[int]:
+    """Coordinates of x in the basis diag(s) V^-1 of `_row_lattice_basis`."""
+    xv = [sum(x[j] * v[j][k] for j in range(len(x))) for k in range(len(diag))]
+    if any(c % d for c, d in zip(xv, diag)):
+        raise LatticeError("vector lies outside the lattice")
+    return [c // d for c, d in zip(xv, diag)]
 
 
 class Subgroup:
@@ -297,18 +292,12 @@ class Subgroup:
             return
         rows = [list(g) for g in self.generators]
         rows += [[d[i] if j == i else 0 for j in range(r)] for i in range(r)]
-        bl = _row_lattice_basis(rows, r)
-        bl_t = list(zip(*bl))
-        mk = []
-        for i in range(r):
-            target = [d[i] if j == i else 0 for j in range(r)]
-            x = linalg.solve(bl_t, target)
-            mk.append([_as_int(c) for c in x])
-        s, _, v = smith_normal_form(mk)
+        bl, bl_diag, bl_v = _row_lattice_basis(rows, r)
+        mk = [_lattice_coords(row, bl_diag, bl_v) for row in rows[-r:]]
+        s, _, _, vinv = _smith_with_inverse(mk)
         full = [s[i][i] for i in range(r)]
         positions = [i for i, f in enumerate(full) if f > 1]
         self.structure = FiniteAbelianGroup(tuple(full[i] for i in positions))
-        vinv = int_invert(v)
         basis = []
         for i in positions:
             z = [sum(vinv[i][k] * bl[k][j] for k in range(r)) for j in range(r)]
@@ -389,65 +378,44 @@ def enumerate_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
 
 
 class LatticeQuotient:
-    """sup/sub for full-rank lattices, with an explicit projection map.
+    """Z^r modulo the row lattice of an r x r integer relation matrix.
 
-    `project` sends any vector of the sup lattice to its class in
-    invariant-factor coordinates; `generator_lifts` are sup-lattice vectors
-    projecting to the unit classes.
+    With U R V = S in Smith normal form, `project` sends x in Z^r to
+    (x V) mod d_i at the invariant factors d_i > 1, its class in
+    invariant-factor coordinates; `generator_lifts` are the matching rows of
+    V^-1, which project to the unit classes.
     """
 
-    def __init__(self, sup_basis, sub_basis):
-        sup_basis = [linalg.vector(v) for v in sup_basis]
-        sub_basis = [linalg.vector(v) for v in sub_basis]
-        if len(sup_basis) != len(sub_basis):
-            raise LatticeError("sup and sub lattices must have equal rank")
-        r = len(sup_basis)
-        self.sup_basis = tuple(sup_basis)
-        self.ambient_dim = len(sup_basis[0]) if sup_basis else 0
-        self._sup_t = list(zip(*sup_basis)) if r else []
-        rel = []
-        for w in sub_basis:
-            coords = self._sup_coords(w)
-            rel.append(coords)
-        s, _, v = smith_normal_form(rel)
+    def __init__(self, relations):
+        rel = [list(row) for row in relations]
+        r = len(rel)
+        if any(len(row) != r for row in rel):
+            raise LatticeError("need one relation row of length r per coordinate of Z^r")
+        if not all(isinstance(x, int) for row in rel for x in row):
+            raise LatticeError("relations must be integer vectors")
+        s, _, v, vinv = _smith_with_inverse(rel)
         full = [s[i][i] for i in range(r)]
         if any(f == 0 for f in full):
-            raise LatticeError("sub lattice does not have full rank")
+            raise LatticeError("relations do not span a full-rank lattice")
+        self.rank = r
         self._full = full
         self._v = v
         self._positions = [i for i, f in enumerate(full) if f > 1]
         self.group = FiniteAbelianGroup(tuple(full[i] for i in self._positions))
-        vinv = int_invert(v)
-        lifts = []
-        for i in self._positions:
-            lift = linalg.vector([0] * len(sup_basis[0])) if sup_basis else ()
-            for k in range(r):
-                lift = linalg.vadd(lift, linalg.vscale(vinv[i][k], sup_basis[k]))
-            lifts.append(lift)
-        self.generator_lifts = tuple(lifts)
+        self.generator_lifts = tuple(tuple(vinv[i]) for i in self._positions)
         self._remap = None
 
-    def _sup_coords(self, v) -> list[int]:
-        if not self.sup_basis:
-            raise LatticeError("empty lattice")
-        x = linalg.solve(self._sup_t, v)
-        if x is None:
-            raise LatticeError("vector lies outside the span of the lattice")
-        return [_as_int(c) for c in x]
-
-    def project(self, v) -> tuple[int, ...]:
-        x = self._sup_coords(linalg.vector(v))
-        y = [sum(x[k] * self._v[k][j] for k in range(len(x))) for j in range(len(x))]
-        coords = tuple(y[i] % self._full[i] for i in self._positions)
+    def project(self, x) -> tuple[int, ...]:
+        coords = self._unmapped_project(x)
         if self._remap is not None:
             return self._remap[coords]
         return coords
 
-    def lift(self, coords) -> Vector:
-        result = linalg.vector([0] * self.ambient_dim)
+    def lift(self, coords) -> tuple[int, ...]:
+        result = [0] * self.rank
         for c, g in zip(coords, self.generator_lifts):
-            result = linalg.vadd(result, linalg.vscale(c, g))
-        return result
+            result = [a + c * b for a, b in zip(result, g)]
+        return tuple(result)
 
     def with_basis(self, lifts) -> "LatticeQuotient":
         """Re-coordinatize the quotient on the classes of the given lifts."""
@@ -467,17 +435,20 @@ class LatticeQuotient:
             raise LatticeError("lifts do not generate independent classes")
         other = copy.copy(self)
         other._remap = table
-        other.generator_lifts = tuple(linalg.vector(l) for l in lifts)
+        other.generator_lifts = tuple(tuple(l) for l in lifts)
         return other
 
-    def _unmapped_project(self, v):
-        x = self._sup_coords(linalg.vector(v))
-        y = [sum(x[k] * self._v[k][j] for k in range(len(x))) for j in range(len(x))]
-        return tuple(y[i] % self._full[i] for i in self._positions)
+    def _unmapped_project(self, x):
+        if len(x) != self.rank:
+            raise LatticeError(f"expected a vector of Z^{self.rank}")
+        v = self._v
+        return tuple(
+            sum(x[k] * v[k][j] for k in range(self.rank)) % self._full[j]
+            for j in self._positions)
 
 
-def lattice_quotient(sup_basis, sub_basis) -> LatticeQuotient:
-    return LatticeQuotient(sup_basis, sub_basis)
+def lattice_quotient(relations) -> LatticeQuotient:
+    return LatticeQuotient(relations)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,20 @@
 A group form is the quotient of the simply-connected group by a subgroup mu
 of its center.  The center is identified with the coweight-side quotient
 P^vee/Q^vee, its character group with P/Q; both are computed as lattice
-quotients, never tabulated.  Outer automorphisms are realized as the
-Cartan-matrix-preserving node permutations, extended to orthogonal maps of
-the ambient space, and everything downstream (Out(G), actions on pi_1 and
-on the character group, stabilizers of a component label) is derived from
-those matrices acting on lattice classes.
+quotients of the integer Cartan matrix, never tabulated.  In
+fundamental-weight coordinates Q is spanned by the columns of A, in
+fundamental-coweight coordinates Q^vee by its rows, and the perfect pairing
+between the two quotients is read off A^-1.  Outer automorphisms are the
+Cartan-matrix-preserving node permutations, which permute the weight and
+coweight coordinates directly, and everything downstream (Out(G), actions
+on pi_1 and on the character group, stabilizers of a component label) is
+derived from those permutations acting on lattice classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -23,8 +27,7 @@ from .finabel import (
     Subgroup,
     lattice_quotient,
 )
-from .linalg import Matrix
-from .rootdata import DynkinType, RootDatum, build_root_datum, coroot
+from .rootdata import DynkinType, RootDatum, _unit, build_root_datum
 
 
 class InvalidDegree(ValueError):
@@ -35,11 +38,18 @@ class InvalidDegree(ValueError):
 class OutElement:
     name: str
     node_permutation: tuple[int, ...]
-    matrix: Matrix
 
     @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.node_permutation))
+
+    def apply(self, coords) -> tuple[int, ...]:
+        """alpha_i -> alpha_perm(i) sends omega_i to omega_perm(i) and
+        omega_i^vee to omega_perm(i)^vee, so coordinate i moves to perm(i)."""
+        image = [0] * len(coords)
+        for target, c in zip(self.node_permutation, coords):
+            image[target] = c
+        return tuple(image)
 
 
 _KINDS = {1: "Trivial", 2: "Z2", 6: "S3"}
@@ -118,47 +128,33 @@ def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
     return perms
 
 
-def _node_perm_matrix(rd: RootDatum, perm: tuple[int, ...]) -> Matrix:
-    """The orthogonal extension of alpha_i -> alpha_{perm(i)} to the ambient."""
-    simples = list(rd.simple_roots)
-    complement = linalg.nullspace(simples)
-    basis = simples + complement
-    images = [rd.simple_roots[perm[i]] for i in range(rd.rank)] + complement
-    b = linalg.transpose(linalg.matrix(basis))
-    p = linalg.transpose(linalg.matrix(images))
-    return linalg.mat_mul(p, linalg.invert(b))
-
-
 @dataclass(frozen=True)
 class TypeLattices:
     """Weight- and coweight-side quotients for a simply-connected type."""
 
     rd: RootDatum
-    chars: LatticeQuotient  # P/Q  = Hom(Z(G^sc), G_m)
-    center: LatticeQuotient  # P^vee/Q^vee = Z(G^sc)
+    chars: LatticeQuotient  # P/Q  = Hom(Z(G^sc), G_m), weight coordinates
+    center: LatticeQuotient  # P^vee/Q^vee = Z(G^sc), coweight coordinates
+    inverse_cartan: tuple[tuple[Fraction, ...], ...]  # [j][i] = <omega_i, omega_j^vee>
 
 
 @lru_cache(maxsize=None)
 def type_lattices(t: DynkinType) -> TypeLattices:
     rd = build_root_datum(t)
-    chars = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
-    center = lattice_quotient(rd.fundamental_coweights,
-                              [coroot(a) for a in rd.simple_roots])
+    # alpha_j = sum_i A[i][j] omega_i and alpha_i^vee = sum_j A[i][j] omega_j^vee
+    chars = lattice_quotient(list(zip(*rd.cartan)))
+    center = lattice_quotient(rd.cartan)
     n = t.rank
+    lifts = None
     if t.family == "D":
-        if n % 2 == 0:
-            w_lifts = [rd.fundamental_weights[n - 2], rd.fundamental_weights[n - 1]]
-            cw_lifts = [rd.fundamental_coweights[n - 2], rd.fundamental_coweights[n - 1]]
-        else:
-            w_lifts = [rd.fundamental_weights[n - 1]]
-            cw_lifts = [rd.fundamental_coweights[n - 1]]
-        chars = chars.with_basis(w_lifts)
-        center = center.with_basis(cw_lifts)
-    elif t.family == "A" or (t.family == "E" and n == 6):
-        if not chars.group.is_trivial:
-            chars = chars.with_basis([rd.fundamental_weights[0]])
-            center = center.with_basis([rd.fundamental_coweights[0]])
-    return TypeLattices(rd=rd, chars=chars, center=center)
+        lifts = [_unit(n, n - 2), _unit(n, n - 1)] if n % 2 == 0 else [_unit(n, n - 1)]
+    elif (t.family == "A" or (t.family == "E" and n == 6)) and not chars.group.is_trivial:
+        lifts = [_unit(n, 0)]
+    if lifts is not None:
+        chars = chars.with_basis(lifts)
+        center = center.with_basis(lifts)
+    return TypeLattices(rd=rd, chars=chars, center=center,
+                        inverse_cartan=linalg.invert(rd.cartan))
 
 
 @lru_cache(maxsize=None)
@@ -166,17 +162,18 @@ def _sc_out_elements(t: DynkinType) -> tuple[OutElement, ...]:
     rd = build_root_datum(t)
     elements = []
     for perm in _cartan_automorphisms(rd.cartan):
-        elements.append(OutElement(
-            name=_cycle_name(perm),
-            node_permutation=perm,
-            matrix=_node_perm_matrix(rd, perm),
-        ))
+        elements.append(OutElement(name=_cycle_name(perm), node_permutation=perm))
     return tuple(elements)
 
 
 def pairing(lat: TypeLattices, char_coords, center_coords):
     """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z."""
-    value = linalg.dot(lat.chars.lift(char_coords), lat.center.lift(center_coords))
+    weight = lat.chars.lift(char_coords)
+    coweight = lat.center.lift(center_coords)
+    inv = lat.inverse_cartan
+    value = sum(c * d * inv[j][i]
+                for i, c in enumerate(weight) if c
+                for j, d in enumerate(coweight) if d)
     return value % 1
 
 
@@ -187,19 +184,18 @@ def _full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
 
 
 def _center_image(lat: TypeLattices, elem: OutElement, coords):
-    vec = lat.center.lift(coords)
-    return lat.center.project(linalg.mat_vec(elem.matrix, vec))
+    return lat.center.project(elem.apply(lat.center.lift(coords)))
 
 
 def _chars_image(lat: TypeLattices, elem: OutElement, coords):
-    vec = lat.chars.lift(coords)
-    return lat.chars.project(linalg.mat_vec(elem.matrix, vec))
+    return lat.chars.project(elem.apply(lat.chars.lift(coords)))
 
 
 def _so_subgroup(lat: TypeLattices) -> Subgroup:
-    # kernel of the vector representation: generated by the class of eps_1
-    eps1 = linalg.vector([1] + [0] * (lat.rd.ambient_dim - 1))
-    return Subgroup(lat.center.group, [lat.center.project(eps1)])
+    # kernel of the vector representation: generated by the class of
+    # omega_1^vee (eps_1 in the usual coordinates)
+    omega1 = _unit(lat.rd.rank, 0)
+    return Subgroup(lat.center.group, [lat.center.project(omega1)])
 
 
 def _display_name(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> str:
@@ -331,27 +327,15 @@ def fundamental_group(gf: GroupForm) -> FiniteAbelianGroup:
 
 
 def _pi1_lattice_quotient(gf: GroupForm) -> FiniteAbelianGroup:
-    from .finabel import _as_int, _row_lattice_basis
+    """X_*(T_G)/Q^vee in coweight coordinates, where the coroots are the rows
+    of the Cartan matrix and X_* is spanned by them and lifts of mu."""
+    from .finabel import _lattice_coords, _row_lattice_basis
 
     lat = type_lattices(gf.dynkin)
-    rd = lat.rd
-    coweights = rd.fundamental_coweights
-    cw_t = list(zip(*coweights))
-    rows = []
-    for a in rd.simple_roots:
-        coords = linalg.solve(cw_t, coroot(a))
-        rows.append([_as_int(c) for c in coords])
-    for g in gf.mu.generators:
-        coords = linalg.solve(cw_t, lat.center.lift(g))
-        rows.append([_as_int(c) for c in coords])
-    basis_rows = _row_lattice_basis(rows, rd.rank)
-    cochar_basis = []
-    for row in basis_rows:
-        v = linalg.vector([0] * rd.ambient_dim)
-        for c, w in zip(row, coweights):
-            v = linalg.vadd(v, linalg.vscale(c, w))
-        cochar_basis.append(v)
-    return lattice_quotient(cochar_basis, [coroot(a) for a in rd.simple_roots]).group
+    coroots = lat.rd.cartan
+    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in gf.mu.generators]
+    _, diag, v = _row_lattice_basis(rows, len(coroots))
+    return lattice_quotient([_lattice_coords(c, diag, v) for c in coroots]).group
 
 
 @lru_cache(maxsize=None)

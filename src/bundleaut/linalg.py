@@ -1,14 +1,16 @@
-"""Small dense linear algebra over exact rationals.
+"""Exact rational inverse of a small dense matrix.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Sizes
-here never exceed ~9, so plain Gaussian elimination is all we need.  No
-floating point anywhere.
+All that is left of the rational layer: `groupclass.pairing` reads
+<omega_i, omega_j^vee> off the inverse Cartan matrix.  Everything else works
+on integer coordinates.  Vectors are tuples of Fraction, matrices tuples of
+row tuples; sizes never exceed ~9, so plain Gauss-Jordan elimination is all
+we need.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -25,46 +27,12 @@ def vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
-def vscale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vector(row) for row in rows)
 
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def _rref(rows: list[list[Fraction]]) -> list[int]:
@@ -91,28 +59,6 @@ def _rref(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
-    """Solve A x = b exactly (A given as rows, possibly non-square).
-
-    Returns the unique solution, or None if the system is inconsistent.
-    Raises LinAlgError when the solution exists but is not unique.
-    """
-    a = matrix(a)
-    b = vector(b)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) < ncols:
-        raise LinAlgError("underdetermined system")
-    x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols]
-    return tuple(x)
-
-
 def invert(a: Sequence[Sequence]) -> Matrix:
     a = matrix(a)
     n = len(a)
@@ -121,62 +67,3 @@ def invert(a: Sequence[Sequence]) -> Matrix:
     if pivots != list(range(n)):
         raise LinAlgError("matrix is singular")
     return tuple(tuple(aug[i][n:]) for i in range(n))
-
-
-def det(a: Sequence[Sequence]) -> Fraction:
-    rows = [list(vector(r)) for r in a]
-    n = len(rows)
-    sign = ONE
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
-def nullspace(a: Sequence[Sequence]) -> list[Vector]:
-    """Basis of {x : A x = 0}."""
-    a = matrix(a)
-    if not a:
-        return []
-    ncols = len(a[0])
-    rows = [list(row) for row in a]
-    pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for r, c in enumerate(pivots):
-            x[c] = -rows[r][f]
-        basis.append(tuple(x))
-    return basis
-
-
-def charpoly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
-
-    Returned as a coefficient list [c_n, ..., c_1, c_0] with c_n = 1,
-    i.e. descending powers.
-    """
-    n = len(m)
-    coeffs = [ONE]
-    mk = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-    c = ONE
-    for k in range(1, n + 1):
-        mk = mat_mul(m, tuple(
-            tuple(mk[i][j] + (c if i == j else ZERO) for j in range(n))
-            for i in range(n)))
-        c = -sum((mk[i][i] for i in range(n)), ZERO) / k
-        coeffs.append(c)
-    return coeffs

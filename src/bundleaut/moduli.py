@@ -301,17 +301,13 @@ def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
     if genus < 2:
         raise GenusOutOfRange(f"Hitchin numerology requires genus >= 2, got {genus}")
     rd = build_root_datum(gf.dynkin)
-    degrees = weyl.invariant_degrees(rd)
+    degrees = weyl.invariant_degrees(gf.dynkin)
     dim_group = rd.rank + len(rd.roots)
     dim_center = 0  # almost-simple throughout
     closed_form = dim_group * (genus - 1) + dim_center
     via_rr = riemann_roch_basis_dim(degrees, rd.rank, genus, dim_center)
     assert via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)"
-    m = weyl.orbits_on_roots(rd).num_orbits
-    try:
-        n = weyl.orbits_on_hyperplane_pairs(rd).num_orbits
-    except weyl.EmptyPairSet:
-        n = 0
+    m, n = weyl.discriminant_orbit_counts(gf.dynkin)
     return HitchinReport(
         group=gf.display_name,
         genus=genus,
@@ -349,6 +345,6 @@ def delta_total(profile) -> int:
 def degree_identity_check(rd: RootDatum) -> tuple[int, int, int]:
     """Assert |Phi| = r * h and return (|Phi|, r, h)."""
     nroots = len(rd.roots)
-    h = weyl.coxeter_number(rd)
+    h = weyl.coxeter_number(rd.dynkin)
     assert nroots == rd.rank * h, (nroots, rd.rank, h)
     return nroots, rd.rank, h

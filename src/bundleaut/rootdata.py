@@ -1,10 +1,18 @@
-"""Exact root data for the simple Dynkin families.
+"""Root data of the simple Dynkin families, in integer Cartan coordinates.
 
-Roots, coroots, Cartan matrices and fundamental (co)weights are built over
-exact rationals.  D_n uses the coordinates with Q(D_n) the even integer
-vectors and P(D_n) = Z^n + <(sum e_i)/2>; E-types sit inside R^8 in the
-standard even coordinate system, so E_6 has w_1 = (2/3)(e_8 - e_7 - e_6).
-A, B, C use the usual e_i - e_j / +-e_i / +-2e_i conventions.
+A root datum is its Cartan matrix A, with cartan[i][j] = <alpha_j, alpha_i^vee>,
+and its roots as int tuples in simple-root coordinates.  In these
+coordinates the simple reflection is s_i(v) = v - (sum_j A[i][j] v_j) e_i,
+with no coroot division, and the roots are the closure of the unit vectors
+under it.  Weights and coweights are taken in fundamental-(co)weight
+coordinates, in which the simple roots are the columns of A and the simple
+coroots its rows (Bourbaki, Lie Groups and Lie Algebras VI 1.9-1.10).
+
+The Cartan matrix is read once off the usual ambient realisation, in exact
+rationals, which is also what `bundleaut rootdata` prints: A, B, C use the
+e_i - e_j / +-e_i / +-2e_i conventions, D_n the coordinates with Q(D_n) the
+even integer vectors, the E-types the standard even coordinates of R^8 and
+G_2 the sum-zero plane of R^3.
 """
 
 from __future__ import annotations
@@ -12,19 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .linalg import (
-    Vector,
-    dot,
-    invert,
-    mat_mul,
-    matrix,
-    transpose,
-    vector,
-    vneg,
-    vscale,
-    vsub,
-)
+from math import lcm
 
 DEFAULT_MAX_RANK = 8
 
@@ -73,146 +69,124 @@ class DynkinType:
         return self.name
 
 
-def _unit(dim: int, i: int) -> Vector:
-    return vector(1 if j == i else 0 for j in range(dim))
+Root = tuple[int, ...]
+AmbientVector = tuple[Fraction, ...]
 
 
-def _simple_roots(t: DynkinType) -> tuple[int, list[Vector]]:
+def _unit(dim: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if j == i else 0 for j in range(dim))
+
+
+def _ambient(coords) -> AmbientVector:
+    return tuple(Fraction(c) for c in coords)
+
+
+def _minus(u, v) -> AmbientVector:
+    return _ambient(a - b for a, b in zip(u, v))
+
+
+def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[AmbientVector, ...]]:
+    """The ambient dimension and the simple roots of the usual realisation."""
     n = t.rank
     half = Fraction(1, 2)
+    chain = [_minus(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
     if t.family == "A":
         dim = n + 1
-        return dim, [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n)]
+        return dim, tuple(_minus(_unit(dim, i), _unit(dim, i + 1)) for i in range(n))
     if t.family == "B":
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(_unit(n, n - 1))
-        return n, roots
+        return n, (*chain, _ambient(_unit(n, n - 1)))
     if t.family == "C":
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(vscale(2, _unit(n, n - 1)))
-        return n, roots
+        return n, (*chain, _ambient(2 * x for x in _unit(n, n - 1)))
     if t.family == "D":
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(vector([0] * (n - 2) + [1, 1]))
-        return n, roots
+        return n, (*chain, _ambient([0] * (n - 2) + [1, 1]))
     if t.family == "E":
-        a1 = vector([half, -half, -half, -half, -half, -half, -half, half])
-        a2 = vector([1, 1, 0, 0, 0, 0, 0, 0])
-        chain = [vsub(_unit(8, k - 2), _unit(8, k - 3)) for k in range(3, 9)]
-        return 8, ([a1, a2] + chain)[:n]
+        a1 = _ambient([half, -half, -half, -half, -half, -half, -half, half])
+        a2 = _ambient([1, 1, 0, 0, 0, 0, 0, 0])
+        rest = [_minus(_unit(8, k - 2), _unit(8, k - 3)) for k in range(3, 9)]
+        return 8, tuple([a1, a2] + rest)[:n]
     if t.family == "F":
-        return 4, [
-            vector([0, 1, -1, 0]),
-            vector([0, 0, 1, -1]),
-            vector([0, 0, 0, 1]),
-            vector([half, -half, -half, -half]),
-        ]
+        return 4, (
+            _ambient([0, 1, -1, 0]),
+            _ambient([0, 0, 1, -1]),
+            _ambient([0, 0, 0, 1]),
+            _ambient([half, -half, -half, -half]),
+        )
     # G_2: realized in the sum-zero plane of R^3
-    return 3, [vector([1, -1, 0]), vector([-2, 1, 1])]
+    return 3, (_ambient([1, -1, 0]), _ambient([-2, 1, 1]))
 
 
-def coroot(alpha: Vector) -> Vector:
-    return vscale(Fraction(2) / dot(alpha, alpha), alpha)
+def _cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """<alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i).
+
+    The ratio is taken on the simple roots scaled to integer vectors."""
+    _, simples = ambient_simple_roots(t)
+    den = lcm(*(x.denominator for a in simples for x in a))
+    scaled = [[int(x * den) for x in a] for a in simples]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rows = []
+    for a in scaled:
+        norm = dot(a, a)
+        row = []
+        for b in scaled:
+            c, rem = divmod(2 * dot(b, a), norm)
+            if rem:
+                raise InvalidType(f"non-integral Cartan pairing for {t}")
+            row.append(c)
+        rows.append(tuple(row))
+    n = t.rank
+    for i in range(n):
+        assert rows[i][i] == 2
+        for j in range(n):
+            if i != j:
+                assert rows[i][j] in (0, -1, -2, -3)
+    return tuple(rows)
+
+
+def _reflect(cartan, i: int, v: Root) -> Root:
+    # s_i(v) = v - <v, alpha_i^vee> alpha_i
+    c = sum(a * x for a, x in zip(cartan[i], v))
+    return v[:i] + (v[i] - c,) + v[i + 1:]
 
 
 @dataclass(frozen=True)
 class RootDatum:
     dynkin: DynkinType
-    ambient_dim: int
-    simple_roots: tuple[Vector, ...]
     cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[Vector, ...]
-    fundamental_weights: tuple[Vector, ...]
-    fundamental_coweights: tuple[Vector, ...]
+    roots: tuple[Root, ...]  # simple-root coordinates, sorted
 
     @property
     def rank(self) -> int:
         return self.dynkin.rank
 
-    @property
-    def simple_coroots(self) -> tuple[Vector, ...]:
-        return tuple(coroot(a) for a in self.simple_roots)
-
-    @property
-    def coroots(self) -> dict[Vector, Vector]:
-        return {a: coroot(a) for a in self.roots}
-
-    def reflect(self, v: Vector, alpha: Vector) -> Vector:
-        # s_alpha(v) = v - <v, alpha^vee> alpha
-        c = dot(v, coroot(alpha))
-        return vsub(v, vscale(c, alpha))
-
-    def simple_reflection(self, i: int, v: Vector) -> Vector:
-        return self.reflect(v, self.simple_roots[i])
+    def simple_reflection(self, i: int, v: Root) -> Root:
+        return _reflect(self.cartan, i, v)
 
 
 @lru_cache(maxsize=None)
 def build_root_datum(t: DynkinType) -> RootDatum:
-    """Construct the full root datum for an admissible type.
-
-    The root set is the closure of the simple roots under the simple
-    reflections; coroots are 2a/(a,a); fundamental (co)weights come from the
-    inverse Cartan matrix, so they live in the span of the roots.
-    """
-    dim, simples = _simple_roots(t)
-    n = t.rank
-
-    cartan_rows = []
-    for i in range(n):
-        covec = coroot(simples[i])
-        row = []
-        for j in range(n):
-            c = dot(simples[j], covec)
-            if c.denominator != 1:
-                raise InvalidType(f"non-integral Cartan pairing for {t}")
-            row.append(int(c))
-        cartan_rows.append(tuple(row))
-    cartan = tuple(cartan_rows)
-    for i in range(n):
-        assert cartan[i][i] == 2
-        for j in range(n):
-            if i != j:
-                assert cartan[i][j] in (0, -1, -2, -3)
-
+    """The Cartan matrix and the roots, the closure of the simple roots
+    under the simple reflections."""
+    cartan = _cartan_matrix(t)
+    simples = [_unit(t.rank, i) for i in range(t.rank)]
     roots = set(simples)
-    frontier = list(simples)
+    frontier = simples
     while frontier:
         nxt = []
         for root in frontier:
-            for a in simples:
-                image = vsub(root, vscale(dot(root, coroot(a)), a))
+            for i in range(t.rank):
+                image = _reflect(cartan, i, root)
                 if image not in roots:
                     roots.add(image)
                     nxt.append(image)
         frontier = nxt
-
-    cartan_inv = invert(cartan)
-    weights = [
-        _combine(cartan_inv, i, simples)
-        for i in range(n)
-    ]
-    cocartan_inv = invert(transpose(matrix(cartan)))
-    coweights = [
-        _combine(cocartan_inv, i, [coroot(a) for a in simples])
-        for i in range(n)
-    ]
-
-    return RootDatum(
-        dynkin=t,
-        ambient_dim=dim,
-        simple_roots=tuple(simples),
-        cartan=cartan,
-        roots=tuple(sorted(roots)),
-        fundamental_weights=tuple(weights),
-        fundamental_coweights=tuple(coweights),
-    )
+    return RootDatum(dynkin=t, cartan=cartan, roots=tuple(sorted(roots)))
 
 
-def _combine(coeff_matrix, i, basis):
-    out = vector([0] * len(basis[0]))
-    for k, b in enumerate(basis):
-        out = tuple(x + coeff_matrix[k][i] * y for x, y in zip(out, b))
-    return out
+def _neg(v: Root) -> Root:
+    return tuple(-x for x in v)
 
 
 def root_hyperplanes(rd: RootDatum) -> tuple[frozenset, ...]:
@@ -220,32 +194,17 @@ def root_hyperplanes(rd: RootDatum) -> tuple[frozenset, ...]:
     seen = set()
     planes = []
     for alpha in rd.roots:
-        rep = max(alpha, vneg(alpha))
+        rep = max(alpha, _neg(alpha))
         if rep not in seen:
             seen.add(rep)
-            planes.append(frozenset((rep, vneg(rep))))
+            planes.append(frozenset((rep, _neg(rep))))
     planes.sort(key=lambda p: max(p))
     return tuple(planes)
 
 
-@lru_cache(maxsize=None)
-def _simple_coordinate_matrix(rd: RootDatum):
-    # pseudo-inverse (A^T A)^-1 A^T for A = simple roots as columns; exact
-    # because the simple roots are linearly independent
-    a_rows = matrix(rd.simple_roots)
-    gram = tuple(tuple(dot(u, v) for v in rd.simple_roots) for u in rd.simple_roots)
-    return mat_mul(invert(gram), a_rows)
-
-
-def simple_root_coordinates(rd: RootDatum, v: Vector) -> Vector:
-    """Coordinates of v (a vector in the root span) in the simple-root basis."""
-    m = _simple_coordinate_matrix(rd)
-    return tuple(dot(row, v) for row in m)
-
-
-def is_positive_root(rd: RootDatum, alpha: Vector) -> bool:
-    coords = simple_root_coordinates(rd, alpha)
-    return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
+def is_positive_root(alpha: Root) -> bool:
+    """A root is positive when its simple-root coordinates are all >= 0."""
+    return all(c >= 0 for c in alpha) and any(alpha)
 
 
 def admissible_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:

@@ -1,11 +1,14 @@
 """Weyl-group machinery: orbits, Coxeter elements, degrees, longest element.
 
-Orbit computations act through simple-reflection generators only, encoded as
-permutations of the root list so the breadth-first searches run on small
-integers.  The group order comes from an orbit-stabilizer chain on
-fundamental weights; the full group is never enumerated.  Invariant degrees
-are read off the cyclotomic factorization of the characteristic polynomial
-of a Coxeter element, all in exact integer arithmetic.
+Everything works from the integer Cartan matrix, and every per-type result
+is cached on the DynkinType.  A Weyl element is an integer r x r matrix on
+simple-root coordinates.  Orbit computations act through simple-reflection
+generators only, encoded as permutations of the root list so the
+breadth-first searches run on small integers.  The group order comes from an
+orbit-stabilizer chain on fundamental weights, in fundamental-weight
+coordinates; the full group is never enumerated.  Invariant degrees are read
+off the cyclotomic factorization of the integer characteristic polynomial of
+a Coxeter element (Humphreys, Reflection Groups and Coxeter Groups 3.7).
 """
 
 from __future__ import annotations
@@ -14,32 +17,44 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from . import linalg
-from .linalg import Matrix, Vector
-from .rootdata import RootDatum, is_positive_root, root_hyperplanes
+from .rootdata import DynkinType, _unit, build_root_datum, root_hyperplanes
+
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class EmptyPairSet(ValueError):
     """Rank-1 systems have a single hyperplane and no distinct pairs."""
 
 
+def _identity(n: int) -> IntMatrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    matrix: Matrix
+    """An integer matrix on simple-root coordinates, column j the image of
+    alpha_j, with a word in the simple reflections when known."""
+
+    matrix: IntMatrix
     word: tuple[int, ...] | None = None
 
-    def apply(self, v: Vector) -> Vector:
-        return linalg.mat_vec(self.matrix, v)
+    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.matrix)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
-        return WeylElement(linalg.mat_mul(self.matrix, other.matrix), word)
+        return WeylElement(_mat_mul(self.matrix, other.matrix), word)
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == linalg.identity(len(self.matrix))
+        return self.matrix == _identity(len(self.matrix))
 
     def order(self) -> int:
         n = 1
@@ -58,23 +73,22 @@ class OrbitDecomposition:
     orbits: tuple[tuple, ...]
 
     @property
-    def representatives(self) -> tuple:
-        return tuple(orbit[0] for orbit in self.orbits)
-
-    @property
     def num_orbits(self) -> int:
         return len(self.orbits)
 
 
-def simple_reflection_element(rd: RootDatum, i: int) -> WeylElement:
-    dim = rd.ambient_dim
-    cols = [rd.simple_reflection(i, e) for e in linalg.identity(dim)]
-    return WeylElement(linalg.transpose(linalg.matrix(cols)), (i,))
+def simple_reflection_element(t: DynkinType, i: int) -> WeylElement:
+    # row i of s_i is e_i - A[i]; the other rows are those of the identity
+    cartan = build_root_datum(t).cartan
+    rows = list(_identity(t.rank))
+    rows[i] = tuple(rows[i][j] - cartan[i][j] for j in range(t.rank))
+    return WeylElement(tuple(rows), (i,))
 
 
 @lru_cache(maxsize=None)
-def _root_permutations(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """For each simple reflection, the permutation it induces on rd.roots."""
+def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """For each simple reflection, the permutation it induces on the roots."""
+    rd = build_root_datum(t)
     index = {root: k for k, root in enumerate(rd.roots)}
     perms = []
     for i in range(rd.rank):
@@ -106,8 +120,9 @@ def _orbit_partition(n_items: int, perms) -> list[list[int]]:
     return orbits
 
 
-def orbits_on_roots(rd: RootDatum) -> OrbitDecomposition:
-    perms = _root_permutations(rd)
+def orbits_on_roots(t: DynkinType) -> OrbitDecomposition:
+    rd = build_root_datum(t)
+    perms = _root_permutations(t)
     orbits = _orbit_partition(len(rd.roots), perms)
     return OrbitDecomposition(
         items=rd.roots,
@@ -116,14 +131,15 @@ def orbits_on_roots(rd: RootDatum) -> OrbitDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _hyperplane_permutations(rd: RootDatum):
+def _hyperplane_permutations(t: DynkinType):
+    rd = build_root_datum(t)
     planes = root_hyperplanes(rd)
     reps = [max(p) for p in planes]
     rep_index = {}
     for k, plane in enumerate(planes):
         for root in plane:
             rep_index[root] = k
-    root_perms = _root_permutations(rd)
+    root_perms = _root_permutations(t)
     perms = []
     for perm in root_perms:
         root_of = {root: rd.roots[perm[i]] for i, root in enumerate(rd.roots)}
@@ -131,11 +147,11 @@ def _hyperplane_permutations(rd: RootDatum):
     return planes, tuple(perms)
 
 
-def orbits_on_hyperplane_pairs(rd: RootDatum) -> OrbitDecomposition:
+def orbits_on_hyperplane_pairs(t: DynkinType) -> OrbitDecomposition:
     """W-orbits on unordered pairs of distinct root hyperplanes."""
-    if rd.rank < 2:
+    if t.rank < 2:
         raise EmptyPairSet("rank-1 systems have no singular discriminant locus")
-    planes, perms = _hyperplane_permutations(rd)
+    planes, perms = _hyperplane_permutations(t)
     h = len(planes)
     pairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
     pair_index = {p: k for k, p in enumerate(pairs)}
@@ -154,38 +170,61 @@ def orbits_on_hyperplane_pairs(rd: RootDatum) -> OrbitDecomposition:
     )
 
 
-def ordered_root_pair_orbit_count(rd: RootDatum) -> int:
+@lru_cache(maxsize=None)
+def discriminant_orbit_counts(t: DynkinType) -> tuple[int, int]:
+    """(m, n): the W-orbits on roots and on unordered pairs of distinct
+    hyperplanes, with n = 0 in rank 1.  Only the counts are kept."""
+    m = orbits_on_roots(t).num_orbits
+    try:
+        n = orbits_on_hyperplane_pairs(t).num_orbits
+    except EmptyPairSet:
+        n = 0
+    return m, n
+
+
+def ordered_root_pair_orbit_count(t: DynkinType) -> int:
     """Number of W-orbits on Phi x Phi under the diagonal action.
 
     Reported alongside the distinct-hyperplane-pair count; the two differ
     because each hyperplane carries two roots and the diagonal contributes
     orbits of its own.
     """
-    perms = _root_permutations(rd)
-    n = len(rd.roots)
+    perms = _root_permutations(t)
+    n = len(build_root_datum(t).roots)
     pair_perms = [
         tuple(p[k // n] * n + p[k % n] for k in range(n * n)) for p in perms
     ]
     return len(_orbit_partition(n * n, pair_perms))
 
 
-def coxeter_element(rd: RootDatum) -> WeylElement:
-    w = WeylElement(linalg.identity(rd.ambient_dim), ())
-    for i in range(rd.rank):
-        w = w * simple_reflection_element(rd, i)
+def coxeter_element(t: DynkinType) -> WeylElement:
+    w = WeylElement(_identity(t.rank), ())
+    for i in range(t.rank):
+        w = w * simple_reflection_element(t, i)
     return w
 
 
-def coxeter_number(rd: RootDatum) -> int:
-    return coxeter_element(rd).order()
+def coxeter_number(t: DynkinType) -> int:
+    return coxeter_element(t).order()
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _charpoly(m: IntMatrix) -> list[int]:
+    """det(xI - M) by Faddeev-LeVerrier, descending coefficients.
+
+    For an integer matrix every coefficient is an integer, so each division
+    by k is exact."""
+    n = len(m)
+    coeffs = [1]
+    mk = tuple((0,) * n for _ in range(n))
+    c = 1
+    for k in range(1, n + 1):
+        mk = _mat_mul(m, tuple(
+            tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)))
+        trace = sum(mk[i][i] for i in range(n))
+        assert trace % k == 0, "Faddeev-LeVerrier division is not exact"
+        c = -trace // k
+        coeffs.append(c)
+    return coeffs
 
 
 def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -227,20 +266,16 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def invariant_degrees(rd: RootDatum) -> tuple[int, ...]:
+def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
     """Degrees d_1 <= ... <= d_r of the free invariant generators.
 
     Extracted from the characteristic polynomial of a Coxeter element: the
     polynomial factors into cyclotomics, each Phi_d contributing exponents
     j*h/d for j coprime to d, and degrees are exponents plus one.
     """
-    cox = coxeter_element(rd)
+    cox = coxeter_element(t)
     h = cox.order()
-    coeffs = linalg.charpoly(cox.matrix)  # descending
-    poly = []
-    for c in reversed(coeffs):
-        assert c.denominator == 1
-        poly.append(int(c))
+    poly = _charpoly(cox.matrix)[::-1]  # ascending
     exponents: list[int] = []
     trivial_mult = 0
     for d in _divisors(h):
@@ -256,55 +291,57 @@ def invariant_degrees(rd: RootDatum) -> tuple[int, ...]:
                 step = h // d
                 exponents.extend(step * j for j in range(1, d + 1) if gcd(j, d) == 1)
     assert poly == [1], "characteristic polynomial is not a product of cyclotomics"
-    assert trivial_mult == rd.ambient_dim - rd.rank
-    assert len(exponents) == rd.rank
+    assert trivial_mult == 0, "a Coxeter element fixes no nonzero vector"
+    assert len(exponents) == t.rank
     return tuple(sorted(e + 1 for e in exponents))
 
 
-def longest_element(rd: RootDatum) -> WeylElement:
+def longest_element(t: DynkinType) -> WeylElement:
     """The unique element sending every positive root to a negative root.
 
-    Greedy descent: as long as some simple root stays positive, append its
-    reflection; each step increases the length by one.
+    Greedy descent: as long as some w(alpha_i), column i of w, is a
+    positive root (coordinates all >= 0), append s_i; each step increases
+    the length by one.
     """
-    simples = rd.simple_roots
-    w = WeylElement(linalg.identity(rd.ambient_dim), ())
+    w = WeylElement(_identity(t.rank), ())
     while True:
-        i = next(
-            (i for i in range(rd.rank) if is_positive_root(rd, w.apply(simples[i]))),
-            None,
-        )
+        i = next((i for i in range(t.rank) if all(row[i] >= 0 for row in w.matrix)), None)
         if i is None:
             return w
-        w = w * simple_reflection_element(rd, i)
+        w = w * simple_reflection_element(t, i)
 
 
 @lru_cache(maxsize=None)
-def weyl_order(rd: RootDatum) -> int:
+def weyl_order(t: DynkinType) -> int:
     """|W| by an orbit-stabilizer chain on fundamental weights.
 
     Stab_W(w_i) is the parabolic generated by the other simple reflections,
     so |W| = |orbit(w_i)| * |W_{S - i}| recursively; orbits are small even
-    in rank 8.
+    in rank 8.  In fundamental-weight coordinates omega_i is the unit vector
+    e_i and s_j(v) = v - v_j (column j of A).
     """
-    simples = rd.simple_roots
-    weights = rd.fundamental_weights
+    cartan = build_root_datum(t).cartan
+    columns = list(zip(*cartan))  # alpha_j in fundamental-weight coordinates
 
     def order(active: frozenset) -> int:
         if not active:
             return 1
         i = min(active)
-        orbit = {weights[i]}
-        frontier = [weights[i]]
+        start = _unit(t.rank, i)
+        orbit = {start}
+        frontier = [start]
         while frontier:
             nxt = []
             for v in frontier:
                 for j in active:
-                    image = rd.reflect(v, simples[j])
+                    c = v[j]
+                    if c == 0:
+                        continue
+                    image = tuple(x - c * a for x, a in zip(v, columns[j]))
                     if image not in orbit:
                         orbit.add(image)
                         nxt.append(image)
             frontier = nxt
         return len(orbit) * order(active - {i})
 
-    return order(frozenset(range(rd.rank)))
+    return order(frozenset(range(t.rank)))

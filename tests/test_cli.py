@@ -1,9 +1,14 @@
 """CLI behaviors: parsing, formats, exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bundleaut
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -227,6 +232,20 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "report", "--group", "nonsense")
     assert code == 1
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("spec", ["SL4/mu0", "SL4mu0", "A3:mu0"])
+def test_zero_order_mu_is_a_usage_error(spec):
+    # run as a command, so an uncaught exception would reach stderr
+    src = str(Path(bundleaut.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bundleaut.cli", "report", "--group", spec],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_color_toggle(capsys, monkeypatch):

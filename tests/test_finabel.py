@@ -1,10 +1,10 @@
 """Smith normal form, lattice quotients, finite abelian groups, subgroups."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from bundleaut import linalg
 from bundleaut.finabel import (
     FiniteAbelianGroup,
     LatticeError,
@@ -25,7 +25,33 @@ def mat_mul_int(a, b):
 
 
 def int_det(m):
-    return linalg.det(m)
+    """Determinant by exact rational elimination."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def unit(n, i):
+    """omega_i in fundamental-weight coordinates."""
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def root_relations(t):
+    """The simple roots in fundamental-weight coordinates: the columns of
+    the Cartan matrix, so that Z^r / rows is P/Q."""
+    return list(zip(*build_root_datum(t).cartan))
 
 
 def check_snf(m):
@@ -76,37 +102,38 @@ def test_snf_zero_matrix():
 
 
 def test_lattice_quotient_d5():
-    rd = build_root_datum(DynkinType("D", 5))
-    q = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
+    q = lattice_quotient(root_relations(DynkinType("D", 5)))
     assert q.group.invariant_factors == (4,)
     # the class of w_5 generates
-    w5 = q.project(rd.fundamental_weights[4])
+    w5 = q.project(unit(5, 4))
     assert q.group.element_order(w5) == 4
 
 
 def test_lattice_quotient_e6():
-    rd = build_root_datum(DynkinType("E", 6))
-    q = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
+    q = lattice_quotient(root_relations(DynkinType("E", 6)))
     assert q.group.invariant_factors == (3,)
-    assert q.group.element_order(q.project(rd.fundamental_weights[0])) == 3
+    assert q.group.element_order(q.project(unit(6, 0))) == 3
 
 
 def test_lattice_quotient_equal_lattices():
-    basis = [(1, 0), (0, 1)]
-    q = lattice_quotient(basis, basis)
+    q = lattice_quotient([(1, 0), (0, 1)])
     assert q.group.is_trivial
     assert q.project((3, -5)) == ()
 
 
 def test_lattice_quotient_errors():
+    # one relation for Z^2: the sub lattice has smaller rank
     with pytest.raises(LatticeError):
-        lattice_quotient([(1, 0), (0, 1)], [(1, 0)])
-    # sub not contained in sup
+        lattice_quotient([(1, 0)])
+    # sub not contained in sup: (1, 0) has coordinates (1/2, 0) in 2Z^2
     with pytest.raises(LatticeError):
-        lattice_quotient([(2, 0), (0, 2)], [(1, 0), (0, 2)])
+        lattice_quotient([(Fraction(1, 2), 0), (0, 1)])
     # degenerate sub lattice
     with pytest.raises(LatticeError):
-        lattice_quotient([(1, 0), (0, 1)], [(1, 0), (2, 0)])
+        lattice_quotient([(1, 0), (2, 0)])
+    # a vector outside Z^r
+    with pytest.raises(LatticeError):
+        lattice_quotient([(2, 0), (0, 2)]).project((1, 0, 0))
 
 
 def test_lattice_quotient_index_matches_determinant():
@@ -118,29 +145,26 @@ def test_lattice_quotient_index_matches_determinant():
             d = int_det(m)
             if d != 0:
                 break
-        sup = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        sub = [tuple(row) for row in m]
-        q = lattice_quotient(sup, sub)
+        q = lattice_quotient([tuple(row) for row in m])
         assert q.group.order == abs(d)
 
 
 def test_projection_is_additive_and_lifts_invert():
-    rd = build_root_datum(DynkinType("D", 6))
-    q = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
+    q = lattice_quotient(root_relations(DynkinType("D", 6)))
     for coords in q.group.elements():
         assert q.project(q.lift(coords)) == coords
-    a = rd.fundamental_weights[2]
-    b = rd.fundamental_weights[5]
-    assert q.project(linalg.vadd(a, b)) == q.group.add(q.project(a), q.project(b))
+    a = unit(6, 2)
+    b = unit(6, 5)
+    a_plus_b = tuple(x + y for x, y in zip(a, b))
+    assert q.project(a_plus_b) == q.group.add(q.project(a), q.project(b))
 
 
 def test_with_basis_repins_coordinates():
-    rd = build_root_datum(DynkinType("D", 6))
-    q = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
-    pinned = q.with_basis([rd.fundamental_weights[4], rd.fundamental_weights[5]])
-    assert pinned.project(rd.fundamental_weights[4]) == (1, 0)
-    assert pinned.project(rd.fundamental_weights[5]) == (0, 1)
-    eps1 = linalg.vector([1, 0, 0, 0, 0, 0])
+    q = lattice_quotient(root_relations(DynkinType("D", 6)))
+    pinned = q.with_basis([unit(6, 4), unit(6, 5)])
+    assert pinned.project(unit(6, 4)) == (1, 0)
+    assert pinned.project(unit(6, 5)) == (0, 1)
+    eps1 = unit(6, 0)  # omega_1 = eps_1
     assert pinned.project(eps1) == (1, 1)
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from bundleaut import linalg
 from bundleaut.groupclass import (
     InvalidDegree,
     _sc_out_elements,
@@ -26,6 +25,11 @@ def T(name):
 
 def by_name(tname, form):
     return form_by_name(T(tname), form)
+
+
+def unit(n, i):
+    """omega_i (or omega_i^vee) in fundamental-(co)weight coordinates."""
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 # --- the five classification sub-tables (type A; B/C; D; E6; E7/E8/F4/G2) --
@@ -126,34 +130,33 @@ def test_complementarity_of_mu_and_annihilator():
 def test_dn_generator_swaps_spin_classes(n):
     t = DynkinType("D", n)
     lat = type_lattices(t)
-    rd = lat.rd
     sigma = next(e for e in _sc_out_elements(t) if not e.is_identity)
-    wn1 = lat.chars.project(rd.fundamental_weights[n - 2])
-    wn = lat.chars.project(rd.fundamental_weights[n - 1])
-    assert lat.chars.project(linalg.mat_vec(sigma.matrix, rd.fundamental_weights[n - 2])) == wn
-    assert lat.chars.project(linalg.mat_vec(sigma.matrix, rd.fundamental_weights[n - 1])) == wn1
+    wn1 = lat.chars.project(unit(n, n - 2))
+    wn = lat.chars.project(unit(n, n - 1))
+    assert wn != wn1
+    assert lat.chars.project(sigma.apply(unit(n, n - 2))) == wn
+    assert lat.chars.project(sigma.apply(unit(n, n - 1))) == wn1
 
 
 def test_e6_generator_inverts_w1():
     t = T("E6")
     lat = type_lattices(t)
-    w1 = lat.rd.fundamental_weights[0]
+    w1 = unit(6, 0)
     sigma = next(e for e in _sc_out_elements(t) if not e.is_identity)
-    image = lat.chars.project(linalg.mat_vec(sigma.matrix, w1))
+    image = lat.chars.project(sigma.apply(w1))
     assert image == lat.chars.group.neg(lat.chars.project(w1))
 
 
 def test_d4_s3_permutes_the_three_classes():
     t = T("D4")
     lat = type_lattices(t)
-    rd = lat.rd
-    eps1 = linalg.vector([1, 0, 0, 0])
-    trio = [eps1, rd.fundamental_weights[2], rd.fundamental_weights[3]]
+    eps1 = unit(4, 0)  # omega_1 = eps_1
+    trio = [eps1, unit(4, 2), unit(4, 3)]
     classes = {lat.chars.project(v) for v in trio}
     assert len(classes) == 3
     permutations = set()
     for elem in _sc_out_elements(t):
-        images = tuple(lat.chars.project(linalg.mat_vec(elem.matrix, v)) for v in trio)
+        images = tuple(lat.chars.project(elem.apply(v)) for v in trio)
         assert set(images) == classes
         permutations.add(images)
     assert len(permutations) == 6  # faithful S_3 action
@@ -237,8 +240,8 @@ def test_pairing_is_out_equivariant():
         for elem in _sc_out_elements(t):
             for a in lat.chars.group.elements():
                 for b in lat.center.group.elements():
-                    ia = lat.chars.project(linalg.mat_vec(elem.matrix, lat.chars.lift(a)))
-                    ib = lat.center.project(linalg.mat_vec(elem.matrix, lat.center.lift(b)))
+                    ia = lat.chars.project(elem.apply(lat.chars.lift(a)))
+                    ib = lat.center.project(elem.apply(lat.center.lift(b)))
                     assert pairing(lat, ia, ib) == pairing(lat, a, b)
 
 

@@ -179,7 +179,7 @@ def test_hitchin_report_requires_genus_two():
 def test_dimension_cross_check_all_types():
     for t in admissible_types(8):
         rd = build_root_datum(t)
-        degrees = invariant_degrees(rd)
+        degrees = invariant_degrees(t)
         dim_g = rd.rank + len(rd.roots)
         for g in range(2, 11):
             assert riemann_roch_basis_dim(degrees, rd.rank, g) == dim_g * (g - 1)

@@ -4,21 +4,71 @@ from fractions import Fraction
 
 import pytest
 
-from bundleaut import linalg
 from bundleaut.finabel import lattice_quotient
+from bundleaut.groupclass import type_lattices
 from bundleaut.rootdata import (
     DynkinType,
     InvalidType,
     admissible_types,
+    ambient_simple_roots,
     build_root_datum,
-    coroot,
     is_positive_root,
     root_hyperplanes,
 )
 
 
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def neg(v):
+    return tuple(-x for x in v)
+
+
+def unit(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def pair_with_simple_coroots(cartan, v):
+    """<v, alpha_i^vee> = sum_j A[i][j] v_j for v in simple-root coordinates."""
+    return [dot(row, v) for row in cartan]
+
+
+def ambient_image(t, v):
+    """sum_j v_j alpha_j in the printed ambient coordinates."""
+    _, simples = ambient_simple_roots(t)
+    return tuple(dot(v, column) for column in zip(*simples))
+
+
+def coroot_coordinates(t, a):
+    """a^vee = 2a/(a,a) in simple-coroot coordinates: a_j (alpha_j, alpha_j)/(a, a)."""
+    _, simples = ambient_simple_roots(t)
+    image = ambient_image(t, a)
+    norm = dot(image, image)
+    return tuple(x * dot(s, s) / norm for x, s in zip(a, simples))
+
+
+def integer_closure(cartan):
+    """Closure of the unit vectors under s_i(v) = v - (A v)_i e_i."""
+    n = len(cartan)
+    roots = {unit(n, i) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(n):
+                c = dot(cartan[i], v)
+                img = v[:i] + (v[i] - c,) + v[i + 1:]
+                if img not in roots:
+                    roots.add(img)
+                    new.append(img)
+        frontier = new
+    return roots
+
+
 def closure_oracle(simples):
-    """Independent breadth-first closure under the reflection formula."""
+    """Independent breadth-first closure under the reflection formula, on
+    the ambient simple roots."""
     def reflect(v, a):
         c = 2 * sum(x * y for x, y in zip(v, a)) / sum(x * x for x in a)
         return tuple(x - c * y for x, y in zip(v, a))
@@ -51,9 +101,11 @@ def closure_oracle(simples):
     ("G2", 12),
 ])
 def test_root_counts(name, count):
-    rd = build_root_datum(DynkinType.parse(name))
+    t = DynkinType.parse(name)
+    rd = build_root_datum(t)
     assert len(rd.roots) == count
-    assert len(rd.roots) == len(closure_oracle(rd.simple_roots))
+    ambient = closure_oracle(ambient_simple_roots(t)[1])
+    assert {ambient_image(t, a) for a in rd.roots} == ambient
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -76,7 +128,7 @@ def test_root_system_invariants(t):
     rd = build_root_datum(t)
     roots = set(rd.roots)
     assert len(roots) % 2 == 0
-    assert all(linalg.vneg(a) in roots for a in roots)
+    assert all(neg(a) in roots for a in roots)
     # Cartan shape
     for i in range(rd.rank):
         assert rd.cartan[i][i] == 2
@@ -87,16 +139,20 @@ def test_root_system_invariants(t):
     for i in range(rd.rank):
         image = {rd.simple_reflection(i, a) for a in roots}
         assert image == roots
-    # <a, a^vee> = 2
+    # <a, a^vee> = 2, with a^vee an integer combination of simple coroots
     for a in rd.roots:
-        assert linalg.dot(a, coroot(a)) == 2
-    # weights and coweights are dual to the simple (co)roots
-    for i, w in enumerate(rd.fundamental_weights):
-        for j, a in enumerate(rd.simple_roots):
-            assert linalg.dot(w, coroot(a)) == (1 if i == j else 0)
-    for i, w in enumerate(rd.fundamental_coweights):
-        for j, a in enumerate(rd.simple_roots):
-            assert linalg.dot(a, w) == (1 if i == j else 0)
+        cv = coroot_coordinates(t, a)
+        assert all(c.denominator == 1 for c in cv)
+        assert dot(cv, pair_with_simple_coroots(rd.cartan, a)) == 2
+    # weights and coweights are dual to the simple (co)roots: with
+    # <omega_i, omega_k^vee> = inv[k][i], alpha_j^vee = sum_k A[j][k] omega_k^vee
+    # and alpha_j = sum_k A[k][j] omega_k
+    inv = type_lattices(t).inverse_cartan
+    r = rd.rank
+    for i in range(r):
+        for j in range(r):
+            assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == (i == j)
+            assert sum(rd.cartan[k][j] * inv[i][k] for k in range(r)) == (i == j)
 
 
 @pytest.mark.parametrize("name,planes", [
@@ -114,17 +170,19 @@ def test_hyperplane_counts(name, planes):
 
 def test_positive_root_split():
     rd = build_root_datum(DynkinType.parse("F4"))
-    pos = [a for a in rd.roots if is_positive_root(rd, a)]
+    pos = [a for a in rd.roots if is_positive_root(a)]
     assert len(pos) == len(rd.roots) // 2
-    assert all(not is_positive_root(rd, linalg.vneg(a)) for a in pos)
+    assert all(not is_positive_root(neg(a)) for a in pos)
 
 
 def test_coroot_map():
-    rd = build_root_datum(DynkinType.parse("B2"))
-    cr = rd.coroots
-    assert set(cr) == set(rd.roots)
-    for a, av in cr.items():
-        assert av == linalg.vscale(Fraction(2) / linalg.dot(a, a), a)
+    # a -> a^vee = 2a/(a,a) is a bijection onto the coroots, which in
+    # simple-coroot coordinates are the roots of the transposed Cartan matrix
+    t = DynkinType.parse("B2")
+    rd = build_root_datum(t)
+    coroots = {tuple(int(c) for c in coroot_coordinates(t, a)) for a in rd.roots}
+    assert len(coroots) == len(rd.roots)
+    assert coroots == integer_closure(tuple(zip(*rd.cartan)))
 
 
 def test_ranks_beyond_default_bound():
@@ -138,26 +196,39 @@ def test_ranks_beyond_default_bound():
 
 
 def test_e6_lattice_matches_printed_coordinates():
-    rd = build_root_datum(DynkinType.parse("E6"))
+    t = DynkinType.parse("E6")
+    rd = build_root_datum(t)
+    # 3 w1 = 4a1 + 3a2 + 5a3 + 6a4 + 4a5 + 2a6 (Bourbaki, plate V) ...
+    three_w1 = (4, 3, 5, 6, 4, 2)
+    assert pair_with_simple_coroots(rd.cartan, three_w1) == [3, 0, 0, 0, 0, 0]
+    # ... which in the printed coordinates is w1 = (2/3)(e8 - e7 - e6)
     third = Fraction(2, 3)
-    w1 = rd.fundamental_weights[0]
+    w1 = tuple(x / 3 for x in ambient_image(t, three_w1))
     assert w1 == (0, 0, 0, 0, 0, -third, -third, third)
     # the root span is cut out by xi_7 = xi_6 and xi_8 = -xi_6
     for a in rd.roots:
-        assert a[6] == a[5] and a[7] == -a[5]
+        image = ambient_image(t, a)
+        assert image[6] == image[5] and image[7] == -image[5]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_dn_weight_classes(n):
-    rd = build_root_datum(DynkinType("D", n))
-    q = lattice_quotient(rd.fundamental_weights, rd.simple_roots)
-    eps1 = linalg.vector([1] + [0] * (n - 1))
+    t = DynkinType("D", n)
+    rd = build_root_datum(t)
+    # 2 w1 = 2a1 + ... + 2a_{n-2} + a_{n-1} + a_n = 2 eps_1, so eps_1 = w1,
+    # the unit vector e_1 in fundamental-weight coordinates
+    two_w1 = (2,) * (n - 2) + (1, 1)
+    assert pair_with_simple_coroots(rd.cartan, two_w1) == [2] + [0] * (n - 1)
+    assert ambient_image(t, two_w1) == (2,) + (0,) * (n - 1)
+    # P/Q: the simple roots in weight coordinates are the columns of A
+    q = lattice_quotient(list(zip(*rd.cartan)))
+    eps1 = unit(n, 0)
     zero = q.group.zero()
     cls = {
         "0": zero,
         "eps1": q.project(eps1),
-        "wn": q.project(rd.fundamental_weights[n - 1]),
-        "wn1": q.project(rd.fundamental_weights[n - 2]),
+        "wn": q.project(unit(n, n - 1)),
+        "wn1": q.project(unit(n, n - 2)),
     }
     assert len(set(cls.values())) == 4 == q.group.order
     double_wn = q.group.add(cls["wn"], cls["wn"])
