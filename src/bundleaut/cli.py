@@ -4,8 +4,10 @@ Subcommands: report (per-group invariants and the automorphism
 presentation), table (the full classification table), delta (the local
 invariant calculator), rootdata (root-system dump).  Output formats are
 text, json, and latex; identical flags always produce byte-identical
-output.  Exit codes: 0 success, 1 usage or parse error, 2 mathematical
-inconsistency in the input (e.g. a parity violation in a delta profile).
+output.  Exit codes: 0 success, 1 usage or parse error (or stdout closed
+before the output was written), 2 mathematical inconsistency in the input
+(e.g. a parity violation in a delta profile), 3 internal consistency
+failure (a cross-check of the program's own results failed).
 """
 
 from __future__ import annotations
@@ -20,11 +22,18 @@ from dataclasses import asdict, dataclass
 from . import groupclass, moduli, weyl
 from .groupclass import GroupForm, InvalidDegree
 from .moduli import GenusOutOfRange, InconsistentProfile
-from .rootdata import DynkinType, InvalidType, ambient_simple_roots, build_root_datum
+from .rootdata import (
+    ConsistencyError,
+    DynkinType,
+    InvalidType,
+    ambient_simple_roots,
+    build_root_datum,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
@@ -482,7 +491,16 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`bundleaut table | head -1`): send the rest of
+        # the output, and the flush at exit, to /dev/null ("Note on SIGPIPE"
+        # in the Python docs for the signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -492,6 +510,9 @@ def main(argv=None) -> int:
     except InconsistentProfile as exc:
         print(f"inconsistent profile: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ConsistencyError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

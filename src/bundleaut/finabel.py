@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
+from .rootdata import check
+
 IntMatrix = list[list[int]]
 
 
@@ -279,7 +281,7 @@ class Subgroup:
                 gens.append(e)
                 have = closure(ambient, gens)
         sub = cls(ambient, gens)
-        assert sub.elements == elements
+        check(sub.elements == elements, "generators do not span the given elements")
         return sub
 
     def _init_structure(self):
@@ -311,7 +313,8 @@ class Subgroup:
                 for _ in range(ci):
                     elt = self.ambient.add(elt, b)
             coords[elt] = c
-        assert len(coords) == len(self.elements) == self.structure.order
+        check(len(coords) == len(self.elements) == self.structure.order,
+              "subgroup coordinates do not match its order")
         self._coords = coords
 
     def _remap_basis(self, basis):

@@ -27,7 +27,7 @@ from .finabel import (
     Subgroup,
     lattice_quotient,
 )
-from .rootdata import DynkinType, RootDatum, _unit, build_root_datum
+from .rootdata import DynkinType, RootDatum, _unit, build_root_datum, check
 
 
 class InvalidDegree(ValueError):
@@ -76,7 +76,7 @@ class OutGroup:
 def _make_out_group(elements) -> OutGroup:
     elements = sorted(elements, key=lambda e: (not e.is_identity, e.node_permutation))
     kind = _KINDS.get(len(elements))
-    assert kind is not None, f"unexpected outer group order {len(elements)}"
+    check(kind is not None, f"unexpected outer group order {len(elements)}")
     return OutGroup(kind=kind, elements=tuple(elements))
 
 
@@ -322,7 +322,8 @@ def fundamental_group(gf: GroupForm) -> FiniteAbelianGroup:
     X_*(T_G)/<coroots>."""
     direct = gf.mu.structure
     via_lattice = _pi1_lattice_quotient(gf)
-    assert direct.invariant_factors == via_lattice.invariant_factors
+    check(direct.invariant_factors == via_lattice.invariant_factors,
+          "pi_1 from mu disagrees with the coweight-lattice quotient")
     return direct
 
 
@@ -357,7 +358,7 @@ def _pi1_matrix(gf: GroupForm, elem: OutElement):
     cols = []
     for b in mu.basis:
         image = _center_image(lat, elem, b)
-        assert image in mu.elements, "outer element does not preserve mu"
+        check(image in mu.elements, "outer element does not preserve mu")
         cols.append(mu.to_coords(image))
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
@@ -381,7 +382,7 @@ def out_action_on_center_chars(gf: GroupForm) -> AbelianAction:
         cols = []
         for b in ann.basis:
             image = _chars_image(lat, elem, b)
-            assert image in ann.elements, "action does not preserve the annihilator"
+            check(image in ann.elements, "action does not preserve the annihilator")
             cols.append(ann.to_coords(image))
         m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
         actors.append((elem.name, m))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import groupclass, weyl
 from .finabel import AbelianAction, FiniteAbelianGroup, torsion_power
 from .groupclass import GroupForm, OutGroup
-from .rootdata import DynkinType, RootDatum, build_root_datum, admissible_types
+from .rootdata import DynkinType, RootDatum, build_root_datum, admissible_types, check
 
 MIN_GENUS_PRESENTATION = 4
 SEMIDIRECT = "⋊"
@@ -251,7 +251,7 @@ def classification_table(genus: int, max_rank: int = 8) -> list[TableRow]:
         for gf in groupclass.enumerate_forms(t):
             for cls in delta_classes(gf):
                 rendered = {aut_presentation(gf, d, genus).render() for d in cls}
-                assert len(rendered) == 1, "presentation not constant on a class"
+                check(len(rendered) == 1, "presentation not constant on a class")
                 rows.append(TableRow(
                     family=t.label,
                     group=gf.display_name,
@@ -306,7 +306,7 @@ def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
     dim_center = 0  # almost-simple throughout
     closed_form = dim_group * (genus - 1) + dim_center
     via_rr = riemann_roch_basis_dim(degrees, rd.rank, genus, dim_center)
-    assert via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)"
+    check(via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)")
     m, n = weyl.discriminant_orbit_counts(gf.dynkin)
     return HitchinReport(
         group=gf.display_name,
@@ -343,8 +343,8 @@ def delta_total(profile) -> int:
 
 
 def degree_identity_check(rd: RootDatum) -> tuple[int, int, int]:
-    """Assert |Phi| = r * h and return (|Phi|, r, h)."""
+    """Check |Phi| = r * h and return (|Phi|, r, h)."""
     nroots = len(rd.roots)
     h = weyl.coxeter_number(rd.dynkin)
-    assert nroots == rd.rank * h, (nroots, rd.rank, h)
+    check(nroots == rd.rank * h, f"|Phi| = {nroots} is not r h = {rd.rank} * {h}")
     return nroots, rd.rank, h

@@ -13,6 +13,9 @@ rationals, which is also what `bundleaut rootdata` prints: A, B, C use the
 e_i - e_j / +-e_i / +-2e_i conventions, D_n the coordinates with Q(D_n) the
 even integer vectors, the E-types the standard even coordinates of R^8 and
 G_2 the sum-zero plane of R^3.
+
+The package's cross-check helper `check` lives here too, beside `InvalidType`:
+every command loads this module, so the helper adds no module to import.
 """
 
 from __future__ import annotations
@@ -25,6 +28,17 @@ from math import lcm
 DEFAULT_MAX_RANK = 8
 
 _FAMILIES = "ABCDEFG"
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed: the program, not its input, is wrong.
+    The CLI exits with code 3."""
+
+
+def check(cond: bool, msg: str) -> None:
+    """The package's cross-checks; unlike `assert`, kept under `python -O`."""
+    if not cond:
+        raise ConsistencyError(msg)
 
 
 class InvalidType(ValueError):
@@ -138,10 +152,11 @@ def _cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(row))
     n = t.rank
     for i in range(n):
-        assert rows[i][i] == 2
+        check(rows[i][i] == 2, "Cartan diagonal entry is not 2")
         for j in range(n):
             if i != j:
-                assert rows[i][j] in (0, -1, -2, -3)
+                check(rows[i][j] in (0, -1, -2, -3),
+                      "Cartan entry off the diagonal is not 0, -1, -2 or -3")
     return tuple(rows)
 
 

@@ -4,7 +4,9 @@ Everything works from the integer Cartan matrix, and every per-type result
 is cached on the DynkinType.  A Weyl element is an integer r x r matrix on
 simple-root coordinates.  Orbit computations act through simple-reflection
 generators only, encoded as permutations of the root list so the
-breadth-first searches run on small integers.  The group order comes from an
+breadth-first searches run on small integers.  Orbits on ordered root pairs
+are counted through the parabolic stabilizers of the dominant roots, without
+forming the |Phi|^2 pairs.  The group order comes from an
 orbit-stabilizer chain on fundamental weights, in fundamental-weight
 coordinates; the full group is never enumerated.  Invariant degrees are read
 off the cyclotomic factorization of the integer characteristic polynomial of
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .rootdata import DynkinType, _unit, build_root_datum, root_hyperplanes
+from .rootdata import DynkinType, _unit, build_root_datum, check, root_hyperplanes
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -188,13 +190,22 @@ def ordered_root_pair_orbit_count(t: DynkinType) -> int:
     Reported alongside the distinct-hyperplane-pair count; the two differ
     because each hyperplane carries two roots and the diagonal contributes
     orbits of its own.
+
+    Every orbit of pairs has a representative (theta, beta) with theta the
+    one dominant root of its W-orbit, unique up to Stab_W(theta) acting on
+    beta.  That stabilizer is the standard parabolic generated by the s_i
+    with <theta, alpha_i^vee> = (A theta)_i = 0 (Humphreys 1.12), so the
+    count is a sum of parabolic orbit counts on Phi, one per dominant root.
     """
+    rd = build_root_datum(t)
     perms = _root_permutations(t)
-    n = len(build_root_datum(t).roots)
-    pair_perms = [
-        tuple(p[k // n] * n + p[k % n] for k in range(n * n)) for p in perms
-    ]
-    return len(_orbit_partition(n * n, pair_perms))
+    total = 0
+    for theta in rd.roots:
+        pairings = [sum(a * x for a, x in zip(row, theta)) for row in rd.cartan]
+        if min(pairings) >= 0:
+            stabilizer = [perms[i] for i, c in enumerate(pairings) if c == 0]
+            total += len(_orbit_partition(len(rd.roots), stabilizer))
+    return total
 
 
 def coxeter_element(t: DynkinType) -> WeylElement:
@@ -221,7 +232,7 @@ def _charpoly(m: IntMatrix) -> list[int]:
         mk = _mat_mul(m, tuple(
             tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)))
         trace = sum(mk[i][i] for i in range(n))
-        assert trace % k == 0, "Faddeev-LeVerrier division is not exact"
+        check(trace % k == 0, "Faddeev-LeVerrier division is not exact")
         c = -trace // k
         coeffs.append(c)
     return coeffs
@@ -256,7 +267,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     for e in range(1, d):
         if d % e == 0:
             q, r = _poly_divmod(poly, list(cyclotomic_polynomial(e)))
-            assert not r
+            check(not r, f"Phi_{e} does not divide x^{d} - 1")
             poly = q
     return tuple(poly)
 
@@ -290,9 +301,9 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
             else:
                 step = h // d
                 exponents.extend(step * j for j in range(1, d + 1) if gcd(j, d) == 1)
-    assert poly == [1], "characteristic polynomial is not a product of cyclotomics"
-    assert trivial_mult == 0, "a Coxeter element fixes no nonzero vector"
-    assert len(exponents) == t.rank
+    check(poly == [1], "characteristic polynomial is not a product of cyclotomics")
+    check(trivial_mult == 0, "a Coxeter element fixes no nonzero vector")
+    check(len(exponents) == t.rank, f"{len(exponents)} exponents for rank {t.rank}")
     return tuple(sorted(e + 1 for e in exponents))
 
 

@@ -19,6 +19,8 @@ from bundleaut.cli import (
 )
 from bundleaut.moduli import TableRow, classification_table
 
+from test_acceptance import GOLDEN, _norm
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -234,18 +236,62 @@ def test_usage_error_exit_code(capsys):
     assert "nonsense" in err
 
 
-@pytest.mark.parametrize("spec", ["SL4/mu0", "SL4mu0", "A3:mu0"])
-def test_zero_order_mu_is_a_usage_error(spec):
-    # run as a command, so an uncaught exception would reach stderr
+def run_process(*args, stdout=subprocess.PIPE):
+    """Run `python <args>` with the package on the path, so an uncaught
+    exception would reach stderr."""
     src = str(Path(bundleaut.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bundleaut.cli", "report", "--group", spec],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("spec", ["SL4/mu0", "SL4mu0", "A3:mu0"])
+def test_zero_order_mu_is_a_usage_error(spec):
+    proc = run_process("-m", "bundleaut.cli", "report", "--group", spec)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--format", "json"),  # fills the pipe: print itself fails
+    ("rootdata", "--type", "A1"),   # fits the buffer: the flush fails
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the command starts, so every write to
+    # stdout fails with EPIPE, whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process("-m", "bundleaut.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
+def test_table_under_optimize_matches_golden():
+    # `python -O` drops assert statements; the cross-checks must not be them
+    proc = run_process("-O", "-m", "bundleaut.cli", "table")
+    assert proc.returncode == 0, proc.stderr
+    golden = [_norm(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+              if line.strip()]
+    assert [_norm(line) for line in proc.stdout.splitlines()] == golden
+
+
+def test_failed_check_exits_3_under_optimize():
+    script = (
+        "import sys\n"
+        "from bundleaut import cli, moduli\n"
+        "moduli.riemann_roch_basis_dim = lambda *args: -1\n"
+        "sys.exit(cli.main(['report', '--group', 'A2']))\n")
+    proc = run_process("-O", "-c", script)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("internal consistency failure: "
+                           "Riemann-Roch sum disagrees with dim G(g-1)\n")
 
 
 def test_color_toggle(capsys, monkeypatch):

@@ -13,6 +13,8 @@ from bundleaut.rootdata import (
 )
 from bundleaut.weyl import (
     EmptyPairSet,
+    _orbit_partition,
+    _root_permutations,
     coxeter_element,
     coxeter_number,
     invariant_degrees,
@@ -139,6 +141,34 @@ def test_ordered_pair_count_differs_from_hyperplane_pairs():
     # 1 orbit of distinct-hyperplane pairs, but 6 orbits on Phi x Phi
     assert orbits_on_hyperplane_pairs(t).num_orbits == 1
     assert ordered_root_pair_orbit_count(t) == 6
+
+
+def ordered_pair_orbits_oracle(t):
+    """W-orbits on Phi x Phi from the simple reflections permuting all
+    |Phi|^2 pairs, the pair (j, k) encoded as j * |Phi| + k."""
+    perms = _root_permutations(t)
+    n = len(build_root_datum(t).roots)
+    pair_perms = [
+        tuple(p[k // n] * n + p[k % n] for k in range(n * n)) for p in perms
+    ]
+    return len(_orbit_partition(n * n, pair_perms))
+
+
+@pytest.mark.parametrize("t", admissible_types(8))
+def test_ordered_pair_count_against_all_pairs(t):
+    assert ordered_root_pair_orbit_count(t) == ordered_pair_orbits_oracle(t)
+
+
+@pytest.mark.parametrize("t", admissible_types(8))
+def test_one_dominant_root_per_root_orbit(t):
+    # the fact the ordered count rests on: each W-orbit of roots meets the
+    # closed dominant chamber, <theta, alpha_i^vee> >= 0 for all i, once
+    rd = build_root_datum(t)
+    dominant = [theta for theta in rd.roots
+                if all(c >= 0 for c in mat_vec(rd.cartan, theta))]
+    assert len(dominant) == orbits_on_roots(t).num_orbits
+    for orbit in orbits_on_roots(t).orbits:
+        assert len(set(orbit) & set(dominant)) == 1
 
 
 @pytest.mark.parametrize("name,order", [
