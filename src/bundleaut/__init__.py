@@ -28,11 +28,7 @@ from .weyl import (
 from .groupclass import (
     GroupForm,
     OutGroup,
-    center_char_group,
     enumerate_forms,
-    fundamental_group,
-    out_action_on_pi1,
-    out_group,
     out_stabilizer,
 )
 from .moduli import (
@@ -60,7 +56,6 @@ __all__ = [
     "Subgroup",
     "aut_presentation",
     "build_root_datum",
-    "center_char_group",
     "classification_table",
     "coxeter_element",
     "degree_identity_check",
@@ -68,15 +63,12 @@ __all__ = [
     "delta_total",
     "enumerate_forms",
     "enumerate_subgroups",
-    "fundamental_group",
     "hitchin_report",
     "invariant_degrees",
     "lattice_quotient",
     "longest_element",
     "orbits_on_hyperplane_pairs",
     "orbits_on_roots",
-    "out_action_on_pi1",
-    "out_group",
     "out_stabilizer",
     "root_hyperplanes",
     "smith_normal_form",

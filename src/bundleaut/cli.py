@@ -134,7 +134,7 @@ def _resolve_form(spec: str, t: DynkinType, form: str) -> GroupForm:
 
 
 def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
-    pi1 = groupclass.fundamental_group(gf)
+    pi1 = gf.pi1
     if text is None:
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
@@ -206,7 +206,7 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
         pres = moduli.aut_presentation(gf, delta, genus)
         presentation = pres.render()
         actions = pres.action_descriptions()
-        cls = next(c for c in moduli.delta_classes(gf) if tuple(delta) in c)
+        cls = next(c for c in gf.delta_classes if tuple(delta) in c)
         delta_class = moduli.delta_class_label(gf, cls)
     else:
         warnings.append(
@@ -219,9 +219,9 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
             "rank": gf.dynkin.rank,
             "name": gf.display_name,
             "isogeny_kernel_order": len(gf.mu.elements),
-            "center_chars": groupclass.center_char_group(gf).symbol(),
-            "pi1": groupclass.fundamental_group(gf).symbol(),
-            "out": groupclass.out_group(gf).symbol(),
+            "center_chars": gf.chars.structure.symbol(),
+            "pi1": gf.pi1.symbol(),
+            "out": gf.out.symbol(),
         },
         genus=genus,
         delta=list(delta),

@@ -11,11 +11,15 @@ Cartan-matrix-preserving node permutations, which permute the weight and
 coweight coordinates directly, and everything downstream (Out(G), actions
 on pi_1 and on the character group, stabilizers of a component label) is
 derived from those permutations acting on lattice classes.
+
+Two caches hold all of it: `type_lattices` per Dynkin type, and
+`enumerate_forms`, the only constructor of `GroupForm`, whose records carry
+each form's invariants, computed and cross-checked once per form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,9 +29,12 @@ from .finabel import (
     FiniteAbelianGroup,
     LatticeQuotient,
     Subgroup,
+    _lattice_coords,
+    _row_lattice_basis,
+    enumerate_subgroups,
     lattice_quotient,
 )
-from .rootdata import DynkinType, RootDatum, _unit, build_root_datum, check
+from .rootdata import DynkinType, _unit, cartan_matrix, check
 
 
 class InvalidDegree(ValueError):
@@ -80,16 +87,6 @@ def _make_out_group(elements) -> OutGroup:
     return OutGroup(kind=kind, elements=tuple(elements))
 
 
-@dataclass(frozen=True)
-class GroupForm:
-    dynkin: DynkinType
-    mu: Subgroup
-    display_name: str
-
-    def __str__(self) -> str:
-        return self.display_name
-
-
 def _cycle_name(perm: tuple[int, ...]) -> str:
     seen = set()
     cycles = []
@@ -132,18 +129,19 @@ def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
 class TypeLattices:
     """Weight- and coweight-side quotients for a simply-connected type."""
 
-    rd: RootDatum
+    cartan: tuple[tuple[int, ...], ...]
     chars: LatticeQuotient  # P/Q  = Hom(Z(G^sc), G_m), weight coordinates
     center: LatticeQuotient  # P^vee/Q^vee = Z(G^sc), coweight coordinates
     inverse_cartan: tuple[tuple[Fraction, ...], ...]  # [j][i] = <omega_i, omega_j^vee>
+    out_elements: tuple[OutElement, ...]  # Out(G^sc), the Cartan automorphisms
 
 
 @lru_cache(maxsize=None)
 def type_lattices(t: DynkinType) -> TypeLattices:
-    rd = build_root_datum(t)
+    cartan = cartan_matrix(t)
     # alpha_j = sum_i A[i][j] omega_i and alpha_i^vee = sum_j A[i][j] omega_j^vee
-    chars = lattice_quotient(list(zip(*rd.cartan)))
-    center = lattice_quotient(rd.cartan)
+    chars = lattice_quotient(list(zip(*cartan)))
+    center = lattice_quotient(cartan)
     n = t.rank
     lifts = None
     if t.family == "D":
@@ -153,17 +151,10 @@ def type_lattices(t: DynkinType) -> TypeLattices:
     if lifts is not None:
         chars = chars.with_basis(lifts)
         center = center.with_basis(lifts)
-    return TypeLattices(rd=rd, chars=chars, center=center,
-                        inverse_cartan=linalg.invert(rd.cartan))
-
-
-@lru_cache(maxsize=None)
-def _sc_out_elements(t: DynkinType) -> tuple[OutElement, ...]:
-    rd = build_root_datum(t)
-    elements = []
-    for perm in _cartan_automorphisms(rd.cartan):
-        elements.append(OutElement(name=_cycle_name(perm), node_permutation=perm))
-    return tuple(elements)
+    outs = tuple(OutElement(name=_cycle_name(perm), node_permutation=perm)
+                 for perm in _cartan_automorphisms(cartan))
+    return TypeLattices(cartan=cartan, chars=chars, center=center,
+                        inverse_cartan=linalg.invert(cartan), out_elements=outs)
 
 
 def pairing(lat: TypeLattices, char_coords, center_coords):
@@ -177,24 +168,26 @@ def pairing(lat: TypeLattices, char_coords, center_coords):
     return value % 1
 
 
-def _full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    units = [tuple(1 if j == i else 0 for j in range(len(group.invariant_factors)))
-             for i in range(len(group.invariant_factors))]
+def _image(quotient: LatticeQuotient, elem: OutElement, coords) -> tuple[int, ...]:
+    """The class of elem applied to a lift of the class `coords`."""
+    return quotient.project(elem.apply(quotient.lift(coords)))
+
+
+def _unit_basis_if_full(sub: Subgroup) -> Subgroup:
+    """The whole group in its own unit basis, so that its coordinates are
+    the ambient ones; a proper subgroup as it is."""
+    group = sub.ambient
+    if len(sub.elements) < group.order:
+        return sub
+    k = len(group.invariant_factors)
+    units = [_unit(k, i) for i in range(k)]
     return Subgroup(group, units, basis=units)
-
-
-def _center_image(lat: TypeLattices, elem: OutElement, coords):
-    return lat.center.project(elem.apply(lat.center.lift(coords)))
-
-
-def _chars_image(lat: TypeLattices, elem: OutElement, coords):
-    return lat.chars.project(elem.apply(lat.chars.lift(coords)))
 
 
 def _so_subgroup(lat: TypeLattices) -> Subgroup:
     # kernel of the vector representation: generated by the class of
     # omega_1^vee (eps_1 in the usual coordinates)
-    omega1 = _unit(lat.rd.rank, 0)
+    omega1 = _unit(len(lat.cartan), 0)
     return Subgroup(lat.center.group, [lat.center.project(omega1)])
 
 
@@ -225,11 +218,97 @@ def _display_name(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> str:
     return {"F": "F4", "G": "G2"}[t.family]
 
 
-def _make_form(t: DynkinType, mu: Subgroup) -> GroupForm:
-    lat = type_lattices(t)
-    if mu.elements == frozenset(mu.ambient.elements()):
-        mu = _full_subgroup(mu.ambient)
-    return GroupForm(dynkin=t, mu=mu, display_name=_display_name(t, mu, lat))
+def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
+    """Hom(Z(G), G_m) as the annihilator of mu inside P/Q."""
+    ann = [a for a in lat.chars.group.elements()
+           if all(pairing(lat, a, g) == 0 for g in mu.generators)]
+    return _unit_basis_if_full(Subgroup.from_elements(lat.chars.group, ann))
+
+
+def _pi1_lattice_quotient(lat: TypeLattices, mu: Subgroup) -> FiniteAbelianGroup:
+    """X_*(T_G)/Q^vee in coweight coordinates, where the coroots are the rows
+    of the Cartan matrix and X_* is spanned by them and lifts of mu."""
+    coroots = lat.cartan
+    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in mu.generators]
+    _, diag, v = _row_lattice_basis(rows, len(coroots))
+    return lattice_quotient([_lattice_coords(c, diag, v) for c in coroots]).group
+
+
+def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> AbelianAction:
+    """The action of Out(G) on a subgroup of `quotient`'s group; column j of
+    each matrix holds the coordinates of the image of basis element j."""
+    k = len(sub.structure.invariant_factors)
+    actors = []
+    for elem in out.elements:
+        cols = []
+        for b in sub.basis:
+            image = _image(quotient, elem, b)
+            check(image in sub.elements,
+                  f"outer element {elem.name} does not preserve the subgroup")
+            cols.append(sub.to_coords(image))
+        actors.append((elem.name, tuple(tuple(col[i] for col in cols) for i in range(k))))
+    return AbelianAction(group=sub.structure, actors=tuple(actors))
+
+
+def _delta_classes(pi1: FiniteAbelianGroup, action: AbelianAction) -> tuple[tuple, ...]:
+    """Component labels grouped as in the classification table.
+
+    Labels are partitioned into Out(G)-orbits; orbits whose stabilizer
+    subgroups coincide (as sets of subgroups over the orbit) are printed as
+    one row, since they produce identical presentations.  The actors are
+    all of Out(G), so an orbit is the set of images of one label.
+    """
+    names = action.names()
+
+    def stab(x):
+        return frozenset(n for n in names if action.apply(n, x) == x)
+
+    by_stabs: dict[frozenset, list] = {}
+    seen: set = set()
+    for x in pi1.elements():
+        if x not in seen:
+            orbit = {action.apply(n, x) for n in names}
+            seen |= orbit
+            by_stabs.setdefault(frozenset(stab(y) for y in orbit), []).extend(orbit)
+    return tuple(sorted(tuple(sorted(labels)) for labels in by_stabs.values()))
+
+
+@dataclass(frozen=True)
+class GroupForm:
+    """The group G = G^sc/mu and its invariants, built once by
+    `enumerate_forms`.  Equality and hashing see (dynkin, mu, display_name)
+    only."""
+
+    dynkin: DynkinType
+    mu: Subgroup
+    display_name: str
+    chars: Subgroup = field(compare=False)  # Hom(Z(G), G_m), the annihilator of mu in P/Q
+    pi1: FiniteAbelianGroup = field(compare=False)  # pi_1(G), isomorphic to mu
+    out: OutGroup = field(compare=False)  # Out(G), the elements of Out(G^sc) preserving mu
+    pi1_action: AbelianAction = field(compare=False)  # Out(G) on pi_1(G)
+    chars_action: AbelianAction = field(compare=False)  # Out(G) on Hom(Z(G), G_m)
+    delta_classes: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False)
+
+    def __str__(self) -> str:
+        return self.display_name
+
+
+def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> GroupForm:
+    """G^sc/mu with each invariant computed, and cross-checked, once."""
+    mu = _unit_basis_if_full(mu)
+    chars = _annihilator(lat, mu)
+    pi1 = mu.structure
+    check(pi1.invariant_factors == _pi1_lattice_quotient(lat, mu).invariant_factors,
+          "pi_1 from mu disagrees with the coweight-lattice quotient")
+    out = _make_out_group(
+        elem for elem in lat.out_elements
+        if {_image(lat.center, elem, x) for x in mu.elements} == mu.elements)
+    pi1_action = _out_action(out, mu, lat.center)
+    return GroupForm(
+        dynkin=t, mu=mu, display_name=_display_name(t, mu, lat),
+        chars=chars, pi1=pi1, out=out, pi1_action=pi1_action,
+        chars_action=_out_action(out, chars, lat.chars),
+        delta_classes=_delta_classes(pi1, pi1_action))
 
 
 @lru_cache(maxsize=None)
@@ -240,19 +319,16 @@ def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
     type D the representative of an orbit containing the vector-kernel
     subgroup is that subgroup, so the class is literally the SO form.
     """
-    from .finabel import enumerate_subgroups
-
     lat = type_lattices(t)
     subgroups = enumerate_subgroups(lat.center.group)
-    outs = _sc_out_elements(t)
     remaining = {sub.canonical_key(): sub for sub in subgroups}
     classes = []
     while remaining:
         key = min(remaining)
         sub = remaining.pop(key)
         orbit = [sub]
-        for elem in outs:
-            image = frozenset(_center_image(lat, elem, x) for x in sub.elements)
+        for elem in lat.out_elements:
+            image = frozenset(_image(lat.center, elem, x) for x in sub.elements)
             ikey = (len(image), tuple(sorted(image)))
             if ikey in remaining:
                 orbit.append(remaining.pop(ikey))
@@ -263,7 +339,7 @@ def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
                 rep = so
         classes.append(rep)
     classes.sort(key=lambda s: s.canonical_key())
-    return tuple(_make_form(t, rep) for rep in classes)
+    return tuple(_make_form(t, rep, lat) for rep in classes)
 
 
 def form_by_name(t: DynkinType, kind: str) -> GroupForm:
@@ -300,108 +376,16 @@ def form_by_name(t: DynkinType, kind: str) -> GroupForm:
     raise ValueError(f"unknown form {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def center_char_subgroup(gf: GroupForm) -> Subgroup:
-    """Hom(Z(G), G_m) as the annihilator of mu inside P/Q."""
-    lat = type_lattices(gf.dynkin)
-    ann = [a for a in lat.chars.group.elements()
-           if all(pairing(lat, a, g) == 0 for g in gf.mu.generators)]
-    sub = Subgroup.from_elements(lat.chars.group, ann)
-    if sub.elements == frozenset(lat.chars.group.elements()):
-        sub = _full_subgroup(lat.chars.group)
-    return sub
-
-
-def center_char_group(gf: GroupForm) -> FiniteAbelianGroup:
-    return center_char_subgroup(gf).structure
-
-
-@lru_cache(maxsize=None)
-def fundamental_group(gf: GroupForm) -> FiniteAbelianGroup:
-    """pi_1(G) = mu, cross-checked against the coweight-lattice quotient
-    X_*(T_G)/<coroots>."""
-    direct = gf.mu.structure
-    via_lattice = _pi1_lattice_quotient(gf)
-    check(direct.invariant_factors == via_lattice.invariant_factors,
-          "pi_1 from mu disagrees with the coweight-lattice quotient")
-    return direct
-
-
-def _pi1_lattice_quotient(gf: GroupForm) -> FiniteAbelianGroup:
-    """X_*(T_G)/Q^vee in coweight coordinates, where the coroots are the rows
-    of the Cartan matrix and X_* is spanned by them and lifts of mu."""
-    from .finabel import _lattice_coords, _row_lattice_basis
-
-    lat = type_lattices(gf.dynkin)
-    coroots = lat.rd.cartan
-    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in gf.mu.generators]
-    _, diag, v = _row_lattice_basis(rows, len(coroots))
-    return lattice_quotient([_lattice_coords(c, diag, v) for c in coroots]).group
-
-
-@lru_cache(maxsize=None)
-def out_group(gf: GroupForm) -> OutGroup:
-    """Out(G): the diagram automorphisms of the sc group preserving mu."""
-    lat = type_lattices(gf.dynkin)
-    kept = []
-    for elem in _sc_out_elements(gf.dynkin):
-        image = {_center_image(lat, elem, x) for x in gf.mu.elements}
-        if image == set(gf.mu.elements):
-            kept.append(elem)
-    return _make_out_group(kept)
-
-
-def _pi1_matrix(gf: GroupForm, elem: OutElement):
-    lat = type_lattices(gf.dynkin)
-    mu = gf.mu
-    k = len(mu.structure.invariant_factors)
-    cols = []
-    for b in mu.basis:
-        image = _center_image(lat, elem, b)
-        check(image in mu.elements, "outer element does not preserve mu")
-        cols.append(mu.to_coords(image))
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-@lru_cache(maxsize=None)
-def out_action_on_pi1(gf: GroupForm) -> AbelianAction:
-    actors = tuple(
-        (elem.name, _pi1_matrix(gf, elem)) for elem in out_group(gf).elements
-    )
-    return AbelianAction(group=fundamental_group(gf), actors=actors)
-
-
-@lru_cache(maxsize=None)
-def out_action_on_center_chars(gf: GroupForm) -> AbelianAction:
-    """The Out(G)-action on Hom(Z(G), G_m), i.e. on the annihilator of mu."""
-    lat = type_lattices(gf.dynkin)
-    ann = center_char_subgroup(gf)
-    k = len(ann.structure.invariant_factors)
-    actors = []
-    for elem in out_group(gf).elements:
-        cols = []
-        for b in ann.basis:
-            image = _chars_image(lat, elem, b)
-            check(image in ann.elements, "action does not preserve the annihilator")
-            cols.append(ann.to_coords(image))
-        m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        actors.append((elem.name, m))
-    return AbelianAction(group=ann.structure, actors=tuple(actors))
-
-
 def validate_delta(gf: GroupForm, delta) -> tuple[int, ...]:
-    pi1 = fundamental_group(gf)
     delta = tuple(delta)
-    if len(delta) != len(pi1.invariant_factors) or not pi1.contains(delta):
+    if len(delta) != len(gf.pi1.invariant_factors) or not gf.pi1.contains(delta):
         raise InvalidDegree(
-            f"delta {delta} is not a label in pi_1({gf.display_name}) = {pi1.symbol()}")
+            f"delta {delta} is not a label in pi_1({gf.display_name}) = {gf.pi1.symbol()}")
     return delta
 
 
 def out_stabilizer(gf: GroupForm, delta) -> OutGroup:
     """Out(G, delta): the outer automorphisms fixing the component label."""
     delta = validate_delta(gf, delta)
-    action = out_action_on_pi1(gf)
-    kept = [elem for elem in out_group(gf).elements
-            if action.apply(elem.name, delta) == delta]
-    return _make_out_group(kept)
+    return _make_out_group(elem for elem in gf.out.elements
+                           if gf.pi1_action.apply(elem.name, delta) == delta)

@@ -5,8 +5,8 @@ The automorphism group of a moduli component is assembled as
 H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)): the torsion part comes from the
 character group of the center raised to the 2g-th power, the outer part is
 the stabilizer of the component label, and Aut(C) stays symbolic.  Table
-rows group component labels delta by their stabilizer: orbits of the
-Out(G)-action merged when the stabilizers agree pointwise.
+rows are the form's `delta_classes`: the component labels grouped by their
+stabilizers, as `groupclass` builds them with the form.
 """
 
 from __future__ import annotations
@@ -90,12 +90,11 @@ class AutPresentation:
     genus: int
     delta: tuple[int, ...]
     torsion_blocks: tuple[tuple[int, int], ...]  # (l, multiplicity 2g)
-    outer: OutGroup
-    outer_action: AbelianAction  # on Hom(Z(G), G_m)
+    outer: OutGroup  # acts on Hom(Z(G), G_m) through group.chars_action
 
     @property
     def torsion_group(self) -> FiniteAbelianGroup:
-        chars = groupclass.center_char_group(self.group)
+        chars = self.group.chars.structure
         if chars.is_trivial:
             return chars
         return torsion_power(chars, 2 * self.genus)
@@ -105,9 +104,9 @@ class AutPresentation:
 
     def action_descriptions(self) -> dict[str, str]:
         out = {"Aut(C)": "pull-back" if self.torsion_blocks else "trivial"}
-        for name in self.outer_action.names():
-            if name != "e":
-                out[name] = _describe_action(self.outer_action, name)
+        for elem in self.outer.elements:
+            if not elem.is_identity:
+                out[elem.name] = _describe_action(self.group.chars_action, elem.name)
         return out
 
 
@@ -116,17 +115,12 @@ def aut_presentation(gf: GroupForm, delta, genus: int) -> AutPresentation:
         raise GenusOutOfRange(
             f"the presentation holds for genus >= {MIN_GENUS_PRESENTATION}, got {genus}")
     delta = groupclass.validate_delta(gf, delta)
-    chars = groupclass.center_char_group(gf)
-    outer = groupclass.out_stabilizer(gf, delta)
-    full_action = groupclass.out_action_on_center_chars(gf)
-    actors = tuple((e.name, full_action.matrix(e.name)) for e in outer.elements)
     return AutPresentation(
         group=gf,
         genus=genus,
         delta=delta,
-        torsion_blocks=tuple((l, 2 * genus) for l in chars.invariant_factors),
-        outer=outer,
-        outer_action=AbelianAction(group=full_action.group, actors=actors),
+        torsion_blocks=tuple((l, 2 * genus) for l in gf.chars.structure.invariant_factors),
+        outer=groupclass.out_stabilizer(gf, delta),
     )
 
 
@@ -136,48 +130,8 @@ def _render_element(x) -> str:
     return "(" + ",".join(str(c) for c in x) + ")"
 
 
-def delta_classes(gf: GroupForm) -> list[tuple[tuple, ...]]:
-    """Component labels grouped as in the classification table.
-
-    Labels are partitioned into Out(G)-orbits; orbits whose stabilizer
-    subgroups coincide (as sets of subgroups over the orbit) are printed as
-    one row, since they produce identical presentations.
-    """
-    pi1 = groupclass.fundamental_group(gf)
-    action = groupclass.out_action_on_pi1(gf)
-    names = [e.name for e in groupclass.out_group(gf).elements]
-
-    def stab(x):
-        return frozenset(n for n in names if action.apply(n, x) == x)
-
-    orbits = []
-    seen = set()
-    for x in sorted(pi1.elements()):
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for n in names:
-                z = action.apply(n, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-
-    by_stabs: dict[frozenset, list] = {}
-    for orbit in orbits:
-        key = frozenset(stab(x) for x in orbit)
-        by_stabs.setdefault(key, []).extend(orbit)
-    classes = [tuple(sorted(v)) for v in by_stabs.values()]
-    classes.sort(key=lambda c: c[0])
-    return classes
-
-
 def delta_class_label(gf: GroupForm, cls: tuple) -> str:
-    pi1 = groupclass.fundamental_group(gf)
+    pi1 = gf.pi1
     sym = pi1.symbol()
     elems = set(cls)
     everything = set(pi1.elements())
@@ -249,7 +203,7 @@ def classification_table(genus: int, max_rank: int = 8) -> list[TableRow]:
     rows = []
     for t in table_types(max_rank):
         for gf in groupclass.enumerate_forms(t):
-            for cls in delta_classes(gf):
+            for cls in gf.delta_classes:
                 rendered = {aut_presentation(gf, d, genus).render() for d in cls}
                 check(len(rendered) == 1, "presentation not constant on a class")
                 rows.append(TableRow(

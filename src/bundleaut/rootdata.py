@@ -129,7 +129,7 @@ def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[AmbientVector, ...]]
     return 3, (_ambient([1, -1, 0]), _ambient([-2, 1, 1]))
 
 
-def _cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     """<alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i).
 
     The ratio is taken on the simple roots scaled to integer vectors."""
@@ -184,7 +184,7 @@ class RootDatum:
 def build_root_datum(t: DynkinType) -> RootDatum:
     """The Cartan matrix and the roots, the closure of the simple roots
     under the simple reflections."""
-    cartan = _cartan_matrix(t)
+    cartan = cartan_matrix(t)
     simples = [_unit(t.rank, i) for i in range(t.rank)]
     roots = set(simples)
     frontier = simples

@@ -132,28 +132,17 @@ def orbits_on_roots(t: DynkinType) -> OrbitDecomposition:
     )
 
 
-@lru_cache(maxsize=None)
-def _hyperplane_permutations(t: DynkinType):
-    rd = build_root_datum(t)
-    planes = root_hyperplanes(rd)
-    reps = [max(p) for p in planes]
-    rep_index = {}
-    for k, plane in enumerate(planes):
-        for root in plane:
-            rep_index[root] = k
-    root_perms = _root_permutations(t)
-    perms = []
-    for perm in root_perms:
-        root_of = {root: rd.roots[perm[i]] for i, root in enumerate(rd.roots)}
-        perms.append(tuple(rep_index[root_of[rep]] for rep in reps))
-    return planes, tuple(perms)
-
-
 def orbits_on_hyperplane_pairs(t: DynkinType) -> OrbitDecomposition:
     """W-orbits on unordered pairs of distinct root hyperplanes."""
     if t.rank < 2:
         raise EmptyPairSet("rank-1 systems have no singular discriminant locus")
-    planes, perms = _hyperplane_permutations(t)
+    rd = build_root_datum(t)
+    planes = root_hyperplanes(rd)
+    plane_of = {root: k for k, plane in enumerate(planes) for root in plane}
+    index = {root: k for k, root in enumerate(rd.roots)}
+    reps = [index[max(plane)] for plane in planes]
+    # s_i sends the hyperplane {a, -a} to the hyperplane of s_i(a)
+    perms = [tuple(plane_of[rd.roots[perm[r]]] for r in reps) for perm in _root_permutations(t)]
     h = len(planes)
     pairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
     pair_index = {p: k for k, p in enumerate(pairs)}

@@ -11,12 +11,7 @@ from pathlib import Path
 
 from bundleaut import cli
 from bundleaut.finabel import FiniteAbelianGroup, enumerate_subgroups
-from bundleaut.groupclass import (
-    center_char_group,
-    form_by_name,
-    fundamental_group,
-    out_group,
-)
+from bundleaut.groupclass import form_by_name
 from bundleaut.moduli import delta_local, delta_total, riemann_roch_basis_dim
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import invariant_degrees, weyl_order
@@ -53,9 +48,9 @@ def test_criterion_2_classification_subtables(capsys):
     for tname, form, name, out_sym, chars, pi1 in test_groupclass.ALL_TABLES:
         gf = form_by_name(DynkinType.parse(tname), form)
         assert gf.display_name == name
-        assert out_group(gf).symbol() == out_sym
-        assert center_char_group(gf).symbol() == chars
-        assert fundamental_group(gf).symbol() == pi1
+        assert gf.out.symbol() == out_sym
+        assert gf.chars.structure.symbol() == chars
+        assert gf.pi1.symbol() == pi1
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"sub-tables took {elapsed:.1f}s"

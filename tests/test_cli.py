@@ -17,7 +17,8 @@ from bundleaut.cli import (
     parse_group_spec,
     parse_profile,
 )
-from bundleaut.moduli import TableRow, classification_table
+from bundleaut.groupclass import enumerate_forms, form_by_name
+from bundleaut.moduli import TableRow, classification_table, table_types
 
 from test_acceptance import GOLDEN, _norm
 
@@ -59,6 +60,25 @@ def test_parse_group_spec(spec, name):
 def test_parse_group_spec_rejects(spec):
     with pytest.raises(UsageError):
         parse_group_spec(spec)
+
+
+def test_form_lookups_return_the_enumerated_records():
+    # a form's invariants are built once, with the record; a lookup by name
+    # must hand back that record, not a rebuilt equal one
+    for t in table_types(8):
+        forms = enumerate_forms(t)
+        reached = set()
+        for kind in ("sc", "adjoint", "so", "semispin",
+                     *(f"mu{r}" for r in range(1, t.rank + 2))):
+            try:
+                gf = form_by_name(t, kind)
+            except (ValueError, StopIteration):
+                continue
+            assert any(gf is f for f in forms)
+            reached.add(id(gf))
+        assert reached == {id(f) for f in forms}
+        for gf in forms:
+            assert parse_group_spec(gf.display_name) is gf
 
 
 def test_parse_delta():

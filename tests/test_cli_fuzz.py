@@ -1,0 +1,141 @@
+"""Hypothesis fuzzing of the command line: any argv ends in exit 0, 1 or 2.
+
+Generated ranks stay at or below 8, since nothing yet bounds the rank a
+user may ask for and the cost grows quickly with it.  Free text is drawn
+without decimal digits for the same reason.  Every test has a fixed example
+budget and a derandomized seed, so the suite runs the same examples each
+time.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bundleaut.cli import UsageError, main, parse_delta, parse_group_spec, parse_profile
+from bundleaut.groupclass import GroupForm, enumerate_forms
+from bundleaut.moduli import table_types
+
+MAX_RANK = 8
+
+
+def budget(n: int):
+    return settings(max_examples=n, deadline=None, derandomize=True, database=None)
+
+
+free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+
+
+@st.composite
+def typed_specs(draw) -> str:
+    family = draw(st.sampled_from("ABCDEFGHabcdefg"))
+    sep = draw(st.sampled_from(["", "_"]))
+    form = draw(st.sampled_from(
+        ["", "sc", "adjoint", "ad", "so", "semispin", "mu", "mu0", "mu1", "mu2", "mu3",
+         "mu4", "mu9", "x"]))
+    spec = f"{family}{sep}{draw(st.integers(0, MAX_RANK))}"
+    return f"{spec}:{form}" if form else spec
+
+
+@st.composite
+def alias_specs(draw) -> str:
+    name = draw(st.sampled_from(
+        ["Spin", "SemiSpin", "SO", "PSO", "Sp", "PSp", "SL", "PSL", "SL/mu"]))
+    # the matrix size m of a rank <= 8 group: SL_m has rank m - 1, the
+    # orthogonal and symplectic groups rank m // 2
+    top = MAX_RANK + 1 if name.startswith(("SL", "PSL")) else 2 * MAX_RANK + 1
+    m = draw(st.integers(0, top))
+    sep = draw(st.sampled_from(["", "_"]))
+    if name == "SL/mu":
+        return f"SL{sep}{m}/mu{sep}{draw(st.integers(0, m + 2))}"
+    return f"{name}{sep}{m}"
+
+
+group_specs = st.one_of(
+    typed_specs(), alias_specs(),
+    st.sampled_from(["E6_sc", "E6ad", "E7_adjoint", "E7sc", "E8", "F4", "G2", "E9", "G_2"]),
+    free_text)
+
+delta_texts = st.one_of(
+    st.lists(st.integers(-3, 12), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+        lambda xs: "(" + ",".join(map(str, xs)) + ")"),
+    free_text)
+
+profile_texts = st.one_of(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=4)
+    .map(lambda ps: ",".join(f"{d}:{s}" for d, s in ps)),
+    free_text)
+
+FORMS = [gf for t in table_types(MAX_RANK) for gf in enumerate_forms(t)]
+formats = st.sampled_from(["text", "json", "latex", "xml"])
+genera = st.one_of(st.integers(-2, 12).map(str), free_text)
+
+
+@st.composite
+def report_argvs(draw) -> list[str]:
+    argv = ["report", f"--group={draw(group_specs)}", f"--genus={draw(genera)}",
+            f"--format={draw(formats)}"]
+    delta = draw(st.none() | delta_texts)
+    return argv if delta is None else argv + [f"--delta={delta}"]
+
+
+argvs = st.one_of(
+    report_argvs(),
+    st.builds(lambda g, r, f: ["table", f"--genus={g}", f"--max-rank={r}", f"--format={f}"],
+              genera, st.integers(-1, MAX_RANK).map(str), formats),
+    st.builds(lambda p, f: ["delta", f"--profile={p}", f"--format={f}"], profile_texts, formats),
+    st.builds(lambda t, f: ["rootdata", f"--type={t}", f"--format={f}"],
+              typed_specs().map(lambda s: s.split(":")[0]) | free_text, formats),
+    st.lists(free_text, max_size=3),
+)
+
+
+@budget(400)
+@given(group_specs)
+def test_parse_group_spec_returns_an_enumerated_form_or_usage_error(spec):
+    try:
+        gf = parse_group_spec(spec)
+    except UsageError:
+        return
+    assert isinstance(gf, GroupForm)
+    assert any(gf is f for f in enumerate_forms(gf.dynkin))
+
+
+@budget(300)
+@given(st.sampled_from(FORMS), st.none() | delta_texts)
+def test_parse_delta_returns_a_label_or_usage_error(gf, text):
+    try:
+        delta = parse_delta(text, gf)
+    except UsageError:
+        return
+    assert gf.pi1.contains(delta)
+
+
+@budget(300)
+@given(profile_texts)
+def test_parse_profile_returns_points_or_usage_error(text):
+    try:
+        points = parse_profile(text)
+    except UsageError:
+        return
+    assert points and all(d >= 0 and s >= 0 for d, s in points)
+
+
+@budget(300)
+@given(argvs)
+def test_main_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own --help
+            code = exc.code
+    # an uncaught exception fails the test here, as a traceback would
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -4,14 +4,8 @@ import pytest
 
 from bundleaut.groupclass import (
     InvalidDegree,
-    _sc_out_elements,
-    center_char_group,
     enumerate_forms,
     form_by_name,
-    fundamental_group,
-    out_action_on_center_chars,
-    out_action_on_pi1,
-    out_group,
     out_stabilizer,
     pairing,
     type_lattices,
@@ -101,9 +95,9 @@ ALL_TABLES = A_TABLE + BC_TABLE + D_TABLE + E6_TABLE + REST_TABLE
 def test_classification_tables(tname, form, name, out, chars, pi1):
     gf = by_name(tname, form)
     assert gf.display_name == name
-    assert out_group(gf).symbol() == out
-    assert center_char_group(gf).symbol() == chars
-    assert fundamental_group(gf).symbol() == pi1
+    assert gf.out.symbol() == out
+    assert gf.chars.structure.symbol() == chars
+    assert gf.pi1.symbol() == pi1
 
 
 @pytest.mark.parametrize("tname,count", [
@@ -123,14 +117,14 @@ def test_complementarity_of_mu_and_annihilator():
     for t in admissible_types(8):
         total = type_lattices(t).chars.group.order
         for gf in enumerate_forms(t):
-            assert center_char_group(gf).order * fundamental_group(gf).order == total
+            assert gf.chars.structure.order * gf.pi1.order == total
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_dn_generator_swaps_spin_classes(n):
     t = DynkinType("D", n)
     lat = type_lattices(t)
-    sigma = next(e for e in _sc_out_elements(t) if not e.is_identity)
+    sigma = next(e for e in lat.out_elements if not e.is_identity)
     wn1 = lat.chars.project(unit(n, n - 2))
     wn = lat.chars.project(unit(n, n - 1))
     assert wn != wn1
@@ -142,7 +136,7 @@ def test_e6_generator_inverts_w1():
     t = T("E6")
     lat = type_lattices(t)
     w1 = unit(6, 0)
-    sigma = next(e for e in _sc_out_elements(t) if not e.is_identity)
+    sigma = next(e for e in lat.out_elements if not e.is_identity)
     image = lat.chars.project(sigma.apply(w1))
     assert image == lat.chars.group.neg(lat.chars.project(w1))
 
@@ -155,7 +149,7 @@ def test_d4_s3_permutes_the_three_classes():
     classes = {lat.chars.project(v) for v in trio}
     assert len(classes) == 3
     permutations = set()
-    for elem in _sc_out_elements(t):
+    for elem in lat.out_elements:
         images = tuple(lat.chars.project(elem.apply(v)) for v in trio)
         assert set(images) == classes
         permutations.add(images)
@@ -165,25 +159,25 @@ def test_d4_s3_permutes_the_three_classes():
 def test_out_action_on_pi1_examples():
     # PSL_n: the generator inverts Z/n
     gf = by_name("A3", "adjoint")
-    act = out_action_on_pi1(gf)
+    act = gf.pi1_action
     g = next(n for n in act.names() if n != "e")
     assert all(act.apply(g, x) == act.group.neg(x) for x in act.group.elements())
     # PSO_{4l}: the generator swaps the two Z/2 coordinates
     gf = by_name("D6", "adjoint")
-    act = out_action_on_pi1(gf)
+    act = gf.pi1_action
     g = next(n for n in act.names() if n != "e")
     assert act.apply(g, (1, 0)) == (0, 1)
     assert act.apply(g, (1, 1)) == (1, 1)
     # trivial-Out forms only carry the identity action
     gf = by_name("D6", "semispin")
-    act = out_action_on_pi1(gf)
+    act = gf.pi1_action
     assert act.names() == ("e",)
     assert all(act.apply("e", x) == x for x in act.group.elements())
 
 
 def test_out_acts_trivially_on_z2_factors():
     for tname, form in [("D6", "so"), ("D4", "so"), ("D7", "so")]:
-        act = out_action_on_pi1(by_name(tname, form))
+        act = by_name(tname, form).pi1_action
         assert act.group.invariant_factors == (2,)
         for name in act.names():
             assert act.apply(name, (1,)) == (1,)
@@ -215,8 +209,8 @@ def test_out_stabilizers():
 def test_out_stabilizer_of_zero_is_out():
     for t in admissible_types(6):
         for gf in enumerate_forms(t):
-            zero = fundamental_group(gf).zero()
-            assert out_stabilizer(gf, zero).symbol() == out_group(gf).symbol()
+            zero = gf.pi1.zero()
+            assert out_stabilizer(gf, zero).symbol() == gf.out.symbol()
 
 
 def test_invalid_delta_rejected():
@@ -229,7 +223,7 @@ def test_invalid_delta_rejected():
 
 def test_semispin_out_is_trivial_for_large_even_rank():
     for tname in ["D6", "D8"]:
-        assert out_group(by_name(tname, "semispin")).symbol() == "1"
+        assert by_name(tname, "semispin").out.symbol() == "1"
 
 
 def test_pairing_is_out_equivariant():
@@ -237,7 +231,7 @@ def test_pairing_is_out_equivariant():
     for tname in ["A3", "D5", "D6", "E6"]:
         t = T(tname)
         lat = type_lattices(t)
-        for elem in _sc_out_elements(t):
+        for elem in lat.out_elements:
             for a in lat.chars.group.elements():
                 for b in lat.center.group.elements():
                     ia = lat.chars.project(elem.apply(lat.chars.lift(a)))
@@ -247,15 +241,15 @@ def test_pairing_is_out_equivariant():
 
 def test_char_action_matches_table_rows():
     # Spin_{4l}: the swap permutes the two Pic factors
-    act = out_action_on_center_chars(by_name("D6", "sc"))
+    act = by_name("D6", "sc").chars_action
     g = next(n for n in act.names() if n != "e")
     assert act.apply(g, (1, 0)) == (0, 1)
     # Spin_{4l+2}: the generator inverts Z/4
-    act = out_action_on_center_chars(by_name("D5", "sc"))
+    act = by_name("D5", "sc").chars_action
     g = next(n for n in act.names() if n != "e")
     assert act.apply(g, (1,)) == (3,)
     # E6 sc: inversion on Z/3
-    act = out_action_on_center_chars(by_name("E6", "sc"))
+    act = by_name("E6", "sc").chars_action
     g = next(n for n in act.names() if n != "e")
     assert act.apply(g, (1,)) == (2,)
 
@@ -263,7 +257,7 @@ def test_char_action_matches_table_rows():
 def test_d4_out_is_gl2_f2():
     import itertools
 
-    act = out_action_on_pi1(by_name("D4", "adjoint"))
+    act = by_name("D4", "adjoint").pi1_action
     mats = set()
     for name in act.names():
         m = act.matrix(name)
@@ -277,16 +271,16 @@ def test_d4_out_is_gl2_f2():
 
 
 def test_fundamental_group_matches_coweight_route():
-    # fundamental_group already cross-checks internally; exercise broadly
+    # building a form cross-checks pi1 against the coweight route; exercise broadly
     for t in admissible_types(8):
         for gf in enumerate_forms(t):
             mu_order = len(gf.mu.elements)
-            assert fundamental_group(gf).order == mu_order
+            assert gf.pi1.order == mu_order
 
 
 def test_action_set_closed_under_composition():
     for tname, form in [("D4", "adjoint"), ("D6", "sc"), ("A3", "adjoint")]:
-        act = out_action_on_pi1(by_name(tname, form))
+        act = by_name(tname, form).pi1_action
         elements = list(act.group.elements())
         maps = {name: tuple(act.apply(name, x) for x in elements)
                 for name in act.names()}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name, out_group
+from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name
 from bundleaut.moduli import (
     GenusOutOfRange,
     InconsistentProfile,
@@ -12,7 +12,6 @@ from bundleaut.moduli import (
     classification_table,
     degree_identity_check,
     delta_class_label,
-    delta_classes,
     delta_local,
     delta_total,
     hitchin_report,
@@ -67,7 +66,7 @@ def test_torsion_part_independent_of_delta():
               for d in [(0, 0), (1, 0), (0, 1), (1, 1)]}
     assert len(blocks) == 1
     zero_pres = aut_presentation(gf, (0, 0), 5)
-    assert zero_pres.outer.symbol() == out_group(gf).symbol()
+    assert zero_pres.outer.symbol() == gf.out.symbol()
 
 
 def test_spin_action_description():
@@ -83,28 +82,28 @@ def test_spin_action_description():
 
 def test_delta_classes_match_table_grouping():
     gf = by_name("D6", "adjoint")
-    assert delta_classes(gf) == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    assert gf.delta_classes == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
     gf = by_name("D4", "adjoint")
-    assert delta_classes(gf) == [((0, 0),), ((0, 1), (1, 0), (1, 1))]
+    assert gf.delta_classes == (((0, 0),), ((0, 1), (1, 0), (1, 1)))
     gf = by_name("D5", "adjoint")
-    assert delta_classes(gf) == [((0,), (2,)), ((1,), (3,))]
+    assert gf.delta_classes == (((0,), (2,)), ((1,), (3,)))
     gf = by_name("A5", "adjoint")
-    assert delta_classes(gf) == [((0,), (3,)), ((1,), (2,), (4,), (5,))]
+    assert gf.delta_classes == (((0,), (3,)), ((1,), (2,), (4,), (5,)))
     gf = by_name("A1", "adjoint")
-    assert delta_classes(gf) == [((0,), (1,))]
+    assert gf.delta_classes == (((0,), (1,)),)
 
 
 def test_delta_class_labels():
     gf = by_name("A5", "adjoint")
-    classes = delta_classes(gf)
+    classes = gf.delta_classes
     assert delta_class_label(gf, classes[0]) == "2δ = 0 ∈ Z/6Z"
     assert delta_class_label(gf, classes[1]) == "2δ ≠ 0 ∈ Z/6Z"
     gf = by_name("E6", "adjoint")
-    classes = delta_classes(gf)
+    classes = gf.delta_classes
     assert delta_class_label(gf, classes[0]) == "δ = 0 ∈ Z/3Z"
     assert delta_class_label(gf, classes[1]) == "δ ≠ 0 ∈ Z/3Z"
     gf = by_name("D5", "adjoint")
-    classes = delta_classes(gf)
+    classes = gf.delta_classes
     assert delta_class_label(gf, classes[0]) == "δ = 0, 2 ∈ Z/4Z"
     assert delta_class_label(gf, classes[1]) == "δ = 1, 3 ∈ Z/4Z"
 
@@ -143,10 +142,9 @@ def test_table_rank_bound_is_configurable():
 
 
 def test_render_presentation_mixed_torsion():
-    from bundleaut.groupclass import out_group
     from bundleaut.moduli import render_presentation
 
-    trivial_out = out_group(by_name("B2", "sc"))
+    trivial_out = by_name("B2", "sc").out
     assert render_presentation((2, 2, 4), trivial_out) == \
         "(Pic(C)[2])^2 × Pic(C)[4] ⋊ Aut(C)"
 
@@ -250,6 +248,6 @@ def test_degree_identity_all_types():
 def test_presentation_constant_on_classes():
     for t in admissible_types(5):
         for gf in enumerate_forms(t):
-            for cls in delta_classes(gf):
+            for cls in gf.delta_classes:
                 rendered = {aut_presentation(gf, d, 4).render() for d in cls}
                 assert len(rendered) == 1

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from bundleaut import cli
-from bundleaut.groupclass import enumerate_forms, fundamental_group
+from bundleaut.groupclass import enumerate_forms
 from bundleaut.moduli import table_types
 from bundleaut.rootdata import admissible_types
 
@@ -43,7 +43,7 @@ def snapshot_commands() -> list[str]:
              for t in admissible_types(8) for fmt in ("text", "json")]
     for t in table_types(8):
         for gf in enumerate_forms(t):
-            for delta in sorted(fundamental_group(gf).elements()):
+            for delta in sorted(gf.pi1.elements()):
                 flag = f" --delta {','.join(map(str, delta))}" if delta else ""
                 cmds += [f"report --group {gf.display_name}{flag} --format {fmt}"
                          for fmt in FORMATS]
