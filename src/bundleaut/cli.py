@@ -8,6 +8,10 @@ output.  Exit codes: 0 success, 1 usage or parse error (or stdout closed
 before the output was written), 2 mathematical inconsistency in the input
 (e.g. a parity violation in a delta profile), 3 internal consistency
 failure (a cross-check of the program's own results failed).
+
+`main(argv)` may be called repeatedly in one process, as a library or
+notebook does: it builds its argument parser on the first call and reuses
+it for every later one.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import groupclass, moduli, weyl
+from .finabel import lattice_quotient
 from .groupclass import GroupForm, InvalidDegree
 from .moduli import GenusOutOfRange, InconsistentProfile
 from .rootdata import (
@@ -169,7 +174,9 @@ class ReportDocument:
     warnings: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """`dataclasses.asdict` for these JSON-valued fields: every dict and
+        list is a fresh copy, and the str, int and None leaves are shared."""
+        return {name: _fresh(value) for name, value in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
@@ -181,6 +188,14 @@ class ReportDocument:
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
         return cls.from_dict(json.loads(text))
+
+
+def _fresh(value):
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    return value
 
 
 _PROVENANCE = {
@@ -340,6 +355,8 @@ def render_table_latex(rows) -> str:
 
 
 def cmd_table(args) -> int:
+    if args.max_rank < 1:
+        raise UsageError(f"--max-rank must be at least 1, got {args.max_rank}")
     rows = moduli.classification_table(args.genus, args.max_rank)
     if args.format == "json":
         doc = {
@@ -400,7 +417,9 @@ def cmd_rootdata(args) -> int:
     rd = build_root_datum(t)
     ambient_dim, simple_roots = ambient_simple_roots(t)
     degrees = weyl.invariant_degrees(t)
-    lat = groupclass.type_lattices(t)
+    # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
+    # roots, which are the columns of A there
+    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
     m, n = weyl.discriminant_orbit_counts(t)
     ordered = weyl.ordered_root_pair_orbit_count(t)
     order = weyl.weyl_order(t)
@@ -416,7 +435,7 @@ def cmd_rootdata(args) -> int:
             "degrees": list(degrees),
             "coxeter_number": degrees[-1],
             "weyl_order": order,
-            "weight_quotient": lat.chars.group.symbol(),
+            "weight_quotient": weight_quotient,
             "num_hyperplanes": len(rd.roots) // 2,
             "root_orbit_count": m,
             "hyperplane_pair_orbit_count": n,
@@ -437,7 +456,7 @@ def cmd_rootdata(args) -> int:
         print(f"  invariant degrees: {list(degrees)}   "
               f"(Coxeter number h = {degrees[-1]})")
         print(f"  |W| = {order}")
-        print(f"  P/Q = {lat.chars.group.symbol()}")
+        print(f"  P/Q = {weight_quotient}")
         print(f"  orbit counts: roots m = {m}, distinct hyperplane pairs n = {n}, "
               f"ordered root pairs = {ordered}")
     return EXIT_OK
@@ -487,10 +506,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first `main` call, not on import
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,5 +1,7 @@
 """CLI behaviors: parsing, formats, exit codes, round-trips, determinism."""
 
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import bundleaut
+from bundleaut import cli
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
+    build_report,
     main,
     parse_delta,
     parse_group_spec,
@@ -149,6 +153,37 @@ def test_report_json_round_trip(capsys):
     assert doc.hitchin["weights"] == [2, 4, 5, 6, 8]
 
 
+def _scribble(value):
+    """Change every dict and list inside value in place."""
+    if isinstance(value, dict):
+        for v in value.values():
+            _scribble(v)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for v in value:
+            _scribble(v)
+        value.append("scribbled")
+
+
+def test_report_to_dict_is_asdict_for_every_label():
+    # to_dict copies the containers itself instead of calling asdict; the
+    # result must be the same, and as independent of the document
+    labels = 0
+    for t in table_types(8):
+        for gf in enumerate_forms(t):
+            for cls in gf.delta_classes:
+                for delta in cls:
+                    labels += 1
+                    doc = build_report(gf, delta, 4)
+                    assert ReportDocument.from_json(doc.to_json()) == doc
+                    d = doc.to_dict()
+                    assert d == dataclasses.asdict(doc)
+                    before = copy.deepcopy(doc)
+                    _scribble(d)
+                    assert doc == before
+    assert labels == 143
+
+
 def test_report_latex(capsys):
     code, out, _ = run(capsys, "report", "--group", "E6:sc", "--genus", "4",
                        "--format", "latex")
@@ -169,6 +204,14 @@ def test_table_max_rank_filters(capsys):
     assert code == 0
     families = {l.split("|")[0].strip() for l in out.splitlines() if l.strip()}
     assert families == {"A_1", "B_2", "G_2"}
+
+
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_table_max_rank_below_1_is_a_usage_error(capsys, rank):
+    code, out, err = run(capsys, "table", "--max-rank", rank)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --max-rank must be at least 1, got {rank}\n"
 
 
 def test_table_json_round_trips(capsys):
@@ -299,6 +342,49 @@ def test_table_under_optimize_matches_golden():
     golden = [_norm(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()
               if line.strip()]
     assert [_norm(line) for line in proc.stdout.splitlines()] == golden
+
+
+def test_cached_parser_leaks_no_state(capsys, monkeypatch):
+    # main builds its parser once per process; a call must behave as the
+    # same argv run alone, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the -h text
+    monkeypatch.delenv("BUNDLEAUT_COLOR", raising=False)
+    builds = []
+    make_parser = cli.make_parser
+
+    def counting_make_parser():
+        builds.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+    first = ["report", "--group", "E7_ad", "--genus", "7", "--format", "json",
+             "--delta", "1"]
+    sequence = [
+        first,
+        ["report", "--group", "A1"],
+        ["report"],
+        ["table", "--max-rank", "2"],
+        ["rootdata", "--type", "G2", "--format", "json"],
+        ["-h"],
+        first,
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own -h
+            code = exc.code
+        out = capsys.readouterr().out
+        alone = run_process("-m", "bundleaut.cli", *argv)
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 0, 0, 0, 0]
+    assert len(builds) == 1
+    # and importing the module builds none
+    proc = run_process("-c", "import sys; from bundleaut import cli; "
+                             "sys.exit(cli._parser is not None)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failed_check_exits_3_under_optimize():

@@ -139,3 +139,15 @@ def test_main_exits_0_1_or_2_without_traceback(argv):
     # an uncaught exception fails the test here, as a traceback would
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    rank = drawn_max_rank(argv)
+    if rank is not None and rank < 1:
+        assert code == 1, (argv, code, err.getvalue())
+
+
+def drawn_max_rank(argv) -> int | None:
+    """The `--max-rank` of a generated `table` argv, None for any other."""
+    for arg in argv:
+        if arg.startswith("--max-rank="):
+            value = arg.partition("=")[2]
+            return int(value) if value.lstrip("-").isdigit() else None
+    return None
