@@ -4,10 +4,12 @@ Builds root data from integer Cartan matrices, computes centers,
 fundamental groups and outer-automorphism actions of the almost-simple
 isogeny classes, assembles the automorphism-group presentation of each moduli
 component, and provides the Hitchin-base numerology (weights, dimension,
-discriminant component counts, local delta invariants).
+discriminant component counts, local delta invariants).  The Weyl group
+enters only through counts: its order, its invariant degrees and its orbit
+counts on roots and root pairs.
 """
 
-from .rootdata import DynkinType, RootDatum, build_root_datum, root_hyperplanes
+from .rootdata import DynkinType, RootDatum, build_root_datum
 from .finabel import (
     AbelianAction,
     FiniteAbelianGroup,
@@ -15,14 +17,11 @@ from .finabel import (
     enumerate_subgroups,
     lattice_quotient,
     smith_normal_form,
-    torsion_power,
 )
 from .weyl import (
-    coxeter_element,
+    discriminant_orbit_counts,
     invariant_degrees,
-    longest_element,
-    orbits_on_hyperplane_pairs,
-    orbits_on_roots,
+    ordered_root_pair_orbit_count,
     weyl_order,
 )
 from .groupclass import (
@@ -36,7 +35,6 @@ from .moduli import (
     HitchinReport,
     aut_presentation,
     classification_table,
-    degree_identity_check,
     delta_local,
     delta_total,
     hitchin_report,
@@ -57,21 +55,16 @@ __all__ = [
     "aut_presentation",
     "build_root_datum",
     "classification_table",
-    "coxeter_element",
-    "degree_identity_check",
     "delta_local",
     "delta_total",
+    "discriminant_orbit_counts",
     "enumerate_forms",
     "enumerate_subgroups",
     "hitchin_report",
     "invariant_degrees",
     "lattice_quotient",
-    "longest_element",
-    "orbits_on_hyperplane_pairs",
-    "orbits_on_roots",
+    "ordered_root_pair_orbit_count",
     "out_stabilizer",
-    "root_hyperplanes",
     "smith_normal_form",
-    "torsion_power",
     "weyl_order",
 ]

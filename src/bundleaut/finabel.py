@@ -28,20 +28,14 @@ def _int_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(m: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, U, V) with U*M*V = S, S diagonal, d_i | d_{i+1}.
+def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (S, U, V, V^-1) with U*M*V = S, S diagonal, d_i | d_{i+1}.
 
-    U and V are unimodular.  Pivots are chosen as the minimal nonzero
-    absolute value (first in scan order on ties), which makes the output
-    deterministic for a fixed input.
+    U and V are unimodular, and V^-1 is kept in step with V: a column
+    operation on V is the inverse row operation on V^-1.  Pivots are chosen
+    as the minimal nonzero absolute value (first in scan order on ties),
+    which makes the output deterministic for a fixed input.
     """
-    s, u, v, _ = _smith_with_inverse(m)
-    return s, u, v
-
-
-def _smith_with_inverse(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """smith_normal_form plus V^-1, kept in step with V: a column operation
-    on V is the inverse row operation on V^-1."""
     s = [list(row) for row in m]
     nrows = len(s)
     ncols = len(s[0]) if nrows else 0
@@ -114,36 +108,6 @@ def _smith_with_inverse(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     return s, u, v, vinv
 
 
-def _prime_powers(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def from_cyclic_orders(orders) -> "FiniteAbelianGroup":
-    """Canonical invariant factors of a direct sum of cyclic groups."""
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
-        for p, e in _prime_powers(n).items():
-            by_prime.setdefault(p, []).append(p ** e)
-    for parts in by_prime.values():
-        parts.sort(reverse=True)
-    k = max((len(parts) for parts in by_prime.values()), default=0)
-    factors = []
-    for i in range(k):
-        f = prod(parts[i] for parts in by_prime.values() if i < len(parts))
-        factors.append(f)
-    factors.reverse()
-    return FiniteAbelianGroup(tuple(factors))
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Z/l_1 x ... x Z/l_k with l_1 | l_2 | ... | l_k, every l_i >= 2.
@@ -181,17 +145,6 @@ class FiniteAbelianGroup:
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % f for a, b, f in zip(x, y, self.invariant_factors))
 
-    def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % f for a, f in zip(x, self.invariant_factors))
-
-    def element_order(self, x) -> int:
-        n = 1
-        y = self.reduce(x)
-        while any(y):
-            y = self.add(y, x)
-            n += 1
-        return n
-
     def contains(self, x) -> bool:
         return len(x) == len(self.invariant_factors) and all(
             0 <= a < f for a, f in zip(x, self.invariant_factors))
@@ -205,17 +158,6 @@ class FiniteAbelianGroup:
             base = f"Z/{f}Z"
             parts.append(base if k == 1 else f"({base})^{k}")
         return " x ".join(parts)
-
-
-def torsion_power(g: FiniteAbelianGroup, exponent_2g: int) -> FiniteAbelianGroup:
-    """(Z/l_1)^{2g} + ... + (Z/l_k)^{2g}, renormalized to invariant factors.
-
-    exponent_2g must be 2*genus with genus >= 2.
-    """
-    if exponent_2g < 4 or exponent_2g % 2:
-        raise ValueError("exponent must be 2*genus with genus >= 2")
-    orders = [f for f in g.invariant_factors for _ in range(exponent_2g)]
-    return from_cyclic_orders(orders)
 
 
 def closure(group: FiniteAbelianGroup, generators) -> frozenset:
@@ -240,7 +182,7 @@ def _row_lattice_basis(rows: IntMatrix, rank: int) -> tuple[IntMatrix, list[int]
 
     The basis is diag(s) V^-1 for the Smith form U M V = S, returned with
     s and V: a lattice vector x has coordinates (x V)_k / s_k in it."""
-    s, _, v, vinv = _smith_with_inverse(rows)
+    s, _, v, vinv = smith_normal_form(rows)
     diag = [s[i][i] if i < len(s) else 0 for i in range(rank)]
     if 0 in diag:
         raise LatticeError("row lattice does not have full rank")
@@ -296,7 +238,7 @@ class Subgroup:
         rows += [[d[i] if j == i else 0 for j in range(r)] for i in range(r)]
         bl, bl_diag, bl_v = _row_lattice_basis(rows, r)
         mk = [_lattice_coords(row, bl_diag, bl_v) for row in rows[-r:]]
-        s, _, _, vinv = _smith_with_inverse(mk)
+        s, _, _, vinv = smith_normal_form(mk)
         full = [s[i][i] for i in range(r)]
         positions = [i for i, f in enumerate(full) if f > 1]
         self.structure = FiniteAbelianGroup(tuple(full[i] for i in positions))
@@ -335,13 +277,6 @@ class Subgroup:
 
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
-
-    def from_coords(self, coords) -> tuple[int, ...]:
-        elt = self.ambient.zero()
-        for ci, b in zip(self.structure.reduce(coords), self.basis):
-            for _ in range(ci):
-                elt = self.ambient.add(elt, b)
-        return elt
 
     def __contains__(self, element) -> bool:
         return self.ambient.reduce(element) in self.elements
@@ -396,7 +331,7 @@ class LatticeQuotient:
             raise LatticeError("need one relation row of length r per coordinate of Z^r")
         if not all(isinstance(x, int) for row in rel for x in row):
             raise LatticeError("relations must be integer vectors")
-        s, _, v, vinv = _smith_with_inverse(rel)
+        s, _, v, vinv = smith_normal_form(rel)
         full = [s[i][i] for i in range(r)]
         if any(f == 0 for f in full):
             raise LatticeError("relations do not span a full-rank lattice")

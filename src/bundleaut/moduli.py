@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groupclass, weyl
-from .finabel import AbelianAction, FiniteAbelianGroup, torsion_power
+from .finabel import AbelianAction
 from .groupclass import GroupForm, OutGroup
-from .rootdata import DynkinType, RootDatum, build_root_datum, admissible_types, check
+from .rootdata import DynkinType, build_root_datum, admissible_types, check
 
 MIN_GENUS_PRESENTATION = 4
 SEMIDIRECT = "⋊"
@@ -92,13 +92,6 @@ class AutPresentation:
     torsion_blocks: tuple[tuple[int, int], ...]  # (l, multiplicity 2g)
     outer: OutGroup  # acts on Hom(Z(G), G_m) through group.chars_action
 
-    @property
-    def torsion_group(self) -> FiniteAbelianGroup:
-        chars = self.group.chars.structure
-        if chars.is_trivial:
-            return chars
-        return torsion_power(chars, 2 * self.genus)
-
     def render(self) -> str:
         return render_presentation([l for l, _ in self.torsion_blocks], self.outer)
 
@@ -170,16 +163,6 @@ class TableRow:
             "presentation": self.presentation,
             "delta_values": [list(d) for d in self.delta_values],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TableRow":
-        return cls(
-            family=d["family"],
-            group=d["group"],
-            delta_class=d["delta_class"],
-            presentation=d["presentation"],
-            delta_values=tuple(tuple(v) for v in d["delta_values"]),
-        )
 
 
 def table_types(max_rank: int = 8) -> list[DynkinType]:
@@ -294,11 +277,3 @@ def delta_local(point) -> int:
 def delta_total(profile) -> int:
     """Sum of the local invariants; zero exactly on transversal profiles."""
     return sum(delta_local(p) for p in profile)
-
-
-def degree_identity_check(rd: RootDatum) -> tuple[int, int, int]:
-    """Check |Phi| = r * h and return (|Phi|, r, h)."""
-    nroots = len(rd.roots)
-    h = weyl.coxeter_number(rd.dynkin)
-    check(nroots == rd.rank * h, f"|Phi| = {nroots} is not r h = {rd.rank} * {h}")
-    return nroots, rd.rank, h

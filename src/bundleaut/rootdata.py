@@ -200,28 +200,6 @@ def build_root_datum(t: DynkinType) -> RootDatum:
     return RootDatum(dynkin=t, cartan=cartan, roots=tuple(sorted(roots)))
 
 
-def _neg(v: Root) -> Root:
-    return tuple(-x for x in v)
-
-
-def root_hyperplanes(rd: RootDatum) -> tuple[frozenset, ...]:
-    """The |Phi|/2 hyperplanes, each as the unordered pair {a, -a}."""
-    seen = set()
-    planes = []
-    for alpha in rd.roots:
-        rep = max(alpha, _neg(alpha))
-        if rep not in seen:
-            seen.add(rep)
-            planes.append(frozenset((rep, _neg(rep))))
-    planes.sort(key=lambda p: max(p))
-    return tuple(planes)
-
-
-def is_positive_root(alpha: Root) -> bool:
-    """A root is positive when its simple-root coordinates are all >= 0."""
-    return all(c >= 0 for c in alpha) and any(alpha)
-
-
 def admissible_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
     """All admissible types up to the rank bound, in classification order.
 

@@ -1,13 +1,13 @@
-"""Weyl-group machinery: orbits, Coxeter elements, degrees, longest element.
+"""Weyl-group counts: the orbit counts, the group order, invariant degrees.
 
 Everything works from the integer Cartan matrix, and every per-type result
-is cached on the DynkinType.  A Weyl element is an integer r x r matrix on
-simple-root coordinates.  Orbit computations act through simple-reflection
+is cached on the DynkinType.  Orbit computations act through simple-reflection
 generators only, encoded as permutations of the root list so the
-breadth-first searches run on small integers.  Orbits on ordered root pairs
-are counted through the parabolic stabilizers of the dominant roots, without
-forming the |Phi|^2 pairs.  The group order comes from an
-orbit-stabilizer chain on fundamental weights, in fundamental-weight
+breadth-first searches run on small integers, and keep only the number of
+orbits.  Each W-orbit of roots holds exactly one dominant root, and orbits on
+ordered root pairs are counted through the parabolic stabilizers of the
+dominant roots, without forming the |Phi|^2 pairs.  The group order comes
+from an orbit-stabilizer chain on fundamental weights, in fundamental-weight
 coordinates; the full group is never enumerated.  Invariant degrees are read
 off the cyclotomic factorization of the integer characteristic polynomial of
 a Coxeter element (Humphreys, Reflection Groups and Coxeter Groups 3.7).
@@ -15,17 +15,12 @@ a Coxeter element (Humphreys, Reflection Groups and Coxeter Groups 3.7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .rootdata import DynkinType, _unit, build_root_datum, check, root_hyperplanes
+from .rootdata import DynkinType, _unit, build_root_datum, check
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-class EmptyPairSet(ValueError):
-    """Rank-1 systems have a single hyperplane and no distinct pairs."""
 
 
 def _identity(n: int) -> IntMatrix:
@@ -35,56 +30,6 @@ def _identity(n: int) -> IntMatrix:
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """An integer matrix on simple-root coordinates, column j the image of
-    alpha_j, with a word in the simple reflections when known."""
-
-    matrix: IntMatrix
-    word: tuple[int, ...] | None = None
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.matrix)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(_mat_mul(self.matrix, other.matrix), word)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(len(self.matrix))
-
-    def order(self) -> int:
-        n = 1
-        power = self
-        while not power.is_identity:
-            power = power * self
-            n += 1
-            if n > 10000:
-                raise RuntimeError("element order runaway")
-        return n
-
-
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    items: tuple
-    orbits: tuple[tuple, ...]
-
-    @property
-    def num_orbits(self) -> int:
-        return len(self.orbits)
-
-
-def simple_reflection_element(t: DynkinType, i: int) -> WeylElement:
-    # row i of s_i is e_i - A[i]; the other rows are those of the identity
-    cartan = build_root_datum(t).cartan
-    rows = list(_identity(t.rank))
-    rows[i] = tuple(rows[i][j] - cartan[i][j] for j in range(t.rank))
-    return WeylElement(tuple(rows), (i,))
 
 
 @lru_cache(maxsize=None)
@@ -98,13 +43,14 @@ def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _orbit_partition(n_items: int, perms) -> list[list[int]]:
+def _orbit_count(n_items: int, perms) -> int:
+    """Number of orbits on range(n_items) of the group the perms generate."""
     seen = [False] * n_items
-    orbits = []
+    count = 0
     for start in range(n_items):
         if seen[start]:
             continue
-        orbit = [start]
+        count += 1
         seen[start] = True
         frontier = [start]
         while frontier:
@@ -114,63 +60,44 @@ def _orbit_partition(n_items: int, perms) -> list[list[int]]:
                     y = p[x]
                     if not seen[y]:
                         seen[y] = True
-                        orbit.append(y)
                         nxt.append(y)
             frontier = nxt
-        orbits.append(sorted(orbit))
-    orbits.sort(key=lambda o: o[0])
-    return orbits
+    return count
 
 
-def orbits_on_roots(t: DynkinType) -> OrbitDecomposition:
+def _dominant_roots(t: DynkinType):
+    """Each dominant root theta, <theta, alpha_i^vee> = (A theta)_i >= 0 for
+    all i, with the indices i of the simple reflections that fix it.
+
+    Every W-orbit of roots meets the closed dominant chamber exactly once,
+    and Stab_W(theta) is the standard parabolic generated by those s_i
+    (Humphreys 1.12)."""
     rd = build_root_datum(t)
-    perms = _root_permutations(t)
-    orbits = _orbit_partition(len(rd.roots), perms)
-    return OrbitDecomposition(
-        items=rd.roots,
-        orbits=tuple(tuple(rd.roots[i] for i in orbit) for orbit in orbits),
-    )
-
-
-def orbits_on_hyperplane_pairs(t: DynkinType) -> OrbitDecomposition:
-    """W-orbits on unordered pairs of distinct root hyperplanes."""
-    if t.rank < 2:
-        raise EmptyPairSet("rank-1 systems have no singular discriminant locus")
-    rd = build_root_datum(t)
-    planes = root_hyperplanes(rd)
-    plane_of = {root: k for k, plane in enumerate(planes) for root in plane}
-    index = {root: k for k, root in enumerate(rd.roots)}
-    reps = [index[max(plane)] for plane in planes]
-    # s_i sends the hyperplane {a, -a} to the hyperplane of s_i(a)
-    perms = [tuple(plane_of[rd.roots[perm[r]]] for r in reps) for perm in _root_permutations(t)]
-    h = len(planes)
-    pairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    pair_perms = []
-    for perm in perms:
-        images = []
-        for i, j in pairs:
-            a, b = perm[i], perm[j]
-            images.append(pair_index[(a, b) if a < b else (b, a)])
-        pair_perms.append(tuple(images))
-    orbits = _orbit_partition(len(pairs), pair_perms)
-    items = tuple(frozenset((planes[i], planes[j])) for i, j in pairs)
-    return OrbitDecomposition(
-        items=items,
-        orbits=tuple(tuple(items[k] for k in orbit) for orbit in orbits),
-    )
+    for theta in rd.roots:
+        pairings = [sum(a * x for a, x in zip(row, theta)) for row in rd.cartan]
+        if min(pairings) >= 0:
+            yield theta, [i for i, c in enumerate(pairings) if c == 0]
 
 
 @lru_cache(maxsize=None)
 def discriminant_orbit_counts(t: DynkinType) -> tuple[int, int]:
-    """(m, n): the W-orbits on roots and on unordered pairs of distinct
-    hyperplanes, with n = 0 in rank 1.  Only the counts are kept."""
-    m = orbits_on_roots(t).num_orbits
-    try:
-        n = orbits_on_hyperplane_pairs(t).num_orbits
-    except EmptyPairSet:
-        n = 0
-    return m, n
+    """(m, n): the W-orbits on roots, one per dominant root, and on
+    unordered pairs of distinct hyperplanes, n = 0 in rank 1."""
+    rd = build_root_datum(t)
+    m = sum(1 for _ in _dominant_roots(t))
+    # the hyperplane {a, -a} is numbered by its positive root a; roots are
+    # sorted, so the negative ones come first, in the reverse order
+    half = len(rd.roots) // 2
+    plane = [half - 1 - k if k < half else k - half for k in range(len(rd.roots))]
+    pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    pair_perms = []
+    for perm in _root_permutations(t):
+        images = [plane[r] for r in perm[half:]]
+        pair_perms.append(tuple(
+            index[(a, b) if a < b else (b, a)]
+            for a, b in ((images[i], images[j]) for i, j in pairs)))
+    return m, _orbit_count(len(pairs), pair_perms)
 
 
 def ordered_root_pair_orbit_count(t: DynkinType) -> int:
@@ -182,30 +109,36 @@ def ordered_root_pair_orbit_count(t: DynkinType) -> int:
 
     Every orbit of pairs has a representative (theta, beta) with theta the
     one dominant root of its W-orbit, unique up to Stab_W(theta) acting on
-    beta.  That stabilizer is the standard parabolic generated by the s_i
-    with <theta, alpha_i^vee> = (A theta)_i = 0 (Humphreys 1.12), so the
-    count is a sum of parabolic orbit counts on Phi, one per dominant root.
+    beta, so the count is a sum of parabolic orbit counts on Phi, one per
+    dominant root.
     """
-    rd = build_root_datum(t)
     perms = _root_permutations(t)
-    total = 0
-    for theta in rd.roots:
-        pairings = [sum(a * x for a, x in zip(row, theta)) for row in rd.cartan]
-        if min(pairings) >= 0:
-            stabilizer = [perms[i] for i, c in enumerate(pairings) if c == 0]
-            total += len(_orbit_partition(len(rd.roots), stabilizer))
-    return total
+    n_roots = len(build_root_datum(t).roots)
+    return sum(_orbit_count(n_roots, [perms[i] for i in fixing])
+               for _, fixing in _dominant_roots(t))
 
 
-def coxeter_element(t: DynkinType) -> WeylElement:
-    w = WeylElement(_identity(t.rank), ())
+def coxeter_element(t: DynkinType) -> IntMatrix:
+    """s_1 s_2 ... s_r on simple-root coordinates, column j the image of
+    alpha_j; row i of s_i is e_i - A[i], its other rows those of I."""
+    cartan = build_root_datum(t).cartan
+    w = _identity(t.rank)
     for i in range(t.rank):
-        w = w * simple_reflection_element(t, i)
+        rows = list(_identity(t.rank))
+        rows[i] = tuple(rows[i][j] - cartan[i][j] for j in range(t.rank))
+        w = _mat_mul(w, tuple(rows))
     return w
 
 
-def coxeter_number(t: DynkinType) -> int:
-    return coxeter_element(t).order()
+def _order(m: IntMatrix, bound: int) -> int:
+    """The order of m, checked to be at most `bound`."""
+    identity = _identity(len(m))
+    power, n = m, 1
+    while power != identity:
+        check(n < bound, f"element order exceeds the bound {bound}")
+        power = _mat_mul(power, m)
+        n += 1
+    return n
 
 
 def _charpoly(m: IntMatrix) -> list[int]:
@@ -271,11 +204,14 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
 
     Extracted from the characteristic polynomial of a Coxeter element: the
     polynomial factors into cyclotomics, each Phi_d contributing exponents
-    j*h/d for j coprime to d, and degrees are exponents plus one.
+    j*h/d for j coprime to d, and degrees are exponents plus one.  The
+    order h of the Coxeter element is |Phi|/r, which bounds its search.
     """
     cox = coxeter_element(t)
-    h = cox.order()
-    poly = _charpoly(cox.matrix)[::-1]  # ascending
+    n_roots = len(build_root_datum(t).roots)
+    h = _order(cox, n_roots)
+    check(n_roots == t.rank * h, f"|Phi| = {n_roots} is not r h = {t.rank} * {h}")
+    poly = _charpoly(cox)[::-1]  # ascending
     exponents: list[int] = []
     trivial_mult = 0
     for d in _divisors(h):
@@ -294,21 +230,6 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
     check(trivial_mult == 0, "a Coxeter element fixes no nonzero vector")
     check(len(exponents) == t.rank, f"{len(exponents)} exponents for rank {t.rank}")
     return tuple(sorted(e + 1 for e in exponents))
-
-
-def longest_element(t: DynkinType) -> WeylElement:
-    """The unique element sending every positive root to a negative root.
-
-    Greedy descent: as long as some w(alpha_i), column i of w, is a
-    positive root (coordinates all >= 0), append s_i; each step increases
-    the length by one.
-    """
-    w = WeylElement(_identity(t.rank), ())
-    while True:
-        i = next((i for i in range(t.rank) if all(row[i] >= 0 for row in w.matrix)), None)
-        if i is None:
-            return w
-        w = w * simple_reflection_element(t, i)
 
 
 @lru_cache(maxsize=None)

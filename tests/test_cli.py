@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bundleaut
-from bundleaut import cli
+from bundleaut import cli, weyl
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -22,7 +22,7 @@ from bundleaut.cli import (
     parse_profile,
 )
 from bundleaut.groupclass import enumerate_forms, form_by_name
-from bundleaut.moduli import TableRow, classification_table, table_types
+from bundleaut.moduli import classification_table, table_types
 
 from test_acceptance import GOLDEN, _norm
 
@@ -218,8 +218,7 @@ def test_table_json_round_trips(capsys):
     code, out, _ = run(capsys, "table", "--max-rank", "3", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    rows = [TableRow.from_dict(d) for d in doc["rows"]]
-    assert rows == classification_table(genus=doc["genus"], max_rank=3)
+    rows = classification_table(genus=doc["genus"], max_rank=3)
     assert [r.as_dict() for r in rows] == doc["rows"]
 
 
@@ -398,6 +397,17 @@ def test_failed_check_exits_3_under_optimize():
     assert proc.stdout == ""
     assert proc.stderr == ("internal consistency failure: "
                            "Riemann-Roch sum disagrees with dim G(g-1)\n")
+
+
+def test_coxeter_element_of_infinite_order_exits_3(capsys, monkeypatch):
+    # the order search is bounded by |Phi|, so a broken Coxeter element
+    # fails a check instead of looping or raising past main
+    monkeypatch.setattr(weyl, "coxeter_element", lambda t: ((1, 1), (0, 1)))
+    weyl.invariant_degrees.cache_clear()
+    code, out, err = run(capsys, "rootdata", "--type", "A2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal consistency failure: element order exceeds the bound 6\n"
 
 
 def test_color_toggle(capsys, monkeypatch):

@@ -26,6 +26,10 @@ def unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def group_neg(group, x):
+    return tuple((-a) % f for a, f in zip(x, group.invariant_factors))
+
+
 # --- the five classification sub-tables (type A; B/C; D; E6; E7/E8/F4/G2) --
 # Every entry is computed from lattice quotients and diagram symmetries; the
 # expected strings are the standard classification values.
@@ -138,7 +142,7 @@ def test_e6_generator_inverts_w1():
     w1 = unit(6, 0)
     sigma = next(e for e in lat.out_elements if not e.is_identity)
     image = lat.chars.project(sigma.apply(w1))
-    assert image == lat.chars.group.neg(lat.chars.project(w1))
+    assert image == group_neg(lat.chars.group, lat.chars.project(w1))
 
 
 def test_d4_s3_permutes_the_three_classes():
@@ -161,7 +165,7 @@ def test_out_action_on_pi1_examples():
     gf = by_name("A3", "adjoint")
     act = gf.pi1_action
     g = next(n for n in act.names() if n != "e")
-    assert all(act.apply(g, x) == act.group.neg(x) for x in act.group.elements())
+    assert all(act.apply(g, x) == group_neg(act.group, x) for x in act.group.elements())
     # PSO_{4l}: the generator swaps the two Z/2 coordinates
     gf = by_name("D6", "adjoint")
     act = gf.pi1_action

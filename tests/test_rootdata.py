@@ -12,8 +12,6 @@ from bundleaut.rootdata import (
     admissible_types,
     ambient_simple_roots,
     build_root_datum,
-    is_positive_root,
-    root_hyperplanes,
 )
 
 
@@ -161,18 +159,21 @@ def test_root_system_invariants(t):
     ("G2", 6),  # 12 roots / 2; also h*r = 6*2
 ])
 def test_hyperplane_counts(name, planes):
+    # the roots pair off as {a, -a}, one pair per hyperplane
     rd = build_root_datum(DynkinType.parse(name))
-    hp = root_hyperplanes(rd)
+    hp = {frozenset((a, neg(a))) for a in rd.roots}
     assert len(hp) == planes
     seen = [a for plane in hp for a in plane]
     assert sorted(seen) == sorted(rd.roots)  # each root in exactly one plane
 
 
 def test_positive_root_split():
+    # every root has simple-root coordinates all >= 0 or all <= 0
     rd = build_root_datum(DynkinType.parse("F4"))
-    pos = [a for a in rd.roots if is_positive_root(a)]
+    pos = [a for a in rd.roots if all(c >= 0 for c in a)]
     assert len(pos) == len(rd.roots) // 2
-    assert all(not is_positive_root(neg(a)) for a in pos)
+    assert all(neg(a) in rd.roots for a in pos)
+    assert all(all(c <= 0 for c in a) for a in set(rd.roots) - set(pos))
 
 
 def test_coroot_map():
