@@ -28,6 +28,7 @@ from .finabel import lattice_quotient
 from .groupclass import GroupForm, InvalidDegree
 from .moduli import GenusOutOfRange, InconsistentProfile
 from .rootdata import (
+    DEFAULT_MAX_RANK,
     ConsistencyError,
     DynkinType,
     InvalidType,
@@ -211,8 +212,6 @@ _PROVENANCE = {
 
 
 def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
-    if genus < 2:
-        raise UsageError(f"genus must be at least 2, got {genus}")
     warnings = []
     presentation = None
     delta_class = None
@@ -488,7 +487,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="full classification table")
     p.add_argument("--genus", type=int, default=4)
-    p.add_argument("--max-rank", type=int, default=8, dest="max_rank")
+    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK, dest="max_rank")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.set_defaults(func=cmd_table)
 

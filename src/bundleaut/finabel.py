@@ -1,11 +1,17 @@
 """Exact integer-lattice arithmetic and finite abelian groups.
 
 Smith normal form over Z by elementary row/column reduction, quotients of
-Z^r by the row lattice of an integer relation matrix, with invariant factors
-and explicit projection maps, finite abelian groups in invariant-factor
-form, subgroup enumeration, and named automorphism actions on them.
-Matrices are plain lists of lists of Python ints; there is no size limit
-beyond practicality.
+Z^r by the row lattice of an integer relation matrix (and of one row
+lattice by another, `sublattice_quotient`), with invariant factors and
+explicit projection maps, finite abelian groups in invariant-factor form,
+subgroup enumeration, and named automorphism actions on them.
+
+This module alone decides the coordinates of a finite abelian group and its
+subgroups: a quotient is one integer matrix of unit-vector classes, a whole
+group is its own subgroup in the ambient unit basis, a proper subgroup takes
+the Smith basis of its lattice quotient, and one span table (`_coordinates`)
+turns any such basis into coordinates.  Matrices are plain lists of lists
+of Python ints; there is no size limit beyond practicality.
 """
 
 from __future__ import annotations
@@ -177,24 +183,16 @@ def closure(group: FiniteAbelianGroup, generators) -> frozenset:
     return frozenset(elems)
 
 
-def _row_lattice_basis(rows: IntMatrix, rank: int) -> tuple[IntMatrix, list[int], IntMatrix]:
-    """A basis (rank x rank) of the row lattice of an integer matrix.
-
-    The basis is diag(s) V^-1 for the Smith form U M V = S, returned with
-    s and V: a lattice vector x has coordinates (x V)_k / s_k in it."""
-    s, _, v, vinv = smith_normal_form(rows)
-    diag = [s[i][i] if i < len(s) else 0 for i in range(rank)]
-    if 0 in diag:
-        raise LatticeError("row lattice does not have full rank")
-    return [[d * x for x in row] for d, row in zip(diag, vinv)], diag, v
+def _combination(group: FiniteAbelianGroup, coeffs, vectors) -> tuple[int, ...]:
+    """sum c_i * vectors_i, reduced in the group."""
+    return group.reduce([sum(c * v[j] for c, v in zip(coeffs, vectors))
+                         for j in range(len(group.invariant_factors))])
 
 
-def _lattice_coords(x, diag: list[int], v: IntMatrix) -> list[int]:
-    """Coordinates of x in the basis diag(s) V^-1 of `_row_lattice_basis`."""
-    xv = [sum(x[j] * v[j][k] for j in range(len(x))) for k in range(len(diag))]
-    if any(c % d for c, d in zip(xv, diag)):
-        raise LatticeError("vector lies outside the lattice")
-    return [c // d for c, d in zip(xv, diag)]
+def _coordinates(group: FiniteAbelianGroup, basis, factors) -> dict:
+    """{sum c_i * basis_i: c} for c in the box of the given factors."""
+    return {_combination(group, c, basis): c
+            for c in itertools.product(*(range(f) for f in factors))}
 
 
 class Subgroup:
@@ -202,16 +200,31 @@ class Subgroup:
 
     `structure` is the subgroup's own invariant-factor form and `basis`
     realizes the decomposition inside the ambient group:  every element is
-    sum(c_i * basis_i) with c the `to_coords` image.
+    sum(c_i * basis_i) with c the `to_coords` image.  The whole group is
+    its own structure in the ambient unit basis, so its coordinates are the
+    ambient ones; a proper subgroup takes the Smith basis of
+    <generators, torsion> / torsion from `sublattice_quotient`.
     """
 
-    def __init__(self, ambient: FiniteAbelianGroup, generators, basis=None):
+    def __init__(self, ambient: FiniteAbelianGroup, generators):
         self.ambient = ambient
         self.generators = tuple(ambient.reduce(g) for g in generators)
         self.elements = closure(ambient, self.generators)
-        self._init_structure()
-        if basis is not None:
-            self._remap_basis(tuple(ambient.reduce(b) for b in basis))
+        d = ambient.invariant_factors
+        r = len(d)
+        if len(self.elements) == ambient.order:
+            self.structure = ambient
+            self.basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        else:
+            torsion = [[f if j == i else 0 for j in range(r)] for i, f in enumerate(d)]
+            quotient, lattice = sublattice_quotient(
+                [list(g) for g in self.generators] + torsion, torsion)
+            self.structure = quotient.group
+            self.basis = tuple(_combination(ambient, lift, lattice)
+                               for lift in quotient.generator_lifts)
+        self._coords = _coordinates(ambient, self.basis, self.structure.invariant_factors)
+        check(len(self._coords) == self.structure.order and self._coords.keys() == self.elements,
+              "subgroup coordinates do not match its elements")
 
     @classmethod
     def from_elements(cls, ambient: FiniteAbelianGroup, elements) -> "Subgroup":
@@ -226,60 +239,8 @@ class Subgroup:
         check(sub.elements == elements, "generators do not span the given elements")
         return sub
 
-    def _init_structure(self):
-        d = self.ambient.invariant_factors
-        r = len(d)
-        if r == 0 or len(self.elements) == 1:
-            self.structure = FiniteAbelianGroup(())
-            self.basis = ()
-            self._coords = {self.ambient.zero(): ()}
-            return
-        rows = [list(g) for g in self.generators]
-        rows += [[d[i] if j == i else 0 for j in range(r)] for i in range(r)]
-        bl, bl_diag, bl_v = _row_lattice_basis(rows, r)
-        mk = [_lattice_coords(row, bl_diag, bl_v) for row in rows[-r:]]
-        s, _, _, vinv = smith_normal_form(mk)
-        full = [s[i][i] for i in range(r)]
-        positions = [i for i, f in enumerate(full) if f > 1]
-        self.structure = FiniteAbelianGroup(tuple(full[i] for i in positions))
-        basis = []
-        for i in positions:
-            z = [sum(vinv[i][k] * bl[k][j] for k in range(r)) for j in range(r)]
-            basis.append(self.ambient.reduce(z))
-        self.basis = tuple(basis)
-        # tabulate coordinates; subgroups here are small
-        coords = {}
-        for c in self.structure.elements():
-            elt = self.ambient.zero()
-            for ci, b in zip(c, self.basis):
-                for _ in range(ci):
-                    elt = self.ambient.add(elt, b)
-            coords[elt] = c
-        check(len(coords) == len(self.elements) == self.structure.order,
-              "subgroup coordinates do not match its order")
-        self._coords = coords
-
-    def _remap_basis(self, basis):
-        coords = {}
-        for c in self.structure.elements():
-            elt = self.ambient.zero()
-            for ci, b in zip(c, basis):
-                for _ in range(ci):
-                    elt = self.ambient.add(elt, b)
-            coords[elt] = c
-        if len(coords) != self.structure.order or set(coords) != set(self.elements):
-            raise ValueError("proposed basis does not decompose the subgroup")
-        self.basis = basis
-        self._coords = coords
-
-    def with_basis(self, basis) -> "Subgroup":
-        return Subgroup(self.ambient, self.generators, basis=basis)
-
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
-
-    def __contains__(self, element) -> bool:
-        return self.ambient.reduce(element) in self.elements
 
     def canonical_key(self):
         return (len(self.elements), tuple(sorted(self.elements)))
@@ -297,31 +258,26 @@ class Subgroup:
 
 
 def enumerate_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, ordered by size then element lists."""
-    all_elements = list(g.elements())
-    seen = {frozenset({g.zero()})}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for elems in frontier:
-            for x in all_elements:
-                if x not in elems:
-                    grown = closure(g, list(elems) + [x])
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append(grown)
-        frontier = nxt
-    ordered = sorted(seen, key=lambda e: (len(e), tuple(sorted(e))))
+    """Every subgroup exactly once, ordered by size then element lists.
+
+    With k invariant factors every subgroup is generated by k elements, so
+    the subgroups are the closures of the k-element multisets."""
+    k = len(g.invariant_factors)
+    found = {closure(g, gens)
+             for gens in itertools.combinations_with_replacement(g.elements(), k)}
+    ordered = sorted(found, key=lambda e: (len(e), tuple(sorted(e))))
     return [Subgroup.from_elements(g, elems) for elems in ordered]
 
 
 class LatticeQuotient:
     """Z^r modulo the row lattice of an r x r integer relation matrix.
 
-    With U R V = S in Smith normal form, `project` sends x in Z^r to
-    (x V) mod d_i at the invariant factors d_i > 1, its class in
-    invariant-factor coordinates; `generator_lifts` are the matching rows of
-    V^-1, which project to the unit classes.
+    The quotient is one integer matrix: row i holds the class of the unit
+    vector e_i in invariant-factor coordinates, and `project` applies it
+    modulo the invariant factors.  With U R V = S in Smith normal form, row
+    i is row i of V at the columns where d_i > 1, and `generator_lifts` are
+    the matching rows of V^-1, which project to the unit classes;
+    `with_basis` re-coordinatizes the matrix on the classes of other lifts.
     """
 
     def __init__(self, relations):
@@ -335,19 +291,18 @@ class LatticeQuotient:
         full = [s[i][i] for i in range(r)]
         if any(f == 0 for f in full):
             raise LatticeError("relations do not span a full-rank lattice")
+        positions = [i for i, f in enumerate(full) if f > 1]
         self.rank = r
-        self._full = full
-        self._v = v
-        self._positions = [i for i, f in enumerate(full) if f > 1]
-        self.group = FiniteAbelianGroup(tuple(full[i] for i in self._positions))
-        self.generator_lifts = tuple(tuple(vinv[i]) for i in self._positions)
-        self._remap = None
+        self.group = FiniteAbelianGroup(tuple(full[i] for i in positions))
+        self.generator_lifts = tuple(tuple(vinv[i]) for i in positions)
+        self._matrix = tuple(self.group.reduce([row[j] for j in positions]) for row in v)
 
     def project(self, x) -> tuple[int, ...]:
-        coords = self._unmapped_project(x)
-        if self._remap is not None:
-            return self._remap[coords]
-        return coords
+        if len(x) != self.rank:
+            raise LatticeError(f"expected a vector of Z^{self.rank}")
+        fs = self.group.invariant_factors
+        return tuple(sum(a * row[j] for a, row in zip(x, self._matrix) if a) % f
+                     for j, f in enumerate(fs))
 
     def lift(self, coords) -> tuple[int, ...]:
         result = [0] * self.rank
@@ -357,36 +312,43 @@ class LatticeQuotient:
 
     def with_basis(self, lifts) -> "LatticeQuotient":
         """Re-coordinatize the quotient on the classes of the given lifts."""
-        if len(lifts) != len(self.group.invariant_factors):
+        fs = self.group.invariant_factors
+        if len(lifts) != len(fs):
             raise LatticeError("need one lift per invariant factor")
         if self.group.order > 4096:
             raise LatticeError("quotient too large to re-coordinatize")
-        base_coords = [self._unmapped_project(l) for l in lifts]
-        table = {}
-        for c in self.group.elements():
-            total = self.group.zero()
-            for ci, b in zip(c, base_coords):
-                for _ in range(ci):
-                    total = self.group.add(total, b)
-            table[total] = c
+        table = _coordinates(self.group, [self.project(l) for l in lifts], fs)
         if len(table) != self.group.order:
             raise LatticeError("lifts do not generate independent classes")
         other = copy.copy(self)
-        other._remap = table
+        other._matrix = tuple(table[row] for row in self._matrix)
         other.generator_lifts = tuple(tuple(l) for l in lifts)
         return other
-
-    def _unmapped_project(self, x):
-        if len(x) != self.rank:
-            raise LatticeError(f"expected a vector of Z^{self.rank}")
-        v = self._v
-        return tuple(
-            sum(x[k] * v[k][j] for k in range(self.rank)) % self._full[j]
-            for j in self._positions)
 
 
 def lattice_quotient(relations) -> LatticeQuotient:
     return LatticeQuotient(relations)
+
+
+def sublattice_quotient(rows, sub_rows) -> tuple[LatticeQuotient, IntMatrix]:
+    """L/M for the row lattices L of `rows` and M of `sub_rows`, both of
+    full rank r with M inside L, returned with the basis of L in whose
+    coordinates the quotient is taken.
+
+    The basis is diag(s) V^-1 for the Smith form U L V = S: a vector x of L
+    has coordinates (x V)_k / s_k in it."""
+    s, _, v, vinv = smith_normal_form(rows)
+    r = len(v)
+    diag = [s[i][i] if i < len(s) else 0 for i in range(r)]
+    if 0 in diag:
+        raise LatticeError("row lattice does not have full rank")
+    coords = []
+    for x in sub_rows:
+        xv = [sum(a * v[j][k] for j, a in enumerate(x)) for k in range(r)]
+        if any(c % d for c, d in zip(xv, diag)):
+            raise LatticeError("vector lies outside the lattice")
+        coords.append([c // d for c, d in zip(xv, diag)])
+    return LatticeQuotient(coords), [[d * a for a in row] for d, row in zip(diag, vinv)]
 
 
 @dataclass(frozen=True)
@@ -398,25 +360,21 @@ class AbelianAction:
     """
 
     group: FiniteAbelianGroup
-    actors: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
+    actors: dict[str, tuple[tuple[int, ...], ...]]
 
     def __post_init__(self):
-        for name, m in self.actors:
+        for name in self.actors:
             images = {self.apply(name, x) for x in self.group.elements()}
-            if len(images) != self.group.order:
-                raise ValueError(f"actor {name!r} is not invertible")
+            check(len(images) == self.group.order, f"actor {name!r} is not invertible")
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.actors)
+        return tuple(self.actors)
 
     def matrix(self, name: str):
-        for n, m in self.actors:
-            if n == name:
-                return m
-        raise KeyError(name)
+        return self.actors[name]
 
     def apply(self, name: str, x) -> tuple[int, ...]:
-        m = self.matrix(name)
+        m = self.actors[name]
         fs = self.group.invariant_factors
         k = len(fs)
         return tuple(

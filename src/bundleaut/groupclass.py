@@ -14,7 +14,10 @@ derived from those permutations acting on lattice classes.
 
 Two caches hold all of it: `type_lattices` per Dynkin type, and
 `enumerate_forms`, the only constructor of `GroupForm`, whose records carry
-each form's invariants, computed and cross-checked once per form.
+each form's invariants, computed and cross-checked once per form.  Subgroups
+and their coordinates come from `finabel` as built (a whole group is already
+in its unit basis), and pi_1 is cross-checked through its
+`sublattice_quotient`.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .finabel import (
     FiniteAbelianGroup,
     LatticeQuotient,
     Subgroup,
-    _lattice_coords,
-    _row_lattice_basis,
     enumerate_subgroups,
     lattice_quotient,
+    sublattice_quotient,
 )
 from .rootdata import DynkinType, _unit, cartan_matrix, check
 
@@ -59,13 +61,11 @@ class OutElement:
         return tuple(image)
 
 
-_KINDS = {1: "Trivial", 2: "Z2", 6: "S3"}
-_SYMBOLS = {"Trivial": "1", "Z2": "Z/2Z", "S3": "S_3"}
+_SYMBOLS = {1: "1", 2: "Z/2Z", 6: "S_3"}  # Out(G) by order
 
 
 @dataclass(frozen=True)
 class OutGroup:
-    kind: str
     elements: tuple[OutElement, ...]
 
     @property
@@ -74,17 +74,16 @@ class OutGroup:
 
     @property
     def is_trivial(self) -> bool:
-        return self.kind == "Trivial"
+        return self.order == 1
 
     def symbol(self) -> str:
-        return _SYMBOLS[self.kind]
+        return _SYMBOLS[self.order]
 
 
 def _make_out_group(elements) -> OutGroup:
     elements = sorted(elements, key=lambda e: (not e.is_identity, e.node_permutation))
-    kind = _KINDS.get(len(elements))
-    check(kind is not None, f"unexpected outer group order {len(elements)}")
-    return OutGroup(kind=kind, elements=tuple(elements))
+    check(len(elements) in _SYMBOLS, f"unexpected outer group order {len(elements)}")
+    return OutGroup(elements=tuple(elements))
 
 
 def _cycle_name(perm: tuple[int, ...]) -> str:
@@ -173,17 +172,6 @@ def _image(quotient: LatticeQuotient, elem: OutElement, coords) -> tuple[int, ..
     return quotient.project(elem.apply(quotient.lift(coords)))
 
 
-def _unit_basis_if_full(sub: Subgroup) -> Subgroup:
-    """The whole group in its own unit basis, so that its coordinates are
-    the ambient ones; a proper subgroup as it is."""
-    group = sub.ambient
-    if len(sub.elements) < group.order:
-        return sub
-    k = len(group.invariant_factors)
-    units = [_unit(k, i) for i in range(k)]
-    return Subgroup(group, units, basis=units)
-
-
 def _so_subgroup(lat: TypeLattices) -> Subgroup:
     # kernel of the vector representation: generated by the class of
     # omega_1^vee (eps_1 in the usual coordinates)
@@ -222,7 +210,7 @@ def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
     """Hom(Z(G), G_m) as the annihilator of mu inside P/Q."""
     ann = [a for a in lat.chars.group.elements()
            if all(pairing(lat, a, g) == 0 for g in mu.generators)]
-    return _unit_basis_if_full(Subgroup.from_elements(lat.chars.group, ann))
+    return Subgroup.from_elements(lat.chars.group, ann)
 
 
 def _pi1_lattice_quotient(lat: TypeLattices, mu: Subgroup) -> FiniteAbelianGroup:
@@ -230,15 +218,14 @@ def _pi1_lattice_quotient(lat: TypeLattices, mu: Subgroup) -> FiniteAbelianGroup
     of the Cartan matrix and X_* is spanned by them and lifts of mu."""
     coroots = lat.cartan
     rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in mu.generators]
-    _, diag, v = _row_lattice_basis(rows, len(coroots))
-    return lattice_quotient([_lattice_coords(c, diag, v) for c in coroots]).group
+    return sublattice_quotient(rows, coroots)[0].group
 
 
 def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> AbelianAction:
     """The action of Out(G) on a subgroup of `quotient`'s group; column j of
     each matrix holds the coordinates of the image of basis element j."""
     k = len(sub.structure.invariant_factors)
-    actors = []
+    actors = {}
     for elem in out.elements:
         cols = []
         for b in sub.basis:
@@ -246,8 +233,8 @@ def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> Abel
             check(image in sub.elements,
                   f"outer element {elem.name} does not preserve the subgroup")
             cols.append(sub.to_coords(image))
-        actors.append((elem.name, tuple(tuple(col[i] for col in cols) for i in range(k))))
-    return AbelianAction(group=sub.structure, actors=tuple(actors))
+        actors[elem.name] = tuple(tuple(col[i] for col in cols) for i in range(k))
+    return AbelianAction(group=sub.structure, actors=actors)
 
 
 def _delta_classes(pi1: FiniteAbelianGroup, action: AbelianAction) -> tuple[tuple, ...]:
@@ -295,7 +282,6 @@ class GroupForm:
 
 def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> GroupForm:
     """G^sc/mu with each invariant computed, and cross-checked, once."""
-    mu = _unit_basis_if_full(mu)
     chars = _annihilator(lat, mu)
     pi1 = mu.structure
     check(pi1.invariant_factors == _pi1_lattice_quotient(lat, mu).invariant_factors,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import groupclass, weyl
 from .finabel import AbelianAction
 from .groupclass import GroupForm, OutGroup
-from .rootdata import DynkinType, build_root_datum, admissible_types, check
+from .rootdata import DEFAULT_MAX_RANK, DynkinType, build_root_datum, admissible_types, check
 
 MIN_GENUS_PRESENTATION = 4
 SEMIDIRECT = "⋊"
@@ -165,7 +165,7 @@ class TableRow:
         }
 
 
-def table_types(max_rank: int = 8) -> list[DynkinType]:
+def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
     """Classification-table order: A, B, C, then D_4, even D, odd D, then
     the exceptional types."""
     types = admissible_types(max_rank)
@@ -178,7 +178,7 @@ def table_types(max_rank: int = 8) -> list[DynkinType]:
     return ordered
 
 
-def classification_table(genus: int, max_rank: int = 8) -> list[TableRow]:
+def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[TableRow]:
     """One row per (form, delta-class), in classification order."""
     if genus < MIN_GENUS_PRESENTATION:
         raise GenusOutOfRange(
@@ -229,9 +229,9 @@ class HitchinReport:
         }
 
 
-def riemann_roch_basis_dim(degrees, rank: int, genus: int, dim_center: int = 0) -> int:
-    """sum_i h^0(omega^{d_i}) = sum d_i(2g-2) + r(1-g) + #{d_i = 1}."""
-    return sum(degrees) * (2 * genus - 2) + rank * (1 - genus) + dim_center
+def riemann_roch_basis_dim(degrees, rank: int, genus: int) -> int:
+    """sum_i h^0(omega^{d_i}) = sum d_i(2g-2) + r(1-g), no d_i being 1."""
+    return sum(degrees) * (2 * genus - 2) + rank * (1 - genus)
 
 
 def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
@@ -242,7 +242,7 @@ def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
     dim_group = rd.rank + len(rd.roots)
     dim_center = 0  # almost-simple throughout
     closed_form = dim_group * (genus - 1) + dim_center
-    via_rr = riemann_roch_basis_dim(degrees, rd.rank, genus, dim_center)
+    via_rr = riemann_roch_basis_dim(degrees, rd.rank, genus)
     check(via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)")
     m, n = weyl.discriminant_orbit_counts(gf.dynkin)
     return HitchinReport(

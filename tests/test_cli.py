@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bundleaut
-from bundleaut import cli, weyl
+from bundleaut import cli, finabel, weyl
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -134,6 +134,8 @@ def test_report_low_genus_warns(capsys):
     assert "dim basis = 3" in out  # 3g - 3 at g = 2
     code, _, err = run(capsys, "report", "--group", "A1:sc", "--genus", "1")
     assert code == 1
+    assert "genus >= 2" in err
+    assert "Traceback" not in err
 
 
 def test_report_invalid_delta_lists_values(capsys):
@@ -408,6 +410,19 @@ def test_coxeter_element_of_infinite_order_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal consistency failure: element order exceeds the bound 6\n"
+
+
+def test_non_invertible_actor_exits_3(capsys, monkeypatch):
+    # an actor that collapses the group fails a check inside main
+    monkeypatch.setattr(finabel.AbelianAction, "apply", lambda self, name, x: self.group.zero())
+    enumerate_forms.cache_clear()
+    try:
+        code, out, err = run(capsys, "report", "--group", "D4:adjoint")
+    finally:
+        enumerate_forms.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err == "internal consistency failure: actor 'e' is not invertible\n"
 
 
 def test_color_toggle(capsys, monkeypatch):

@@ -264,6 +264,26 @@ def test_subgroup_structure_and_coords():
         assert from_coords(full, full.to_coords(e)) == e
 
 
+@pytest.mark.parametrize("factors", [
+    (2,), (4,), (2, 2), (8,), (2, 4), (2, 2, 2), (12,), (16,), (2, 8),
+    (4, 4), (2, 2, 4), (2, 2, 2, 2), (3, 9),
+])
+def test_whole_group_has_unit_basis(factors):
+    # whatever generates the whole group, its coordinates are the ambient ones
+    g = FiniteAbelianGroup(factors)
+    units = tuple(unit(len(factors), i) for i in range(len(factors)))
+    elements = list(g.elements())
+    rng = random.Random(sum(factors))
+    for _ in range(30):
+        gens = rng.choices(elements, k=rng.randint(len(factors), len(factors) + 2))
+        if len(closure(g, gens)) < g.order:
+            continue
+        sub = Subgroup(g, gens)
+        assert sub.structure == g
+        assert sub.basis == units
+        assert all(sub.to_coords(e) == e for e in elements)
+
+
 def test_subgroup_closure_matches_helper():
     g = FiniteAbelianGroup((4, 4))
     gens = [(2, 0), (0, 2)]
