@@ -50,90 +50,55 @@ class UsageError(ValueError):
 # group-spec grammar
 
 
-_ALIASES = [
-    (re.compile(r"^spin(\d+)$"), "spin"),
-    (re.compile(r"^semispin(\d+)$"), "semispin"),
-    (re.compile(r"^pso(\d+)$"), "pso"),
-    (re.compile(r"^so(\d+)$"), "so"),
-    (re.compile(r"^psl(\d+)$"), "psl"),
-    (re.compile(r"^sl(\d+)/?mu(\d+)$"), "slmu"),
-    (re.compile(r"^sl(\d+)$"), "sl"),
-    (re.compile(r"^psp(\d+)$"), "psp"),
-    (re.compile(r"^sp(\d+)$"), "sp"),
-    (re.compile(r"^(e6|e7)(sc|ad|adjoint)$"), "exc"),
-    (re.compile(r"^(e8|f4|g2)$"), "unique"),
-]
+_TYPED = re.compile(r"^([a-g])(\d+)(?::(.+))?$")
+_EXCEPTIONAL = re.compile(r"^(e6|e7)(sc|ad|adjoint)$")
+_SL_MU = re.compile(r"^sl(\d+)/?mu(\d+)$")
+# a matrix-group alias is a name and a size m: SL_m is of type A_{m-1},
+# Sp_m of type C_{m/2}, an orthogonal group of type D_{m/2}, and Spin_m and
+# SO_m of type B_{(m-1)/2} for odd m
+_MATRIX = re.compile(r"^(spin|semispin|pso|so|psl|sl|psp|sp)(\d+)$")
+_MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": "so",
+                  "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
 
 
-def _alias_form(kind: str, match) -> tuple[DynkinType, str]:
-    if kind in ("spin", "so", "pso", "semispin"):
-        m = int(match.group(1))
-        if m % 2:
-            if kind == "spin":
-                return DynkinType("B", (m - 1) // 2), "sc"
-            if kind == "so":
-                return DynkinType("B", (m - 1) // 2), "adjoint"
-            raise UsageError(f"no group {kind}_{m}: odd dimension")
-        n = m // 2
-        form = {"spin": "sc", "so": "so", "pso": "adjoint", "semispin": "semispin"}[kind]
-        return DynkinType("D", n), form
-    if kind in ("sl", "psl", "slmu"):
-        m = int(match.group(1))
-        if m < 2:
-            raise UsageError(f"SL_{m} is not almost-simple")
-        t = DynkinType("A", m - 1)
-        if kind == "sl":
-            return t, "sc"
-        if kind == "psl":
-            return t, "adjoint"
-        r = int(match.group(2))
-        if r < 1 or m % r:
-            raise UsageError(f"mu_{r} is not a subgroup of the center of SL_{m}")
-        return t, f"mu{r}"
-    if kind in ("sp", "psp"):
-        m = int(match.group(1))
-        if m % 2:
-            raise UsageError(f"no symplectic group in odd dimension {m}")
-        return DynkinType("C", m // 2), "sc" if kind == "sp" else "adjoint"
-    if kind == "exc":
-        t = DynkinType("E", int(match.group(1)[1]))
-        return t, "sc" if match.group(2) == "sc" else "adjoint"
-    t = DynkinType.parse(match.group(1))
-    return t, "sc"
+def _type_and_token(spec: str) -> tuple[DynkinType, str]:
+    """The Dynkin type and form token a group spec names; whether the type
+    has that form is `groupclass.form_by_name`'s to decide."""
+    text = spec.strip().lower().replace("_", "").replace(" ", "")
+    m = _TYPED.match(text)
+    if m:
+        return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3) or "sc"
+    m = _EXCEPTIONAL.match(text)
+    if m:
+        return DynkinType("E", int(m.group(1)[1])), m.group(2)
+    m = _SL_MU.match(text)
+    if m:
+        return DynkinType("A", int(m.group(1)) - 1), f"mu{int(m.group(2))}"
+    m = _MATRIX.match(text)
+    if not m:
+        raise UsageError(f"cannot parse group spec {spec!r}")
+    name, size = m.group(1), int(m.group(2))
+    if name in ("sl", "psl"):
+        return DynkinType("A", size - 1), _MATRIX_TOKENS[name]
+    if size % 2 == 0:
+        family = "C" if name in ("sp", "psp") else "D"
+        return DynkinType(family, size // 2), _MATRIX_TOKENS[name]
+    if name in ("spin", "so"):
+        return DynkinType("B", (size - 1) // 2), _MATRIX_TOKENS[name]
+    raise UsageError(f"group spec {spec!r}: no {name} group in odd dimension {size}")
 
 
 def parse_group_spec(spec: str) -> GroupForm:
-    """`<TYPE><rank>:<form>` with form in {sc, adjoint, so, semispin, mu<k>},
-    or an alias such as Spin8, PSL4, Sp6, SO10, SemiSpin12, E6_sc."""
-    text = spec.strip().lower().replace("_", "").replace(" ", "")
-    for pattern, kind in _ALIASES:
-        m = pattern.match(text)
-        if m:
-            try:
-                t, form = _alias_form(kind, m)
-            except InvalidType as exc:
-                raise UsageError(f"group spec {spec!r}: {exc}") from exc
-            return _resolve_form(spec, t, form)
-    m = re.match(r"^([a-g])(\d+)(?::(.+))?$", text)
-    if not m:
-        raise UsageError(f"cannot parse group spec {spec!r}")
+    """`<TYPE><rank>:<form>` with form a token of `groupclass.form_by_name`
+    (`ad` abbreviates `adjoint`), or an alias such as Spin8, PSL4, Sp6, SO10,
+    SemiSpin12, E6_sc."""
     try:
-        t = DynkinType(m.group(1).upper(), int(m.group(2)))
+        t, form = _type_and_token(spec)
     except InvalidType as exc:
         raise UsageError(f"group spec {spec!r}: {exc}") from exc
-    form = m.group(3) or "sc"
-    if form == "ad":
-        form = "adjoint"
-    return _resolve_form(spec, t, form)
-
-
-def _resolve_form(spec: str, t: DynkinType, form: str) -> GroupForm:
-    valid = {"sc", "adjoint", "so", "semispin"}
-    if not (form in valid or re.fullmatch(r"mu\d+", form)):
-        raise UsageError(f"group spec {spec!r}: unknown form token {form!r}")
     try:
-        return groupclass.form_by_name(t, form)
-    except (ValueError, StopIteration) as exc:
+        return groupclass.form_by_name(t, "adjoint" if form == "ad" else form)
+    except ValueError as exc:
         names = ", ".join(f.display_name for f in groupclass.enumerate_forms(t))
         raise UsageError(
             f"group spec {spec!r}: {exc} (forms of {t.label}: {names})") from exc
@@ -263,12 +228,7 @@ def render_report_text(doc: ReportDocument, colored: bool) -> str:
     for w in doc.warnings:
         lines.append(f"  warning: {w}")
     if doc.presentation is not None:
-        if len(doc.delta) == 0:
-            delta = "0"
-        elif len(doc.delta) == 1:
-            delta = str(doc.delta[0])
-        else:
-            delta = "(" + ",".join(str(d) for d in doc.delta) + ")"
+        delta = moduli.render_element(doc.delta)
         lines.append(_styled(f"component delta = {delta}   [{doc.delta_class}]", colored))
         lines.append(f"  Aut = {doc.presentation}   (genus {doc.genus})")
         for name, desc in sorted(doc.actions.items()):
@@ -354,8 +314,9 @@ def render_table_latex(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.max_rank < 1:
-        raise UsageError(f"--max-rank must be at least 1, got {args.max_rank}")
+    if args.max_rank < 2:
+        # A_1 = SL_2, the smallest type, needs a bound of 2
+        raise UsageError(f"--max-rank must be at least 2, got {args.max_rank}")
     rows = moduli.classification_table(args.genus, args.max_rank)
     if args.format == "json":
         doc = {

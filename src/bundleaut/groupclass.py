@@ -14,10 +14,12 @@ derived from those permutations acting on lattice classes.
 
 Two caches hold all of it: `type_lattices` per Dynkin type, and
 `enumerate_forms`, the only constructor of `GroupForm`, whose records carry
-each form's invariants, computed and cross-checked once per form.  Subgroups
-and their coordinates come from `finabel` as built (a whole group is already
-in its unit basis), and pi_1 is cross-checked through its
-`sublattice_quotient`.
+each form's invariants, computed and cross-checked once per form.  One
+function, `_names`, gives a form its display name and the spec tokens that
+select it ('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name`
+looks a token up among the records.  Subgroups and their coordinates come
+from `finabel` as built (a whole group is already in its unit basis), and
+pi_1 is cross-checked through its `sublattice_quotient`.
 """
 
 from __future__ import annotations
@@ -179,31 +181,47 @@ def _so_subgroup(lat: TypeLattices) -> Subgroup:
     return Subgroup(lat.center.group, [lat.center.project(omega1)])
 
 
-def _display_name(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> str:
+def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozenset[str]]:
+    """The display name of G^sc/mu and the spec tokens that select it, from
+    r = |mu|, the order `total` of the center and, in type D, whether mu is
+    the kernel of the vector representation.  In type D an order-2 mu other
+    than that kernel exists for even rank only, and triality folds these
+    semispin classes of D_4 into SO_8, so SO_8 carries 'semispin' too."""
     n = t.rank
-    r = len(mu.elements)
+    tokens = set()
+    if r == 1:
+        tokens.add("sc")
+    if r == total:
+        tokens.add("adjoint")
+    if t.family == "A":
+        tokens.add(f"mu{r}")
+    if is_so or (t.family == "B" and r == 2):
+        tokens.add("so")
+    if t.family == "D" and r == 2 and (n == 4 or not is_so):
+        tokens.add("semispin")
+    tokens = frozenset(tokens)
     if t.family == "A":
         m = n + 1
         if r == 1:
-            return f"SL_{m}"
+            return f"SL_{m}", tokens
         if r == m:
-            return f"PSL_{m}"
-        return f"SL_{m}/mu_{r}"
+            return f"PSL_{m}", tokens
+        return f"SL_{m}/mu_{r}", tokens
     if t.family == "B":
-        return f"Spin_{2 * n + 1}" if r == 1 else f"SO_{2 * n + 1}"
+        return (f"Spin_{2 * n + 1}" if r == 1 else f"SO_{2 * n + 1}"), tokens
     if t.family == "C":
-        return f"Sp_{2 * n}" if r == 1 else f"PSp_{2 * n}"
+        return (f"Sp_{2 * n}" if r == 1 else f"PSp_{2 * n}"), tokens
     if t.family == "D":
         if r == 1:
-            return f"Spin_{2 * n}"
+            return f"Spin_{2 * n}", tokens
         if r == 4:
-            return f"PSO_{2 * n}"
-        return f"SO_{2 * n}" if mu == _so_subgroup(lat) else f"SemiSpin_{2 * n}"
+            return f"PSO_{2 * n}", tokens
+        return (f"SO_{2 * n}" if is_so else f"SemiSpin_{2 * n}"), tokens
     if t.family == "E":
-        if lat.center.group.is_trivial:
-            return f"E{n}"
-        return f"E{n}_sc" if r == 1 else f"E{n}_ad"
-    return {"F": "F4", "G": "G2"}[t.family]
+        if total == 1:
+            return f"E{n}", tokens
+        return (f"E{n}_sc" if r == 1 else f"E{n}_ad"), tokens
+    return {"F": "F4", "G": "G2"}[t.family], tokens
 
 
 def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
@@ -269,6 +287,7 @@ class GroupForm:
     dynkin: DynkinType
     mu: Subgroup
     display_name: str
+    tokens: frozenset[str] = field(compare=False)  # the spec tokens selecting it, see `_names`
     chars: Subgroup = field(compare=False)  # Hom(Z(G), G_m), the annihilator of mu in P/Q
     pi1: FiniteAbelianGroup = field(compare=False)  # pi_1(G), isomorphic to mu
     out: OutGroup = field(compare=False)  # Out(G), the elements of Out(G^sc) preserving mu
@@ -280,8 +299,9 @@ class GroupForm:
         return self.display_name
 
 
-def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> GroupForm:
-    """G^sc/mu with each invariant computed, and cross-checked, once."""
+def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | None) -> GroupForm:
+    """G^sc/mu with each invariant computed, and cross-checked, once; `so`
+    is the SO subgroup of a type-D center, None otherwise."""
     chars = _annihilator(lat, mu)
     pi1 = mu.structure
     check(pi1.invariant_factors == _pi1_lattice_quotient(lat, mu).invariant_factors,
@@ -290,8 +310,9 @@ def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices) -> GroupForm:
         elem for elem in lat.out_elements
         if {_image(lat.center, elem, x) for x in mu.elements} == mu.elements)
     pi1_action = _out_action(out, mu, lat.center)
+    display_name, tokens = _names(t, len(mu.elements), lat.center.group.order, mu == so)
     return GroupForm(
-        dynkin=t, mu=mu, display_name=_display_name(t, mu, lat),
+        dynkin=t, mu=mu, display_name=display_name, tokens=tokens,
         chars=chars, pi1=pi1, out=out, pi1_action=pi1_action,
         chars_action=_out_action(out, chars, lat.chars),
         delta_classes=_delta_classes(pi1, pi1_action))
@@ -306,6 +327,7 @@ def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
     subgroup is that subgroup, so the class is literally the SO form.
     """
     lat = type_lattices(t)
+    so = _so_subgroup(lat) if t.family == "D" else None
     subgroups = enumerate_subgroups(lat.center.group)
     remaining = {sub.canonical_key(): sub for sub in subgroups}
     classes = []
@@ -318,48 +340,20 @@ def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
             ikey = (len(image), tuple(sorted(image)))
             if ikey in remaining:
                 orbit.append(remaining.pop(ikey))
-        rep = sub
-        if t.family == "D":
-            so = _so_subgroup(lat)
-            if any(member == so for member in orbit):
-                rep = so
-        classes.append(rep)
+        if so in orbit:
+            sub = so
+        classes.append(sub)
     classes.sort(key=lambda s: s.canonical_key())
-    return tuple(_make_form(t, rep, lat) for rep in classes)
+    return tuple(_make_form(t, rep, lat, so) for rep in classes)
 
 
 def form_by_name(t: DynkinType, kind: str) -> GroupForm:
-    """Select a form of the given type: 'sc', 'adjoint', 'so', 'semispin',
-    or 'mu<k>' (type A)."""
-    forms = enumerate_forms(t)
-    lat = type_lattices(t)
-    total = lat.center.group.order
-    if kind == "sc":
-        return forms[0]
-    if kind == "adjoint":
-        return next(f for f in forms if len(f.mu.elements) == total)
-    if kind == "so":
-        if t.family == "B":
-            return form_by_name(t, "adjoint")
-        if t.family != "D":
-            raise ValueError(f"no SO form for type {t}")
-        return next(f for f in forms if f.display_name.startswith("SO_"))
-    if kind == "semispin":
-        if t.family != "D" or t.rank % 2:
-            raise ValueError(f"no SemiSpin form for type {t}")
-        if t.rank == 4:
-            # the triality identification folds the semispin classes into SO_8
-            return form_by_name(t, "so")
-        return next(f for f in forms if f.display_name.startswith("SemiSpin"))
-    if kind.startswith("mu"):
-        if t.family != "A":
-            raise ValueError("mu<k> forms only name type-A quotients")
-        r = int(kind[2:])
-        match = [f for f in forms if len(f.mu.elements) == r]
-        if not match:
-            raise ValueError(f"no subgroup of order {r} in the center of {t}")
-        return match[0]
-    raise ValueError(f"unknown form {kind!r}")
+    """The form of type t that the spec token `kind` selects: 'sc',
+    'adjoint', 'so', 'semispin' or 'mu<k>', as `_names` assigns them."""
+    for gf in enumerate_forms(t):
+        if kind in gf.tokens:
+            return gf
+    raise ValueError(f"no form {kind!r} of type {t.label}")
 
 
 def validate_delta(gf: GroupForm, delta) -> tuple[int, ...]:

@@ -117,7 +117,11 @@ def aut_presentation(gf: GroupForm, delta, genus: int) -> AutPresentation:
     )
 
 
-def _render_element(x) -> str:
+def render_element(x) -> str:
+    """A label in pi_1 as printed: `0` in the trivial group, the coordinate
+    in a cyclic one, `(a,b,...)` otherwise."""
+    if not x:
+        return "0"
     if len(x) == 1:
         return str(x[0])
     return "(" + ",".join(str(c) for c in x) + ")"
@@ -140,10 +144,10 @@ def delta_class_label(gf: GroupForm, cls: tuple) -> str:
             return f"2{DELTA} {NEQ} 0 {IN} {sym}"
     zero = pi1.zero()
     if elems == {zero}:
-        return f"{DELTA} = {_render_element(zero)} {IN} {sym}"
+        return f"{DELTA} = {render_element(zero)} {IN} {sym}"
     if elems == everything - {zero}:
-        return f"{DELTA} {NEQ} {_render_element(zero)} {IN} {sym}"
-    listing = ", ".join(_render_element(x) for x in sorted(elems))
+        return f"{DELTA} {NEQ} {render_element(zero)} {IN} {sym}"
+    listing = ", ".join(render_element(x) for x in sorted(elems))
     return f"{DELTA} = {listing} {IN} {sym}"
 
 

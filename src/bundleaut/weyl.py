@@ -16,7 +16,7 @@ a Coxeter element (Humphreys, Reflection Groups and Coxeter Groups 3.7).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .rootdata import DynkinType, _unit, build_root_datum, check
 
@@ -239,7 +239,8 @@ def weyl_order(t: DynkinType) -> int:
     Stab_W(w_i) is the parabolic generated by the other simple reflections,
     so |W| = |orbit(w_i)| * |W_{S - i}| recursively; orbits are small even
     in rank 8.  In fundamental-weight coordinates omega_i is the unit vector
-    e_i and s_j(v) = v - v_j (column j of A).
+    e_i and s_j(v) = v - v_j (column j of A).  The result is checked against
+    the product of the invariant degrees (Humphreys 3.9).
     """
     cartan = build_root_datum(t).cartan
     columns = list(zip(*cartan))  # alpha_j in fundamental-weight coordinates
@@ -265,4 +266,7 @@ def weyl_order(t: DynkinType) -> int:
             frontier = nxt
         return len(orbit) * order(active - {i})
 
-    return order(frozenset(range(t.rank)))
+    w = order(frozenset(range(t.rank)))
+    degrees = invariant_degrees(t)
+    check(w == prod(degrees), f"|W| = {w} is not the product of the degrees {list(degrees)}")
+    return w

@@ -60,6 +60,8 @@ def test_parse_group_spec(spec, name):
 
 @pytest.mark.parametrize("spec", [
     "Spin6", "H4", "A0", "SL1", "Sp7", "D4:mu2", "D5:semispin", "E6:so", "junk",
+    "PSO9", "SemiSpin9", "SemiSpin10", "B3:semispin", "C3:so", "E6:mu1", "A3:mu5",
+    "A3:mux", "D4:foo",
 ])
 def test_parse_group_spec_rejects(spec):
     with pytest.raises(UsageError):
@@ -76,7 +78,7 @@ def test_form_lookups_return_the_enumerated_records():
                      *(f"mu{r}" for r in range(1, t.rank + 2))):
             try:
                 gf = form_by_name(t, kind)
-            except (ValueError, StopIteration):
+            except ValueError:
                 continue
             assert any(gf is f for f in forms)
             reached.add(id(gf))
@@ -208,12 +210,13 @@ def test_table_max_rank_filters(capsys):
     assert families == {"A_1", "B_2", "G_2"}
 
 
-@pytest.mark.parametrize("rank", ["0", "-3"])
-def test_table_max_rank_below_1_is_a_usage_error(capsys, rank):
+@pytest.mark.parametrize("rank", ["1", "0", "-3"])
+def test_table_max_rank_below_2_is_a_usage_error(capsys, rank):
+    # A_1 = SL_2 is the smallest type, so a bound below 2 lists none
     code, out, err = run(capsys, "table", "--max-rank", rank)
     assert code == 1
     assert out == ""
-    assert err == f"error: --max-rank must be at least 1, got {rank}\n"
+    assert err == f"error: --max-rank must be at least 2, got {rank}\n"
 
 
 def test_table_json_round_trips(capsys):
@@ -410,6 +413,21 @@ def test_coxeter_element_of_infinite_order_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal consistency failure: element order exceeds the bound 6\n"
+
+
+def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
+    # |W| comes from an orbit-stabilizer chain and is checked against the
+    # product of the invariant degrees, here made 8 instead of 6
+    monkeypatch.setattr(weyl, "invariant_degrees", lambda t: (2, 4))
+    weyl.weyl_order.cache_clear()
+    try:
+        code, out, err = run(capsys, "rootdata", "--type", "A2")
+    finally:
+        weyl.weyl_order.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err == ("internal consistency failure: "
+                   "|W| = 6 is not the product of the degrees [2, 4]\n")
 
 
 def test_non_invertible_actor_exits_3(capsys, monkeypatch):

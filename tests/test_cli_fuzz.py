@@ -9,6 +9,7 @@ time.
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -105,6 +106,12 @@ def test_parse_group_spec_returns_an_enumerated_form_or_usage_error(spec):
         return
     assert isinstance(gf, GroupForm)
     assert any(gf is f for f in enumerate_forms(gf.dynkin))
+    # a typed spec, <TYPE><rank>[:<token>], returns a form carrying its token
+    text = spec.strip().lower().replace("_", "").replace(" ", "")
+    typed = re.match(r"^[a-g]\d+(?::(.+))?$", text)
+    if typed:
+        token = typed.group(1) or "sc"
+        assert ("adjoint" if token == "ad" else token) in gf.tokens, (spec, gf.tokens)
 
 
 @budget(300)
@@ -140,7 +147,7 @@ def test_main_exits_0_1_or_2_without_traceback(argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     rank = drawn_max_rank(argv)
-    if rank is not None and rank < 1:
+    if rank is not None and rank < 2:
         assert code == 1, (argv, code, err.getvalue())
 
 

@@ -117,6 +117,12 @@ def test_enumerate_forms_counts(tname, count):
     assert len({f.display_name for f in forms}) == count
 
 
+def test_no_token_selects_two_forms_of_a_type():
+    for t in admissible_types(8):
+        tokens = [token for gf in enumerate_forms(t) for token in gf.tokens]
+        assert len(tokens) == len(set(tokens)), t
+
+
 def test_complementarity_of_mu_and_annihilator():
     for t in admissible_types(8):
         total = type_lattices(t).chars.group.order
