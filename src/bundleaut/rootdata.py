@@ -171,6 +171,9 @@ class RootDatum:
     dynkin: DynkinType
     cartan: tuple[tuple[int, ...], ...]
     roots: tuple[Root, ...]  # simple-root coordinates, sorted
+    # for each simple reflection s_i, the permutation it induces on the
+    # indices of `roots`
+    reflections: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -183,21 +186,34 @@ class RootDatum:
 @lru_cache(maxsize=None)
 def build_root_datum(t: DynkinType) -> RootDatum:
     """The Cartan matrix and the roots, the closure of the simple roots
-    under the simple reflections."""
+    under the simple reflections, with the index of every s_i image that
+    the closure computes."""
     cartan = cartan_matrix(t)
-    simples = [_unit(t.rank, i) for i in range(t.rank)]
-    roots = set(simples)
-    frontier = simples
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in range(t.rank):
-                image = _reflect(cartan, i, root)
-                if image not in roots:
-                    roots.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return RootDatum(dynkin=t, cartan=cartan, roots=tuple(sorted(roots)))
+    found = [_unit(t.rank, i) for i in range(t.rank)]
+    index = {root: k for k, root in enumerate(found)}
+    images: list[list[int]] = [[] for _ in range(t.rank)]
+    # <v, alpha_i^vee> over the nonzero entries of row i only
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    for k, root in enumerate(found):  # the list grows as it is walked
+        for i, row in enumerate(rows):
+            c = sum(a * root[j] for j, a in row)
+            if c == 0:
+                images[i].append(k)
+                continue
+            image = root[:i] + (root[i] - c,) + root[i + 1:]
+            j = index.get(image)
+            if j is None:
+                j = index[image] = len(found)
+                found.append(image)
+            images[i].append(j)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    position = [0] * len(found)
+    for new, old in enumerate(order):
+        position[old] = new
+    return RootDatum(
+        dynkin=t, cartan=cartan, roots=tuple(found[old] for old in order),
+        reflections=tuple(tuple(position[image[old]] for old in order)
+                          for image in images))
 
 
 def admissible_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:

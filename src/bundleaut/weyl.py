@@ -2,15 +2,17 @@
 
 Everything works from the integer Cartan matrix, and every per-type result
 is cached on the DynkinType.  Orbit computations act through simple-reflection
-generators only, encoded as permutations of the root list so the
-breadth-first searches run on small integers, and keep only the number of
-orbits.  Each W-orbit of roots holds exactly one dominant root, and orbits on
-ordered root pairs are counted through the parabolic stabilizers of the
-dominant roots, without forming the |Phi|^2 pairs.  The group order comes
-from an orbit-stabilizer chain on fundamental weights, in fundamental-weight
-coordinates; the full group is never enumerated.  Invariant degrees are read
-off the cyclotomic factorization of the integer characteristic polynomial of
-a Coxeter element (Humphreys, Reflection Groups and Coxeter Groups 3.7).
+generators only, as the permutations of the root indices that the root
+closure records, so the breadth-first searches run on small integers and keep
+only the orbit numbers.  Each W-orbit of roots holds exactly one dominant
+root, read off the permutations and the root heights.  Orbits on ordered root
+pairs and on pairs of hyperplanes are counted through the stabilizers of the
+dominant roots and their hyperplanes, without forming any pairs.  The group
+order comes from an orbit-stabilizer chain on fundamental weights, in
+fundamental-weight coordinates; the full group is never enumerated.
+Invariant degrees are read off the cyclotomic factorization of the integer
+characteristic polynomial of a Coxeter element (Humphreys, Reflection Groups
+and Coxeter Groups 3.7).
 """
 
 from __future__ import annotations
@@ -35,69 +37,124 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 @lru_cache(maxsize=None)
 def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     """For each simple reflection, the permutation it induces on the roots."""
-    rd = build_root_datum(t)
-    index = {root: k for k, root in enumerate(rd.roots)}
-    perms = []
-    for i in range(rd.rank):
-        perms.append(tuple(index[rd.simple_reflection(i, r)] for r in rd.roots))
-    return tuple(perms)
+    return build_root_datum(t).reflections
 
 
-def _orbit_count(n_items: int, perms) -> int:
-    """Number of orbits on range(n_items) of the group the perms generate."""
-    seen = [False] * n_items
-    count = 0
+def _orbits(n_items: int, perms) -> tuple[list[int], list[int]]:
+    """The orbits on range(n_items) of the group the perms generate: the
+    orbit number of each item, and the first item of each orbit."""
+    label = [-1] * n_items
+    firsts: list[int] = []
     for start in range(n_items):
-        if seen[start]:
+        if label[start] >= 0:
             continue
-        count += 1
-        seen[start] = True
+        label[start] = len(firsts)
         frontier = [start]
         while frontier:
             nxt = []
             for x in frontier:
                 for p in perms:
                     y = p[x]
-                    if not seen[y]:
-                        seen[y] = True
+                    if label[y] < 0:
+                        label[y] = label[start]
                         nxt.append(y)
             frontier = nxt
-    return count
+        firsts.append(start)
+    return label, firsts
 
 
-def _dominant_roots(t: DynkinType):
-    """Each dominant root theta, <theta, alpha_i^vee> = (A theta)_i >= 0 for
-    all i, with the indices i of the simple reflections that fix it.
+def _heights(t: DynkinType) -> list[int]:
+    """The height of each root, the sum of its simple-root coordinates."""
+    return [sum(root) for root in build_root_datum(t).roots]
 
-    Every W-orbit of roots meets the closed dominant chamber exactly once,
-    and Stab_W(theta) is the standard parabolic generated by those s_i
+
+def _dominant_roots(t: DynkinType, height: list[int]):
+    """Each dominant root theta, as its index, with the indices i of the
+    simple reflections that fix it.
+
+    s_i(theta) = theta - <theta, alpha_i^vee> alpha_i, so theta is dominant,
+    <theta, alpha_i^vee> >= 0 for all i, iff no s_i raises its height, and
+    s_i fixes it iff the pairing is 0.  Dominant roots are positive.  Every
+    W-orbit of roots meets the closed dominant chamber exactly once, and
+    Stab_W(theta) is the standard parabolic generated by those s_i
     (Humphreys 1.12)."""
-    rd = build_root_datum(t)
-    for theta in rd.roots:
-        pairings = [sum(a * x for a, x in zip(row, theta)) for row in rd.cartan]
-        if min(pairings) >= 0:
-            yield theta, [i for i, c in enumerate(pairings) if c == 0]
+    perms = _root_permutations(t)
+    for k in range(len(height) // 2, len(height)):
+        if all(height[p[k]] <= height[k] for p in perms):
+            yield k, [i for i, p in enumerate(perms) if p[k] == k]
 
 
 @lru_cache(maxsize=None)
 def discriminant_orbit_counts(t: DynkinType) -> tuple[int, int]:
     """(m, n): the W-orbits on roots, one per dominant root, and on
-    unordered pairs of distinct hyperplanes, n = 0 in rank 1."""
-    rd = build_root_datum(t)
-    m = sum(1 for _ in _dominant_roots(t))
+    unordered pairs of distinct hyperplanes, n = 0 in rank 1.
+
+    Each W-orbit of hyperplanes holds the hyperplane H_theta of one dominant
+    root theta, and Stab_W(H_theta) = W_J x <s_theta>, W_J the parabolic
+    fixing theta (Bourbaki V 3.3).  Its orbits on the other hyperplanes,
+    summed over theta, are the O orbits on ordered pairs.  The swap of the
+    two entries acts on these orbits; F of them are swap-stable, so
+    n = (O + F) / 2.
+    """
+    perms = _root_permutations(t)
+    height = _heights(t)
+    n_roots = len(height)
+    dominant = list(_dominant_roots(t, height))
+    m = len(dominant)
+    root_label, root_orbits = _orbits(n_roots, perms)
+    check(len(root_orbits) == m and len({root_label[k] for k, _ in dominant}) == m,
+          f"{len(root_orbits)} W-orbits of roots do not hold one each of the "
+          f"{m} dominant roots")
     # the hyperplane {a, -a} is numbered by its positive root a; roots are
     # sorted, so the negative ones come first, in the reverse order
-    half = len(rd.roots) // 2
-    plane = [half - 1 - k if k < half else k - half for k in range(len(rd.roots))]
-    pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    pair_perms = []
-    for perm in _root_permutations(t):
-        images = [plane[r] for r in perm[half:]]
-        pair_perms.append(tuple(
-            index[(a, b) if a < b else (b, a)]
-            for a, b in ((images[i], images[j]) for i, j in pairs)))
-    return m, _orbit_count(len(pairs), pair_perms)
+    half = n_roots // 2
+    plane = [half - 1 - k if k < half else k - half for k in range(n_roots)]
+    plane_perms = [[plane[k] for k in p[half:]] for p in perms]
+
+    def steps(k: int, sign: int):
+        """The simple reflections that move root k up (sign 1) or down
+        (sign -1) in height."""
+        return [i for i, p in enumerate(perms) if sign * (height[p[k]] - height[k]) > 0]
+
+    def climb(k: int) -> tuple[int, list[int]]:
+        # a positive root rises to the dominant root of its orbit
+        word = []
+        while up := steps(k, 1):
+            word.append(up[0])
+            k = perms[up[0]][k]
+        return k, word
+
+    ordered = swap_stable = 0
+    for theta, fixing in dominant:
+        # s_theta = w^-1 s_i w, for a word w lowering theta to alpha_i
+        k, w = theta, list(range(half))
+        while height[k] > 1:
+            i = steps(k, -1)[0]
+            k = perms[i][k]
+            w = [plane_perms[i][x] for x in w]
+        i = steps(k, -1)[0]
+        w_inverse = [0] * half
+        for x, y in enumerate(w):
+            w_inverse[y] = x
+        s_theta = [w_inverse[plane_perms[i][y]] for y in w]
+        h_theta = theta - half
+        check(s_theta[h_theta] == h_theta, f"s_theta moves the hyperplane of theta in {t}")
+        label, firsts = _orbits(half, [plane_perms[i] for i in fixing] + [s_theta])
+        ordered += len(firsts) - 1
+        for beta in firsts:
+            if beta == h_theta:
+                continue
+            top, u = climb(beta + half)
+            if top != theta:
+                continue
+            # (H_theta, H_beta) swapped and moved by u is (H_theta, u H_theta)
+            image = h_theta
+            for i in u:
+                image = plane_perms[i][image]
+            swap_stable += label[image] == label[beta]
+    check((ordered + swap_stable) % 2 == 0,
+          f"O + F = {ordered} + {swap_stable} is odd for {t}")
+    return m, (ordered + swap_stable) // 2
 
 
 def ordered_root_pair_orbit_count(t: DynkinType) -> int:
@@ -113,9 +170,9 @@ def ordered_root_pair_orbit_count(t: DynkinType) -> int:
     dominant root.
     """
     perms = _root_permutations(t)
-    n_roots = len(build_root_datum(t).roots)
-    return sum(_orbit_count(n_roots, [perms[i] for i in fixing])
-               for _, fixing in _dominant_roots(t))
+    height = _heights(t)
+    return sum(len(_orbits(len(height), [perms[i] for i in fixing])[1])
+               for _, fixing in _dominant_roots(t, height))
 
 
 def coxeter_element(t: DynkinType) -> IntMatrix:

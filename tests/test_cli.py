@@ -430,6 +430,22 @@ def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
                    "|W| = 6 is not the product of the degrees [2, 4]\n")
 
 
+def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch):
+    # without s_3 the reflections of B3 split the roots into 5 orbits, and
+    # the orbit count is checked against the dominant roots
+    permutations = weyl._root_permutations
+    monkeypatch.setattr(weyl, "_root_permutations", lambda t: permutations(t)[:-1])
+    weyl.discriminant_orbit_counts.cache_clear()
+    try:
+        code, out, err = run(capsys, "rootdata", "--type", "B3")
+    finally:
+        weyl.discriminant_orbit_counts.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err == ("internal consistency failure: 5 W-orbits of roots do not "
+                   "hold one each of the 3 dominant roots\n")
+
+
 def test_non_invertible_actor_exits_3(capsys, monkeypatch):
     # an actor that collapses the group fails a check inside main
     monkeypatch.setattr(finabel.AbelianAction, "apply", lambda self, name, x: self.group.zero())

@@ -192,12 +192,43 @@ def test_pair_orbits_against_full_group(name):
     assert len(hyperplane_pair_orbits_oracle(t)) == expected
 
 
-@pytest.mark.parametrize("t", admissible_types(8))
+@pytest.mark.parametrize("t", admissible_types(12))
 def test_pair_orbits_against_oracle(t):
     orbits = hyperplane_pair_orbits_oracle(t)
     half = len(build_root_datum(t).roots) // 2
     assert sum(len(orbit) for orbit in orbits) == half * (half - 1) // 2
     assert discriminant_orbit_counts(t)[1] == len(orbits)
+
+
+def family_counts(t):
+    """(m, n) of the classical families, derived by hand.
+
+    Take the roots in the usual coordinates: e_i - e_j for A_r, and
+    +-e_i +- e_j (long in B, short in C) with +-e_i (B) or +-2e_i (C) for
+    B_r and C_r, with +-e_i +- e_j alone for D_r.  A hyperplane of a root
+    +-e_i +- e_j has the index set {i, j}, one of +-e_i the set {i}.  W
+    permutes the indices, and in B_r, C_r and D_r also changes their signs
+    (evenly many in D_r), so a pair of distinct hyperplanes is classified
+    by the root lengths and by how the two index sets meet:
+    - A_r, r >= 3: the sets share an index or are disjoint: 2 orbits;
+    - D_r, r >= 5: the same set (e_i - e_j against e_i + e_j), one shared
+      index, or disjoint: 3 orbits;
+    - B_r and C_r, r >= 4: those 3 for two long (B) or short (C) roots of
+      the form +-e_i +- e_j, 1 for two of the form +-e_i, and for one of
+      each, the single index inside the set or outside it: 6 orbits, with
+      m = 2 root lengths.
+    The lower bounds on r make every class nonempty.  In D_r they also
+    leave an index outside two disjoint sets, whose sign change evens out
+    the parity; D_4 has none, and its disjoint class splits in two.
+    """
+    return {"A": (1, 2), "B": (2, 6), "C": (2, 6), "D": (1, 3)}[t.family]
+
+
+@pytest.mark.parametrize("t", [DynkinType(family, rank) for rank in (*range(5, 13), 16, 20)
+                               for family in "ABCD"])
+def test_classical_family_counts(t):
+    # the oracle above reaches ranks 5-12 (5-11 for A); 16 and 20 are past it
+    assert discriminant_orbit_counts(t) == family_counts(t)
 
 
 def test_pair_orbit_golden_values():
@@ -225,12 +256,12 @@ def ordered_pair_orbits_oracle(t):
     return len(orbit_partition(n * n, pair_perms))
 
 
-@pytest.mark.parametrize("t", admissible_types(8))
+@pytest.mark.parametrize("t", admissible_types(12))
 def test_ordered_pair_count_against_all_pairs(t):
     assert ordered_root_pair_orbit_count(t) == ordered_pair_orbits_oracle(t)
 
 
-@pytest.mark.parametrize("t", admissible_types(8))
+@pytest.mark.parametrize("t", admissible_types(12))
 def test_one_dominant_root_per_root_orbit(t):
     # the fact the ordered count rests on: each W-orbit of roots meets the
     # closed dominant chamber, <theta, alpha_i^vee> >= 0 for all i, once
