@@ -51,7 +51,7 @@ class UsageError(ValueError):
 
 
 _TYPED = re.compile(r"^([a-g])(\d+)(?::(.+))?$")
-_EXCEPTIONAL = re.compile(r"^(e6|e7)(sc|ad|adjoint)$")
+_EXCEPTIONAL = re.compile(r"^([efg])(\d)(sc|ad|adjoint)$")
 _SL_MU = re.compile(r"^sl(\d+)/?mu(\d+)$")
 # a matrix-group alias is a name and a size m: SL_m is of type A_{m-1},
 # Sp_m of type C_{m/2}, an orthogonal group of type D_{m/2}, and Spin_m and
@@ -70,7 +70,7 @@ def _type_and_token(spec: str) -> tuple[DynkinType, str]:
         return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3) or "sc"
     m = _EXCEPTIONAL.match(text)
     if m:
-        return DynkinType("E", int(m.group(1)[1])), m.group(2)
+        return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3)
     m = _SL_MU.match(text)
     if m:
         return DynkinType("A", int(m.group(1)) - 1), f"mu{int(m.group(2))}"
@@ -91,7 +91,7 @@ def _type_and_token(spec: str) -> tuple[DynkinType, str]:
 def parse_group_spec(spec: str) -> GroupForm:
     """`<TYPE><rank>:<form>` with form a token of `groupclass.form_by_name`
     (`ad` abbreviates `adjoint`), or an alias such as Spin8, PSL4, Sp6, SO10,
-    SemiSpin12, E6_sc."""
+    SemiSpin12, E6_sc, E8_ad."""
     try:
         t, form = _type_and_token(spec)
     except InvalidType as exc:

@@ -160,12 +160,6 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reflect(cartan, i: int, v: Root) -> Root:
-    # s_i(v) = v - <v, alpha_i^vee> alpha_i
-    c = sum(a * x for a, x in zip(cartan[i], v))
-    return v[:i] + (v[i] - c,) + v[i + 1:]
-
-
 @dataclass(frozen=True)
 class RootDatum:
     dynkin: DynkinType
@@ -178,9 +172,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.dynkin.rank
-
-    def simple_reflection(self, i: int, v: Root) -> Root:
-        return _reflect(self.cartan, i, v)
 
 
 @lru_cache(maxsize=None)

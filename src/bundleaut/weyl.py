@@ -10,28 +10,20 @@ pairs and on pairs of hyperplanes are counted through the stabilizers of the
 dominant roots and their hyperplanes, without forming any pairs.  The group
 order comes from an orbit-stabilizer chain on fundamental weights, in
 fundamental-weight coordinates; the full group is never enumerated.
-Invariant degrees are read off the cyclotomic factorization of the integer
-characteristic polynomial of a Coxeter element (Humphreys, Reflection Groups
-and Coxeter Groups 3.7).
+Invariant degrees are computed two ways, checked to agree: from the
+cyclotomic factorization of the integer characteristic polynomial of a
+Coxeter element, itself a permutation of the roots whose powers give the
+traces (Humphreys, Reflection Groups and Coxeter Groups 3.19), and as the
+dual partition of the numbers of positive roots of each height (3.20).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd, prod
 
 from .rootdata import DynkinType, _unit, build_root_datum, check
-
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 @lru_cache(maxsize=None)
@@ -175,46 +167,38 @@ def ordered_root_pair_orbit_count(t: DynkinType) -> int:
                for _, fixing in _dominant_roots(t, height))
 
 
-def coxeter_element(t: DynkinType) -> IntMatrix:
-    """s_1 s_2 ... s_r on simple-root coordinates, column j the image of
-    alpha_j; row i of s_i is e_i - A[i], its other rows those of I."""
-    cartan = build_root_datum(t).cartan
-    w = _identity(t.rank)
-    for i in range(t.rank):
-        rows = list(_identity(t.rank))
-        rows[i] = tuple(rows[i][j] - cartan[i][j] for j in range(t.rank))
-        w = _mat_mul(w, tuple(rows))
-    return w
+def _coxeter_charpoly(t: DynkinType) -> tuple[int, list[int]]:
+    """The Coxeter number h and det(x - c), ascending coefficients, for the
+    Coxeter element c = s_1 s_2 ... s_r, taken as a permutation of the roots.
 
-
-def _order(m: IntMatrix, bound: int) -> int:
-    """The order of m, checked to be at most `bound`."""
-    identity = _identity(len(m))
-    power, n = m, 1
-    while power != identity:
-        check(n < bound, f"element order exceeds the bound {bound}")
-        power = _mat_mul(power, m)
-        n += 1
-    return n
-
-
-def _charpoly(m: IntMatrix) -> list[int]:
-    """det(xI - M) by Faddeev-LeVerrier, descending coefficients.
-
-    For an integer matrix every coefficient is an integer, so each division
-    by k is exact."""
-    n = len(m)
-    coeffs = [1]
-    mk = tuple((0,) * n for _ in range(n))
-    c = 1
-    for k in range(1, n + 1):
-        mk = _mat_mul(m, tuple(
-            tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)))
-        trace = sum(mk[i][i] for i in range(n))
-        check(trace % k == 0, "Faddeev-LeVerrier division is not exact")
-        c = -trace // k
-        coeffs.append(c)
-    return coeffs
+    c acts freely on Phi in r orbits of length h = |Phi|/r (Humphreys 3.19),
+    which is checked and gives h.  The power sums tr(c^k), k = 1..r, are
+    sum_j (c^k alpha_j)_j, read off the simple-root coordinates of the roots
+    that c^k sends the simple roots to; Newton's identities turn them into
+    the coefficients, each division by k exact for an integer matrix, which
+    is checked too.
+    """
+    roots = build_root_datum(t).roots
+    r, n_roots = t.rank, len(roots)
+    c = list(range(n_roots))
+    for p in reversed(_root_permutations(t)):
+        c = [p[k] for k in c]
+    h = n_roots // r
+    label, _ = _orbits(n_roots, [c])
+    lengths = sorted(Counter(label).values())
+    check(lengths == [h] * r, f"a Coxeter element of {t} has orbits of lengths "
+          f"{lengths} on the roots, not {r} of length |Phi|/r = {h}")
+    index = {root: k for k, root in enumerate(roots)}
+    at = [index[_unit(r, j)] for j in range(r)]
+    power_sums: list[int] = []
+    coeffs = [1]  # descending: k c_k = -(c_{k-1} p_1 + ... + c_0 p_k)
+    for k in range(1, r + 1):
+        at = [c[x] for x in at]
+        power_sums.append(sum(roots[x][j] for j, x in enumerate(at)))
+        total = sum(a * p for a, p in zip(coeffs, reversed(power_sums)))
+        check(total % k == 0, f"Newton's identity for {t} does not divide by {k}")
+        coeffs.append(-total // k)
+    return h, coeffs[::-1]
 
 
 def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -257,18 +241,16 @@ def _divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
-    """Degrees d_1 <= ... <= d_r of the free invariant generators.
+    """Degrees d_1 <= ... <= d_r of the free invariant generators, two ways.
 
-    Extracted from the characteristic polynomial of a Coxeter element: the
-    polynomial factors into cyclotomics, each Phi_d contributing exponents
-    j*h/d for j coprime to d, and degrees are exponents plus one.  The
-    order h of the Coxeter element is |Phi|/r, which bounds its search.
+    The characteristic polynomial of a Coxeter element factors into
+    cyclotomics, each Phi_d contributing exponents j*h/d for j coprime to d,
+    and degrees are exponents plus one.  Independently, the number of
+    positive roots of height k is the number of exponents >= k (Kostant;
+    Humphreys 3.20), so the exponents are the dual partition of the height
+    counts.  The two are checked to agree.
     """
-    cox = coxeter_element(t)
-    n_roots = len(build_root_datum(t).roots)
-    h = _order(cox, n_roots)
-    check(n_roots == t.rank * h, f"|Phi| = {n_roots} is not r h = {t.rank} * {h}")
-    poly = _charpoly(cox)[::-1]  # ascending
+    h, poly = _coxeter_charpoly(t)
     exponents: list[int] = []
     trivial_mult = 0
     for d in _divisors(h):
@@ -286,7 +268,12 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
     check(poly == [1], "characteristic polynomial is not a product of cyclotomics")
     check(trivial_mult == 0, "a Coxeter element fixes no nonzero vector")
     check(len(exponents) == t.rank, f"{len(exponents)} exponents for rank {t.rank}")
-    return tuple(sorted(e + 1 for e in exponents))
+    degrees = tuple(sorted(e + 1 for e in exponents))
+    counts = Counter(k for k in _heights(t) if k > 0).values()
+    by_height = tuple(sorted(1 + sum(n >= j for n in counts) for j in range(1, t.rank + 1)))
+    check(degrees == by_height, f"the degrees {list(degrees)} of {t} from a Coxeter "
+          f"element are not {list(by_height)} from the root heights")
+    return degrees
 
 
 @lru_cache(maxsize=None)

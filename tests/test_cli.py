@@ -23,6 +23,7 @@ from bundleaut.cli import (
 )
 from bundleaut.groupclass import enumerate_forms, form_by_name
 from bundleaut.moduli import classification_table, table_types
+from bundleaut.rootdata import DynkinType
 
 from test_acceptance import GOLDEN, _norm
 
@@ -48,6 +49,10 @@ def run(capsys, *argv):
     ("SemiSpin12", "SemiSpin_12"),
     ("PSO10", "PSO_10"),
     ("E6_sc", "E6_sc"),
+    ("E8_sc", "E8"),
+    ("E8_ad", "E8"),
+    ("F4_sc", "F4"),
+    ("G2_ad", "G2"),
     ("E7:adjoint", "E7_ad"),
     ("E8", "E8"),
     ("F4", "F4"),
@@ -404,15 +409,72 @@ def test_failed_check_exits_3_under_optimize():
                            "Riemann-Roch sum disagrees with dim G(g-1)\n")
 
 
-def test_coxeter_element_of_infinite_order_exits_3(capsys, monkeypatch):
-    # the order search is bounded by |Phi|, so a broken Coxeter element
-    # fails a check instead of looping or raising past main
-    monkeypatch.setattr(weyl, "coxeter_element", lambda t: ((1, 1), (0, 1)))
+# Coxeter elements of A2 for the degree checks, as permutations of its six
+# roots -a1-a2, -a1, -a2, a2, a1, a1+a2; a true one has two orbits of h = 3
+ONE_ORBIT = (5, 2, 4, 1, 0, 3)
+ODD_NEWTON = (5, 2, 3, 1, 0, 4)  # tr(c^2) - tr(c)^2 = -1
+NILPOTENT = (4, 5, 0, 1, 2, 3)  # tr(c) = tr(c^2) = 0, so det(x - c) = x^2
+
+
+def degrees_exit(capsys, monkeypatch, name, patch):
+    """Exit code, stdout and stderr of `rootdata --type A2` with one weyl
+    helper patched, the degree cache cleared before and after."""
+    monkeypatch.setattr(weyl, name, patch)
     weyl.invariant_degrees.cache_clear()
-    code, out, err = run(capsys, "rootdata", "--type", "A2")
+    try:
+        return run(capsys, "rootdata", "--type", "A2")
+    finally:
+        weyl.invariant_degrees.cache_clear()
+
+
+def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch):
+    # h is read off the orbits of c on the roots, and every orbit must have
+    # length |Phi|/r, so a broken Coxeter element fails a check in main
+    code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
+                                  lambda t: (ONE_ORBIT, tuple(range(6))))
     assert code == 3
     assert out == ""
-    assert err == "internal consistency failure: element order exceeds the bound 6\n"
+    assert err == ("internal consistency failure: a Coxeter element of A2 has "
+                   "orbits of lengths [6] on the roots, not 2 of length |Phi|/r = 3\n")
+
+
+@pytest.mark.parametrize("c,message", [
+    (ODD_NEWTON, "Newton's identity for A2 does not divide by 2"),
+    (NILPOTENT, "characteristic polynomial is not a product of cyclotomics"),
+])
+def test_coxeter_traces_off_a_weyl_group_exit_3(capsys, monkeypatch, c, message):
+    # orbits of length h, but traces no Coxeter element of A2 has
+    code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
+                                  lambda t: (c, tuple(range(6))))
+    assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
+
+
+def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch):
+    # one extra root of height 3 moves the dual partition of the height
+    # counts off the degrees from the Coxeter element
+    heights = weyl._heights
+    code, out, err = degrees_exit(capsys, monkeypatch, "_heights", lambda t: heights(t) + [3])
+    assert code == 3
+    assert out == ""
+    assert err == ("internal consistency failure: the degrees [2, 3] of A2 from a "
+                   "Coxeter element are not [2, 4] from the root heights\n")
+
+
+@pytest.mark.parametrize("patch,message", [
+    (f"weyl._root_permutations = lambda t: ({ONE_ORBIT}, tuple(range(6)))",
+     "a Coxeter element of A2 has orbits of lengths [6] on the roots, "
+     "not 2 of length |Phi|/r = 3"),
+    ("heights = weyl._heights\nweyl._heights = lambda t: heights(t) + [3]",
+     "the degrees [2, 3] of A2 from a Coxeter element are not [2, 4] from the root heights"),
+], ids=["orbit", "routes"])
+def test_degree_checks_exit_3_under_optimize(patch, message):
+    script = ("import sys\n"
+              "from bundleaut import cli, weyl\n"
+              f"{patch}\n"
+              "sys.exit(cli.main(['rootdata', '--type', 'A2']))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal consistency failure: {message}\n"
 
 
 def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
@@ -432,7 +494,9 @@ def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
 
 def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch):
     # without s_3 the reflections of B3 split the roots into 5 orbits, and
-    # the orbit count is checked against the dominant roots
+    # the orbit count is checked against the dominant roots; the degrees,
+    # whose Coxeter element would fail first, are cached before the patch
+    weyl.invariant_degrees(DynkinType("B", 3))
     permutations = weyl._root_permutations
     monkeypatch.setattr(weyl, "_root_permutations", lambda t: permutations(t)[:-1])
     weyl.discriminant_orbit_counts.cache_clear()

@@ -59,7 +59,8 @@ def alias_specs(draw) -> str:
 
 group_specs = st.one_of(
     typed_specs(), alias_specs(),
-    st.sampled_from(["E6_sc", "E6ad", "E7_adjoint", "E7sc", "E8", "F4", "G2", "E9", "G_2"]),
+    st.sampled_from(["E6_sc", "E6ad", "E7_adjoint", "E7sc", "E8", "F4", "G2", "E9", "G_2",
+                     "E8_sc", "E8_ad", "F4_sc", "G2_ad"]),
     free_text)
 
 delta_texts = st.one_of(

@@ -27,6 +27,12 @@ def unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def reflect(cartan, i, v):
+    """s_i(v) = v - <v, alpha_i^vee> alpha_i in simple-root coordinates."""
+    c = dot(cartan[i], v)
+    return v[:i] + (v[i] - c,) + v[i + 1:]
+
+
 def pair_with_simple_coroots(cartan, v):
     """<v, alpha_i^vee> = sum_j A[i][j] v_j for v in simple-root coordinates."""
     return [dot(row, v) for row in cartan]
@@ -135,7 +141,7 @@ def test_root_system_invariants(t):
                 assert rd.cartan[i][j] in (0, -1, -2, -3)
     # closed under every simple reflection, bijectively
     for i in range(rd.rank):
-        image = {rd.simple_reflection(i, a) for a in roots}
+        image = {reflect(rd.cartan, i, a) for a in roots}
         assert image == roots
     # <a, a^vee> = 2, with a^vee an integer combination of simple coroots
     for a in rd.roots:

@@ -1,14 +1,14 @@
 """Weyl orbit counts, Coxeter elements, invariant degrees, longest elements."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import (
-    _order,
+    _coxeter_charpoly,
     _root_permutations,
-    coxeter_element,
     discriminant_orbit_counts,
     invariant_degrees,
     ordered_root_pair_orbit_count,
@@ -42,6 +42,36 @@ def simple_reflection(t, i):
     rows = list(identity(t.rank))
     rows[i] = tuple(rows[i][j] - cartan[i][j] for j in range(t.rank))
     return tuple(rows)
+
+
+def coxeter_matrix(t):
+    """s_1 s_2 ... s_r on simple-root coordinates, column j the image of alpha_j."""
+    w = identity(t.rank)
+    for i in range(t.rank):
+        w = mat_mul(w, simple_reflection(t, i))
+    return w
+
+
+def matrix_order(m):
+    power, n = m, 1
+    while power != identity(len(m)):
+        power, n = mat_mul(power, m), n + 1
+    return n
+
+
+def faddeev_leverrier(m):
+    """det(xI - M), descending coefficients; every division by k is exact
+    for an integer matrix."""
+    n = len(m)
+    coeffs, mk, c = [1], tuple((0,) * n for _ in range(n)), 1
+    for k in range(1, n + 1):
+        mk = mat_mul(m, tuple(
+            tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)))
+        trace = sum(mk[i][i] for i in range(n))
+        assert trace % k == 0
+        c = -trace // k
+        coeffs.append(c)
+    return coeffs
 
 
 def orbit_partition(n_items, perms):
@@ -231,6 +261,25 @@ def test_classical_family_counts(t):
     assert discriminant_orbit_counts(t) == family_counts(t)
 
 
+def family_degrees(t):
+    """Invariant degrees and |W| of the classical families (Humphreys 2.10, 3.7)."""
+    n = t.rank
+    if t.family == "A":
+        return tuple(range(2, n + 2)), factorial(n + 1)
+    if t.family in "BC":
+        return tuple(range(2, 2 * n + 1, 2)), 2 ** n * factorial(n)
+    return tuple(sorted((*range(2, 2 * n - 1, 2), n))), 2 ** (n - 1) * factorial(n)
+
+
+@pytest.mark.parametrize("t", [DynkinType(family, rank) for rank in (16, 20, 30)
+                               for family in "ABCD"])
+def test_classical_family_degrees(t):
+    # past the rank-12 oracles: both degree routes and the |W| chain
+    degrees, order = family_degrees(t)
+    assert invariant_degrees(t) == degrees
+    assert weyl_order(t) == order
+
+
 def test_pair_orbit_golden_values():
     # golden-by-oracle: frozen from the brute force above
     golden = {"B2": 3, "G2": 4, "A3": 2}
@@ -281,8 +330,15 @@ def test_one_dominant_root_per_root_orbit(t):
 def test_coxeter_element_order(name, order):
     t = DynkinType.parse(name)
     rd = build_root_datum(t)
-    assert _order(coxeter_element(t), len(rd.roots)) == order
+    assert _coxeter_charpoly(t)[0] == order
+    assert matrix_order(coxeter_matrix(t)) == order
     assert order == len(rd.roots) // rd.rank
+
+
+@pytest.mark.parametrize("t", admissible_types(12))
+def test_coxeter_charpoly_against_matrix_oracle(t):
+    # the power sums of the permutation against Faddeev-LeVerrier on the matrix
+    assert _coxeter_charpoly(t)[1] == faddeev_leverrier(coxeter_matrix(t))[::-1]
 
 
 @pytest.mark.parametrize("name,degrees", [
