@@ -118,7 +118,7 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
     try:
         return groupclass.validate_delta(gf, coords)
     except InvalidDegree as exc:
-        valid = ", ".join(str(x) for x in pi1.elements())
+        valid = ", ".join(moduli.render_element(x) for x in pi1.elements())
         raise UsageError(f"{exc}; valid values: {valid}") from exc
 
 
@@ -370,10 +370,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_rootdata(args) -> int:
-    try:
-        t = DynkinType.parse(args.type)
-    except InvalidType as exc:
-        raise UsageError(str(exc)) from exc
+    t = DynkinType.parse(args.type)  # InvalidType is a usage error in `main`
     rd = build_root_datum(t)
     ambient_dim, simple_roots = ambient_simple_roots(t)
     degrees = weyl.invariant_degrees(t)
@@ -485,10 +482,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidDegree, GenusOutOfRange, InvalidType) as exc:
+    except (UsageError, InvalidDegree, GenusOutOfRange, InvalidType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconsistentProfile as exc:

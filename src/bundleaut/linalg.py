@@ -1,9 +1,9 @@
-"""Exact inverse of a small integer matrix.
+"""Exact inverse of a small integer matrix, read off its Smith form.
 
 All that is left of the rational layer: `groupclass.pairing` reads
-<omega_i, omega_j^vee> off the inverse Cartan matrix.  The elimination is
-fraction-free (Bareiss), on integers throughout; the only `Fraction`s are
-the entries of the result.  No floating point anywhere.
+<omega_i, omega_j^vee> off the inverse Cartan matrix.  The only elimination
+is `finabel.smith_normal_form`'s, on integers throughout; the only
+`Fraction`s are the entries of the result.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 from typing import Sequence
+
+from .finabel import smith_normal_form
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -22,26 +24,15 @@ class LinAlgError(ValueError):
 def invert(a: Sequence[Sequence[int]]) -> Matrix:
     """A^-1 for a square integer matrix A.
 
-    Fraction-free Gauss-Jordan elimination of [A | I]: each step
-    cross-multiplies by the pivot and divides exactly by the previous pivot
-    (Bareiss), so every entry stays an integer minor of [A | I].  It ends
-    at [d I | d A^-1] with d = +-det A, and A^-1 is read off the right half
-    divided by d.
+    With U A V = S = diag(d_1, ..., d_n) and d_k | e = d_n, A^-1 = V S^-1 U
+    has entry (i, j) = sum_k V[i][k] U[k][j] (e / d_k) / e: an integer sum
+    and one `Fraction` per entry.  A zero d_k means A is singular.
     """
-    n = len(a)
-    rows = [[index(x) for x in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            raise LinAlgError("matrix is singular")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
-        prev = pivot
-    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in rows)
+    s, u, v, _ = smith_normal_form([[index(x) for x in row] for row in a])
+    d = [s[k][k] for k in range(len(s))]
+    if not all(d):
+        raise LinAlgError("matrix is singular")
+    e = d[-1] if d else 1
+    vs = [[x * (e // dk) for x, dk in zip(row, d)] for row in v]
+    return tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col)), e) for col in zip(*u))
+                 for row in vs)

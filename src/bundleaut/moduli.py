@@ -11,6 +11,7 @@ stabilizers, as `groupclass` builds them with the form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import groupclass, weyl
@@ -35,19 +36,10 @@ class InconsistentProfile(ValueError):
 
 
 def _render_torsion(factors) -> str:
-    if not factors:
-        return ""
     parts = []
-    i = 0
-    factors = tuple(factors)
-    while i < len(factors):
-        j = i
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        k = j - i
-        term = f"Pic(C)[{factors[i]}]"
-        parts.append(term if k == 1 else f"({term})^{k}")
-        i = j
+    for l, run in itertools.groupby(factors):
+        k = len(list(run))
+        parts.append(f"Pic(C)[{l}]" if k == 1 else f"(Pic(C)[{l}])^{k}")
     return f" {TIMES} ".join(parts)
 
 
@@ -160,13 +152,7 @@ class TableRow:
     delta_values: tuple[tuple[int, ...], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "group": self.group,
-            "delta_class": self.delta_class,
-            "presentation": self.presentation,
-            "delta_values": [list(d) for d in self.delta_values],
-        }
+        return {**vars(self), "delta_values": [list(d) for d in self.delta_values]}
 
 
 def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
@@ -218,19 +204,7 @@ class HitchinReport:
     n_extra_components: int
 
     def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "genus": self.genus,
-            "dim_group": self.dim_group,
-            "dim_center": self.dim_center,
-            "dim_basis": self.dim_basis,
-            "weights": list(self.weights),
-            "coxeter_number": self.coxeter_number,
-            "fiber_dim": self.fiber_dim,
-            "higgs_stack_dim": self.higgs_stack_dim,
-            "m_ab_components": self.m_ab_components,
-            "n_extra_components": self.n_extra_components,
-        }
+        return {**vars(self), "weights": list(self.weights)}
 
 
 def riemann_roch_basis_dim(degrees, rank: int, genus: int) -> int:

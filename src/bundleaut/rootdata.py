@@ -74,8 +74,8 @@ class DynkinType:
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
-        s = text.strip().replace("_", "")
-        if len(s) < 2 or s[0].upper() not in _FAMILIES or not s[1:].isdigit():
+        s = text.strip().replace("_", "").replace(" ", "")
+        if len(s) < 2 or s[0].upper() not in _FAMILIES or not s[1:].isdecimal():
             raise InvalidType(f"cannot parse Dynkin type from {text!r}")
         return cls(s[0].upper(), int(s[1:]))
 

@@ -148,7 +148,18 @@ def test_report_low_genus_warns(capsys):
 def test_report_invalid_delta_lists_values(capsys):
     code, _, err = run(capsys, "report", "--group", "D4:adjoint", "--delta", "9,9")
     assert code == 1
-    assert "(1, 1)" in err
+    assert "valid values: (0,0), (0,1), (1,0), (1,1)" in err
+
+
+@pytest.mark.parametrize("gf", [gf for t in table_types() for gf in enumerate_forms(t)],
+                         ids=lambda gf: gf.display_name)
+def test_listed_delta_values_parse_back(gf):
+    """Every value the "valid values" list offers is itself a valid --delta."""
+    with pytest.raises(UsageError) as info:
+        parse_delta("0,0,0,0,0", gf)
+    valid = str(info.value).partition("valid values: ")[2].split(", ")
+    assert len(valid) == gf.pi1.order
+    assert {parse_delta(text, gf) for text in valid} == set(gf.pi1.elements())
 
 
 def test_report_json_round_trip(capsys):
@@ -302,6 +313,10 @@ def test_rootdata_bad_type(capsys):
     assert code == 1
 
 
+def test_rootdata_type_ignores_spaces(capsys):
+    assert run(capsys, "rootdata", "--type", "E 8")[:2] == run(capsys, "rootdata", "--type", "E8")[:2]
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "report", "--group", "nonsense")
     assert code == 1
@@ -321,6 +336,14 @@ def run_process(*args, stdout=subprocess.PIPE):
 @pytest.mark.parametrize("spec", ["SL4/mu0", "SL4mu0", "A3:mu0"])
 def test_zero_order_mu_is_a_usage_error(spec):
     proc = run_process("-m", "bundleaut.cli", "report", "--group", spec)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["A²", "E⁸", "D_⁵"])
+def test_rootdata_non_decimal_rank_is_a_usage_error(name):
+    proc = run_process("-m", "bundleaut.cli", "rootdata", "--type", name)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

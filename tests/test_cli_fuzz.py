@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundleaut.cli import UsageError, main, parse_delta, parse_group_spec, parse_profile
@@ -39,7 +39,9 @@ def typed_specs(draw) -> str:
     form = draw(st.sampled_from(
         ["", "sc", "adjoint", "ad", "so", "semispin", "mu", "mu0", "mu1", "mu2", "mu3",
          "mu4", "mu9", "x"]))
-    spec = f"{family}{sep}{draw(st.integers(0, MAX_RANK))}"
+    # a rank in digits that `int` rejects (superscripts) or accepts (Arabic-Indic)
+    rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"]))
+    spec = f"{family}{sep}{rank}"
     return f"{spec}:{form}" if form else spec
 
 
@@ -137,6 +139,7 @@ def test_parse_profile_returns_points_or_usage_error(text):
 
 @budget(300)
 @given(argvs)
+@example(["rootdata", "--type=A²", "--format=text"])
 def test_main_exits_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

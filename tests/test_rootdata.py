@@ -123,8 +123,15 @@ def test_inadmissible_types_rejected(family, rank):
 def test_parse_round_trip():
     assert DynkinType.parse("e6") == DynkinType("E", 6)
     assert DynkinType.parse("D_5") == DynkinType("D", 5)
+    assert DynkinType.parse(" e 8 ") == DynkinType("E", 8)
     with pytest.raises(InvalidType):
         DynkinType.parse("H4")
+
+
+@pytest.mark.parametrize("text", ["A²", "E⁸", "B₃", "D_⁵"])
+def test_parse_rejects_digits_that_int_rejects(text):
+    with pytest.raises(InvalidType):
+        DynkinType.parse(text)
 
 
 @pytest.mark.parametrize("t", admissible_types(6))
