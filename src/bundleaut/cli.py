@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""bundleaut: automorphism groups of moduli of principal bundles, their
+classification table and Hitchin-base numerology, computed exactly from
+Cartan data.
 
 Subcommands: report (per-group invariants and the automorphism
 presentation), table (the full classification table), delta (the local
@@ -9,19 +11,20 @@ before the output was written), 2 mathematical inconsistency in the input
 (e.g. a parity violation in a delta profile), 3 internal consistency
 failure (a cross-check of the program's own results failed).
 
-`main(argv)` may be called repeatedly in one process, as a library or
-notebook does: it builds its argument parser on the first call and reuses
-it for every later one.
+`COMMANDS` is the whole grammar: `parse_args` walks argv once against it,
+and the -h text is generated from it.  `main(argv)` may be called
+repeatedly in one process, as a library or notebook does; no call leaves
+state behind for the next.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import groupclass, moduli, weyl
 from .finabel import lattice_quotient
@@ -118,7 +121,7 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
     try:
         return groupclass.validate_delta(gf, coords)
     except InvalidDegree as exc:
-        valid = ", ".join(moduli.render_element(x) for x in pi1.elements())
+        valid = ", ".join(groupclass.render_element(x) for x in pi1.elements())
         raise UsageError(f"{exc}; valid values: {valid}") from exc
 
 
@@ -228,7 +231,7 @@ def render_report_text(doc: ReportDocument, colored: bool) -> str:
     for w in doc.warnings:
         lines.append(f"  warning: {w}")
     if doc.presentation is not None:
-        delta = moduli.render_element(doc.delta)
+        delta = groupclass.render_element(doc.delta)
         lines.append(_styled(f"component delta = {delta}   [{doc.delta_class}]", colored))
         lines.append(f"  Aut = {doc.presentation}   (genus {doc.genus})")
         for name, desc in sorted(doc.actions.items()):
@@ -427,51 +430,199 @@ def _color_enabled() -> bool:
     return os.environ.get("BUNDLEAUT_COLOR") == "1"
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+@dataclass(frozen=True)
+class Option:
+    flag: str
+    kind: type | tuple[str, ...]  # int, str, or the tuple of allowed values
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def metavar(self) -> str:
+        if isinstance(self.kind, tuple):
+            return "{" + ",".join(self.kind) + "}"
+        return self.dest.upper()
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bundleaut", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("text", "json", "latex")
 
-    p = sub.add_parser("report", help="invariants and automorphism presentation")
-    p.add_argument("--group", required=True, help="group spec, e.g. D4:adjoint or Spin8")
-    p.add_argument("--genus", type=int, default=4)
-    p.add_argument("--delta", default=None, help="component label, e.g. 0,0")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_report)
+# the whole command-line grammar: each subcommand, its handler, its one-line
+# help and its options; `parse_args` and the -h text both read this table
+COMMANDS = {
+    "report": (cmd_report, "invariants and automorphism presentation", (
+        Option("--group", str, required=True, help="group spec, e.g. D4:adjoint or Spin8"),
+        Option("--genus", int, 4),
+        Option("--delta", str, help="component label, e.g. 0,0"),
+        Option("--format", _FORMATS, "text"),
+    )),
+    "table": (cmd_table, "full classification table", (
+        Option("--genus", int, 4),
+        Option("--max-rank", int, DEFAULT_MAX_RANK),
+        Option("--format", _FORMATS, "text"),
+    )),
+    "delta": (cmd_delta, "local invariant calculator", (
+        Option("--profile", str, required=True,
+               help="comma-separated <deg>:<drop> entries, e.g. 4:0,3:1"),
+        Option("--format", _FORMATS[:2], "text"),
+    )),
+    "rootdata": (cmd_rootdata, "root system data dump", (
+        Option("--type", str, required=True, help="Dynkin type, e.g. E6"),
+        Option("--format", _FORMATS[:2], "text"),
+    )),
+}
 
-    p = sub.add_parser("table", help="full classification table")
-    p.add_argument("--genus", type=int, default=4)
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK, dest="max_rank")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("delta", help="local invariant calculator")
-    p.add_argument("--profile", required=True,
-                   help="comma-separated <deg>:<drop> entries, e.g. 4:0,3:1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("rootdata", help="root system data dump")
-    p.add_argument("--type", required=True, help="Dynkin type, e.g. E6")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_rootdata)
-
-    return parser
+_HELP = ("-h", "--help")
+_VALUE = "value"  # a token read as a value or a stray word, never as an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-_parser = None  # built by the first `main` call, not on import
+def _classify(token: str, flags) -> str | tuple[str | None, str | None]:
+    """How a token reads against `flags`: `_VALUE`, `--`, or (flag, attached
+    value) with flag None for an unknown option.  A long flag may be cut to
+    any unique prefix; `-h` may carry more short flags behind it (`-hh`).  A
+    word with a space, a lone `-` and a negative number are values."""
+    if not token.startswith("-") or token == "-":
+        return _VALUE
+    if token == "--":
+        return token
+    if token in flags:
+        return token, None
+    name, eq, attached = token.partition("=")
+    if eq and name in flags:
+        return name, attached
+    if token.startswith("--"):
+        matches = [f for f in flags if f.startswith(name)]
+        attached = attached if eq else None
+    else:
+        matches = [token[:2]] if token[:2] in flags else []
+        attached = token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], attached
+    if _NEGATIVE.match(token) or " " in token:
+        return _VALUE
+    return None, None
+
+
+def _check_help(flag: str, attached: str | None) -> None:
+    """-h, --help, or a bundle of short flags that are all h (-hh, -h=h); a
+    value attached to --help, or to -h as anything but more h's, is an error."""
+    if attached is not None and (flag.startswith("--") or not attached or attached.strip("h")):
+        raise UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
+
+
+def _convert(option: Option, text: str):
+    if option.kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {option.flag}: invalid int value: {text!r}") from None
+    if isinstance(option.kind, tuple) and text not in option.kind:
+        raise UsageError(f"argument {option.flag}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(option.kind)})")
+    return text
+
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        names = ",".join(COMMANDS)
+        width = max(map(len, COMMANDS)) + 2
+        rows = [f"  {name:<{width}}{help_}" for name, (_, help_, _) in COMMANDS.items()]
+        description = (__doc__ or "").split("\n\n")[0]
+        return "\n".join([f"usage: bundleaut [-h] {{{names}}} ...", "", description, "",
+                          "commands:", *rows, "", "options:",
+                          "  -h, --help  show this help message and exit"])
+    _, help_, options = COMMANDS[command]
+    usage = " ".join(f"{o.flag} {o.metavar}" if o.required else f"[{o.flag} {o.metavar}]"
+                     for o in options)
+    left = [f"{o.flag} {o.metavar}" for o in options]
+    width = max(map(len, left)) + 2
+    rows = [f"  {'-h, --help':<{width}}show this help message and exit"]
+    for o, text in zip(options, left):
+        notes = [o.help] if o.help else []
+        if o.required:
+            notes.append("required")
+        elif o.default is not None:
+            notes.append(f"default: {o.default}")
+        rows.append(f"  {text:<{width}}{'; '.join(notes)}")
+    return "\n".join([f"usage: bundleaut {command} [-h] {usage}", "", help_, "",
+                      "options:", *rows])
+
+
+def _show_help(args) -> int:
+    print(_help_text(args.command))
+    return EXIT_OK
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace the `cmd_*` handlers read, from one walk of argv against
+    `COMMANDS`: `command`, `func` (its handler) and one field per option.
+    `--opt value` and `--opt=value` both work, the last occurrence of an
+    option wins, and a `-h` before any error returns a namespace whose
+    `func` prints the help instead.  Anything else raises UsageError."""
+    argv = list(argv)
+    unknown = []
+    for i, token in enumerate(argv):
+        kind = _classify(token, _HELP)
+        if kind in (_VALUE, "--"):
+            command = token
+            break
+        flag, attached = kind
+        if flag is None:
+            unknown.append(token)
+        else:
+            _check_help(flag, attached)
+            return SimpleNamespace(command=None, func=_show_help)
+    else:
+        raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command: {command!r} (choose from {', '.join(COMMANDS)})")
+    func, _, options = COMMANDS[command]
+    by_flag = {o.flag: o for o in options}
+    rest = argv[i + 1:]
+    # every token up to a `--` is read before any is used, so an ambiguous
+    # prefix is an error whatever precedes it
+    cut = rest.index("--") if "--" in rest else len(rest)
+    flags = (*_HELP, *by_flag)
+    kinds = [_classify(token, flags) for token in rest[:cut]]
+    values = {o.dest: o.default for o in options}
+    seen = set()
+    j = 0
+    while j < cut:
+        flag, attached = (None, None) if kinds[j] == _VALUE else kinds[j]
+        if flag is None:
+            unknown.append(rest[j])
+        elif flag in _HELP:
+            _check_help(flag, attached)
+            return SimpleNamespace(command=command, func=_show_help)
+        else:
+            if attached is None:
+                if j + 1 == cut or kinds[j + 1] != _VALUE:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                j += 1
+                attached = rest[j]
+            option = by_flag[flag]
+            values[option.dest] = _convert(option, attached)
+            seen.add(flag)
+        j += 1
+    unknown.extend(rest[cut:])  # no subcommand takes a word, so `--` and all after it are strays
+    missing = [o.flag for o in options if o.required and o.flag not in seen]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = make_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

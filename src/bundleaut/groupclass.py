@@ -106,24 +106,45 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
 
 
 def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
+    """The node permutations preserving the Cartan matrix, sorted.
+
+    The Dynkin diagram is a tree, so the map is built along a breadth-first
+    order of it: each node goes to an unused neighbour of its parent's image
+    with the same two Cartan entries on that edge.  A bijection sending the
+    r - 1 tree edges to edges sends them onto all r - 1 edges, so every
+    complete map is an automorphism; each of the r choices for node 0 dies
+    or completes within r steps."""
     r = len(cartan)
+    neighbours = [[j for j in range(r) if j != i and cartan[i][j]] for i in range(r)]
+    order, parent = [0], {0: None}
+    for i in order:
+        for j in neighbours[i]:
+            if j not in parent:
+                parent[j] = i
+                order.append(j)
+    check(len(order) == r, "the Dynkin diagram is not connected")
     perms: list[tuple[int, ...]] = []
+    image = [0] * r
+    used = [False] * r
 
-    def extend(partial):
-        i = len(partial)
-        if i == r:
-            perms.append(tuple(partial))
+    def extend(k):
+        if k == r:
+            perms.append(tuple(image))
             return
-        for img in range(r):
-            if img in partial:
-                continue
-            if all(cartan[img][partial[j]] == cartan[i][j]
-                   and cartan[partial[j]][img] == cartan[j][i]
-                   for j in range(i)):
-                extend(partial + [img])
+        i = order[k]
+        p = parent[i]
+        for img in neighbours[image[p]]:
+            if (not used[img] and cartan[img][image[p]] == cartan[i][p]
+                    and cartan[image[p]][img] == cartan[p][i]):
+                image[i], used[img] = img, True
+                extend(k + 1)
+                used[img] = False
 
-    extend([])
-    return perms
+    for first in range(r):
+        image[0], used[first] = first, True
+        extend(1)
+        used[first] = False
+    return sorted(perms)
 
 
 @dataclass(frozen=True)
@@ -356,11 +377,24 @@ def form_by_name(t: DynkinType, kind: str) -> GroupForm:
     raise ValueError(f"no form {kind!r} of type {t.label}")
 
 
+def render_element(x) -> str:
+    """A label in pi_1 as printed: `0` in the trivial group, the coordinate
+    in a cyclic one, `(a,b,...)` otherwise."""
+    if not x:
+        return "0"
+    if len(x) == 1:
+        return str(x[0])
+    return "(" + ",".join(str(c) for c in x) + ")"
+
+
 def validate_delta(gf: GroupForm, delta) -> tuple[int, ...]:
     delta = tuple(delta)
     if len(delta) != len(gf.pi1.invariant_factors) or not gf.pi1.contains(delta):
+        # render_element prints () as 0, the one label of a trivial pi_1; an
+        # empty label rejected here is shown as it is
+        label = render_element(delta) if delta else "()"
         raise InvalidDegree(
-            f"delta {delta} is not a label in pi_1({gf.display_name}) = {gf.pi1.symbol()}")
+            f"delta {label} is not a label in pi_1({gf.display_name}) = {gf.pi1.symbol()}")
     return delta
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import groupclass, weyl
 from .finabel import AbelianAction
-from .groupclass import GroupForm, OutGroup
+from .groupclass import GroupForm, OutGroup, render_element
 from .rootdata import DEFAULT_MAX_RANK, DynkinType, build_root_datum, admissible_types, check
 
 MIN_GENUS_PRESENTATION = 4
@@ -107,16 +107,6 @@ def aut_presentation(gf: GroupForm, delta, genus: int) -> AutPresentation:
         torsion_blocks=tuple((l, 2 * genus) for l in gf.chars.structure.invariant_factors),
         outer=groupclass.out_stabilizer(gf, delta),
     )
-
-
-def render_element(x) -> str:
-    """A label in pi_1 as printed: `0` in the trivial group, the coordinate
-    in a cyclic one, `(a,b,...)` otherwise."""
-    if not x:
-        return "0"
-    if len(x) == 1:
-        return str(x[0])
-    return "(" + ",".join(str(c) for c in x) + ")"
 
 
 def delta_class_label(gf: GroupForm, cls: tuple) -> str:

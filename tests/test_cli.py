@@ -1,7 +1,9 @@
 """CLI behaviors: parsing, formats, exit codes, round-trips, determinism."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from bundleaut.cli import (
 )
 from bundleaut.groupclass import enumerate_forms, form_by_name
 from bundleaut.moduli import classification_table, table_types
-from bundleaut.rootdata import DynkinType
+from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 
 from test_acceptance import GOLDEN, _norm
 
@@ -149,6 +151,14 @@ def test_report_invalid_delta_lists_values(capsys):
     code, _, err = run(capsys, "report", "--group", "D4:adjoint", "--delta", "9,9")
     assert code == 1
     assert "valid values: (0,0), (0,1), (1,0), (1,1)" in err
+
+
+@pytest.mark.parametrize("delta,label", [("5", "5"), ("1,0,1", "(1,0,1)"), ("", "()")])
+def test_rejected_delta_is_printed_as_the_valid_values_are(capsys, delta, label):
+    code, _, err = run(capsys, "report", "--group", "D4:adjoint", "--delta", delta)
+    assert code == 1
+    assert err == (f"error: delta {label} is not a label in pi_1(PSO_8) = (Z/2Z)^2; "
+                   "valid values: (0,0), (0,1), (1,0), (1,1)\n")
 
 
 @pytest.mark.parametrize("gf", [gf for t in table_types() for gf in enumerate_forms(t)],
@@ -371,25 +381,19 @@ def test_table_under_optimize_matches_golden():
     # `python -O` drops assert statements; the cross-checks must not be them
     proc = run_process("-O", "-m", "bundleaut.cli", "table")
     assert proc.returncode == 0, proc.stderr
+    assert_golden_table(proc.stdout)
+
+
+def assert_golden_table(out):
     golden = [_norm(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()
               if line.strip()]
-    assert [_norm(line) for line in proc.stdout.splitlines()] == golden
+    assert [_norm(line) for line in out.splitlines()] == golden
 
 
 def test_cached_parser_leaks_no_state(capsys, monkeypatch):
-    # main builds its parser once per process; a call must behave as the
+    # main may run many times in one process; a call must behave as the
     # same argv run alone, whatever ran before it
-    monkeypatch.setenv("COLUMNS", "80")  # the width of the -h text
     monkeypatch.delenv("BUNDLEAUT_COLOR", raising=False)
-    builds = []
-    make_parser = cli.make_parser
-
-    def counting_make_parser():
-        builds.append(1)
-        return make_parser()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
     first = ["report", "--group", "E7_ad", "--genus", "7", "--format", "json",
              "--delta", "1"]
     sequence = [
@@ -403,20 +407,189 @@ def test_cached_parser_leaks_no_state(capsys, monkeypatch):
     ]
     codes = []
     for argv in sequence:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own -h
-            code = exc.code
+        code = main(argv)  # -h returns 0 like any command, it does not exit
         out = capsys.readouterr().out
         alone = run_process("-m", "bundleaut.cli", *argv)
         assert (code, out) == (alone.returncode, alone.stdout), argv
         codes.append(code)
     assert codes == [0, 0, 1, 0, 0, 0, 0]
-    assert len(builds) == 1
-    # and importing the module builds none
+    # the command line is parsed without argparse: neither importing the
+    # module nor running a command, help included, loads it
     proc = run_process("-c", "import sys; from bundleaut import cli; "
-                             "sys.exit(cli._parser is not None)")
+                             "assert 'argparse' not in sys.modules; "
+                             "cli.main(['table', '-h']); "
+                             "sys.exit('argparse' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the option table against the argparse parser it replaced
+
+
+def argparse_reference():
+    """The argparse parser `cli` built before its option table, kept as the
+    reference the table's parser is checked against."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="bundleaut")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("report", help="invariants and automorphism presentation")
+    p.add_argument("--group", required=True, help="group spec, e.g. D4:adjoint or Spin8")
+    p.add_argument("--genus", type=int, default=4)
+    p.add_argument("--delta", default=None, help="component label, e.g. 0,0")
+    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p.set_defaults(func=cli.cmd_report)
+
+    p = sub.add_parser("table", help="full classification table")
+    p.add_argument("--genus", type=int, default=4)
+    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK, dest="max_rank")
+    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p.set_defaults(func=cli.cmd_table)
+
+    p = sub.add_parser("delta", help="local invariant calculator")
+    p.add_argument("--profile", required=True,
+                   help="comma-separated <deg>:<drop> entries, e.g. 4:0,3:1")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli.cmd_delta)
+
+    p = sub.add_parser("rootdata", help="root system data dump")
+    p.add_argument("--type", required=True, help="Dynkin type, e.g. E6")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli.cmd_rootdata)
+
+    return parser
+
+
+REFERENCE = argparse_reference()
+
+
+def reference_outcome(argv) -> tuple:
+    """("ok", fields), ("help", command or None) or ("error",), as argparse
+    parses argv."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = REFERENCE.parse_args(argv)
+    except UsageError:
+        return ("error",)
+    except SystemExit:  # argparse prints -h and exits
+        level = out.getvalue().split()[2]
+        return ("help", level if level in cli.COMMANDS else None)
+    return ("ok", vars(args))
+
+
+def table_outcome(argv) -> tuple:
+    """The same for `cli.parse_args`."""
+    try:
+        args = cli.parse_args(argv)
+    except UsageError:
+        return ("error",)
+    if args.func is cli._show_help:
+        return ("help", args.command)
+    return ("ok", vars(args))
+
+
+EDGE_ARGVS = [
+    # (argv, outcome kind, for an error a token its message must name)
+    (["report", "--group", "A1"], "ok", None),
+    (["report", "--group=A1", "--genus=5", "--format=json", "--delta=1"], "ok", None),
+    (["table", "--max", "3"], "ok", None),  # unique prefixes
+    (["report", "--gr", "A1", "--ge=6", "--d", "1", "--f", "latex"], "ok", None),
+    (["table", "--genus", "5", "--genus", "6"], "ok", None),  # the last one wins
+    (["report", "--group", "A1", "--group", "B2"], "ok", None),
+    (["table", "--genus", "-2"], "ok", None),  # a negative number is a value
+    (["report", "--group", "A1", "--delta", "-1"], "ok", None),
+    (["report", "--group", "-x y"], "ok", None),  # so is a word with a space
+    (["report", "--group="], "ok", None),
+    (["table", "--genus", " +5 "], "ok", None),  # int() decides what a number is
+    (["table", "--genus", "٣"], "ok", None),
+    (["delta", "--profile", "4:0,3:1"], "ok", None),
+    (["report"], "error", "--group"),
+    (["rootdata", "--format", "json"], "error", "--type"),
+    (["table", "--format", "xml"], "error", "xml"),
+    (["rootdata", "--type", "E8", "--format", "latex"], "error", "latex"),
+    (["report", "--group", "A1", "--genus", "four"], "error", "four"),
+    (["table", "--max-rank", "2.5"], "error", "2.5"),
+    (["table", "--genus="], "error", "--genus"),
+    (["table", "--colour"], "error", "--colour"),
+    (["-x", "table"], "error", "-x"),
+    (["table", "extra"], "error", "extra"),
+    (["rootdata", "E8", "--type", "E8"], "error", "E8"),
+    (["table", "-5"], "error", "-5"),
+    (["table", "--", "--genus", "3"], "error", "--"),
+    (["report", "--g", "A1"], "error", "--g"),  # --group or --genus
+    (["table", "--genus"], "error", "--genus"),
+    (["table", "--genus", "--format", "json"], "error", "--genus"),
+    (["table", "--genus", "-1e3"], "error", "--genus"),
+    ([], "error", "command"),
+    (["--"], "error", "--"),
+    (["Table"], "error", "Table"),
+    (["-hx"], "error", "-h"),
+    (["--help=x"], "error", "--help"),
+    (["table", "-h="], "error", "-h"),
+    (["-h"], "help", None),
+    (["--he"], "help", None),
+    (["-hh"], "help", None),
+    (["-x", "-h", "table"], "help", None),
+    (["table", "-h"], "help", "table"),
+    (["report", "--h"], "help", "report"),
+    (["report", "-h", "--group"], "help", "report"),  # -h before the error
+    (["table", "--bogus", "extra", "-h"], "help", "table"),
+    (["-x", "table", "-h"], "help", "table"),
+    (["table", "--genus", "x", "-h"], "error", "x"),  # the error before -h
+    (["table", "-h", "--g=x"], "help", "table"),  # --g is --genus in table
+    (["report", "-h", "--g=x"], "error", "--g"),  # every token is read first
+]
+
+
+@pytest.mark.parametrize("argv,kind,named", EDGE_ARGVS, ids=lambda v: repr(v)[:40])
+def test_option_table_parses_edge_argv_as_argparse_did(capsys, argv, kind, named):
+    outcome = table_outcome(argv)
+    assert outcome == reference_outcome(argv)
+    assert outcome[0] == kind
+    if kind == "help":
+        assert outcome[1] == named
+        return
+    if kind == "error":
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
+
+
+def test_help_lists_every_option_of_the_table(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.COMMANDS)
+    for name, (_, _, options) in cli.COMMANDS.items():
+        assert main([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: bundleaut {name} [-h] ")
+        assert all(f"{o.flag} {o.metavar}" in out for o in options)
+
+
+def test_attached_double_dash_is_a_value():
+    # argparse strips a `--` even from `--opt=--`, which left an empty list
+    # in the field and a traceback in the handler; the table keeps the text
+    assert REFERENCE.parse_args(["report", "--group=--"]).group == []
+    assert cli.parse_args(["report", "--group=--"]).group == "--"
+    for argv in (["report", "--group=--"], ["report", "--group=A1", "--format=--"],
+                 ["table", "--genus=--"]):
+        proc = run_process("-m", "bundleaut.cli", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "--" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_python_m_bundleaut_prints_the_table():
+    proc = run_process("-m", "bundleaut", "table")
+    assert proc.returncode == 0, proc.stderr
+    assert_golden_table(proc.stdout)
 
 
 def test_failed_check_exits_3_under_optimize():

@@ -4,13 +4,14 @@ import pytest
 
 from bundleaut.groupclass import (
     InvalidDegree,
+    _cartan_automorphisms,
     enumerate_forms,
     form_by_name,
     out_stabilizer,
     pairing,
     type_lattices,
 )
-from bundleaut.rootdata import DynkinType, admissible_types
+from bundleaut.rootdata import DynkinType, admissible_types, cartan_matrix
 
 
 def T(name):
@@ -298,3 +299,34 @@ def test_action_set_closed_under_composition():
             for b in act.names():
                 composed = tuple(act.apply(a, act.apply(b, x)) for x in elements)
                 assert composed in maps.values()
+
+
+def lexicographic_automorphisms(cartan):
+    """The exhaustive search the package used before its breadth-first one:
+    every image for node 0, each partial map extended by checking the new
+    node against every earlier one (about r^4 work), in lexicographic order."""
+    r = len(cartan)
+    perms = []
+
+    def extend(partial):
+        i = len(partial)
+        if i == r:
+            perms.append(tuple(partial))
+            return
+        for img in range(r):
+            if img in partial:
+                continue
+            if all(cartan[img][partial[j]] == cartan[i][j]
+                   and cartan[partial[j]][img] == cartan[j][i]
+                   for j in range(i)):
+                extend(partial + [img])
+
+    extend([])
+    return perms
+
+
+@pytest.mark.parametrize("t", admissible_types(12) + [T("A40"), T("D30")],
+                         ids=lambda t: t.label)
+def test_cartan_automorphisms_match_the_exhaustive_search(t):
+    cartan = cartan_matrix(t)
+    assert _cartan_automorphisms(cartan) == lexicographic_automorphisms(cartan)

@@ -1,4 +1,5 @@
-"""The fraction-free integer inverse."""
+"""The exact inverse of an integer matrix, A^-1 = V S^-1 U read off its Smith
+form."""
 
 import random
 from fractions import Fraction
