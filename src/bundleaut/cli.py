@@ -129,6 +129,12 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
 # report document
 
 
+def _json_text(doc: dict) -> str:
+    """The one JSON format of every command: sorted keys, two-space indent,
+    non-ASCII characters kept."""
+    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
+
+
 @dataclass
 class ReportDocument:
     schema: str
@@ -148,7 +154,7 @@ class ReportDocument:
         return {name: _fresh(value) for name, value in vars(self).items()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportDocument":
@@ -328,7 +334,7 @@ def cmd_table(args) -> int:
             "max_rank": args.max_rank,
             "rows": [r.as_dict() for r in rows],
         }
-        print(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+        print(_json_text(doc))
     elif args.format == "latex":
         print(render_table_latex(rows))
     else:
@@ -364,7 +370,7 @@ def cmd_delta(args) -> int:
             ],
             "total": total,
         }
-        print(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         for (d, s), v in zip(points, locals_):
             print(f"deg = {d}, stabilizer rank drop = {s}  ->  delta_p = {v}")
@@ -401,7 +407,7 @@ def cmd_rootdata(args) -> int:
             "hyperplane_pair_orbit_count": n,
             "ordered_root_pair_orbit_count": ordered,
         }
-        print(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         colored = _color_enabled()
         print(_styled(f"type {t.label}", colored))

@@ -11,10 +11,12 @@ dominant roots and their hyperplanes, without forming any pairs.  The group
 order comes from an orbit-stabilizer chain on fundamental weights, in
 fundamental-weight coordinates; the full group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
-cyclotomic factorization of the integer characteristic polynomial of a
-Coxeter element, itself a permutation of the roots whose powers give the
-traces (Humphreys, Reflection Groups and Coxeter Groups 3.19), and as the
-dual partition of the numbers of positive roots of each height (3.20).
+multiplicity of each cyclotomic factor in the characteristic polynomial of a
+Coxeter element c, itself a permutation of the roots whose powers give the
+traces, by Moebius inversion of tr(c^k) over the divisors of the order h of c
+(Humphreys, Reflection Groups and Coxeter Groups 3.19), with no polynomial
+arithmetic, and as the dual partition of the numbers of positive roots of
+each height (3.20).
 """
 
 from __future__ import annotations
@@ -167,16 +169,24 @@ def ordered_root_pair_orbit_count(t: DynkinType) -> int:
                for _, fixing in _dominant_roots(t, height))
 
 
-def _coxeter_charpoly(t: DynkinType) -> tuple[int, list[int]]:
-    """The Coxeter number h and det(x - c), ascending coefficients, for the
-    Coxeter element c = s_1 s_2 ... s_r, taken as a permutation of the roots.
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _coxeter_cyclotomics(t: DynkinType) -> tuple[int, dict[int, int]]:
+    """The Coxeter number h and the multiplicity a_d of each cyclotomic
+    Phi_d, d | h, in det(x - c), for the Coxeter element c = s_1 s_2 ... s_r
+    taken as a permutation of the roots.
 
     c acts freely on Phi in r orbits of length h = |Phi|/r (Humphreys 3.19),
-    which is checked and gives h.  The power sums tr(c^k), k = 1..r, are
+    which is checked and gives h, and c^h = 1 on V, which the roots span.
+    So det(x - c) = prod_{d | h} (x^d - 1)^{b_d} for integers b_d, and
+    tr(c^k) = sum_{d | h, d | k} d b_d.  The traces tr(c^k) are
     sum_j (c^k alpha_j)_j, read off the simple-root coordinates of the roots
-    that c^k sends the simple roots to; Newton's identities turn them into
-    the coefficients, each division by k exact for an integer matrix, which
-    is checked too.
+    that c^k sends the simple roots to.  The b_d are solved for over the
+    divisors in increasing order, each division by d checked exact, and all
+    h traces are checked against them.  As x^d - 1 is the product of the
+    Phi_e, e | d, a_e = sum_{e | d | h} b_d.
     """
     roots = build_root_datum(t).roots
     r, n_roots = t.rank, len(roots)
@@ -190,53 +200,22 @@ def _coxeter_charpoly(t: DynkinType) -> tuple[int, list[int]]:
           f"{lengths} on the roots, not {r} of length |Phi|/r = {h}")
     index = {root: k for k, root in enumerate(roots)}
     at = [index[_unit(r, j)] for j in range(r)]
-    power_sums: list[int] = []
-    coeffs = [1]  # descending: k c_k = -(c_{k-1} p_1 + ... + c_0 p_k)
-    for k in range(1, r + 1):
+    traces = [r]  # tr(c^k) at index k
+    for _ in range(h):
         at = [c[x] for x in at]
-        power_sums.append(sum(roots[x][j] for j, x in enumerate(at)))
-        total = sum(a * p for a, p in zip(coeffs, reversed(power_sums)))
-        check(total % k == 0, f"Newton's identity for {t} does not divide by {k}")
-        coeffs.append(-total // k)
-    return h, coeffs[::-1]
-
-
-def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    # ascending coefficients, b monic in its leading term
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        lead, blead = a[-1], b[-1]
-        if lead % blead:
-            return q, a
-        f = lead // blead
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending."""
-    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            q, r = _poly_divmod(poly, list(cyclotomic_polynomial(e)))
-            check(not r, f"Phi_{e} does not divide x^{d} - 1")
-            poly = q
-    return tuple(poly)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+        traces.append(sum(roots[x][j] for j, x in enumerate(at)))
+    divisors = _divisors(h)
+    b: dict[int, int] = {}
+    for d in divisors:
+        rest = traces[d] - sum(e * b[e] for e in b if d % e == 0)
+        check(rest % d == 0, f"the traces of a Coxeter element of {t} give "
+              f"x^{d} - 1 the multiplicity {rest}/{d}, not an integer")
+        b[d] = rest // d
+    for k in range(1, h + 1):
+        expected = sum(d * b[d] for d in divisors if k % d == 0)
+        check(traces[k] == expected, f"a Coxeter element of {t} has tr(c^{k}) = "
+              f"{traces[k]}, not {expected} as c^{h} = 1 requires")
+    return h, {e: sum(b[d] for d in divisors if d % e == 0) for e in divisors}
 
 
 @lru_cache(maxsize=None)
@@ -250,23 +229,11 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
     Humphreys 3.20), so the exponents are the dual partition of the height
     counts.  The two are checked to agree.
     """
-    h, poly = _coxeter_charpoly(t)
-    exponents: list[int] = []
-    trivial_mult = 0
-    for d in _divisors(h):
-        phi = list(cyclotomic_polynomial(d))
-        while True:
-            q, r = _poly_divmod(poly, phi)
-            if r:
-                break
-            poly = q
-            if d == 1:
-                trivial_mult += 1
-            else:
-                step = h // d
-                exponents.extend(step * j for j in range(1, d + 1) if gcd(j, d) == 1)
-    check(poly == [1], "characteristic polynomial is not a product of cyclotomics")
-    check(trivial_mult == 0, "a Coxeter element fixes no nonzero vector")
+    h, mult = _coxeter_cyclotomics(t)
+    check(min(mult.values()) >= 0, "characteristic polynomial is not a product of cyclotomics")
+    check(mult[1] == 0, "a Coxeter element fixes no nonzero vector")
+    exponents = [h // d * j for d, a in mult.items() for _ in range(a)
+                 for j in range(1, d + 1) if gcd(j, d) == 1]
     check(len(exponents) == t.rank, f"{len(exponents)} exponents for rank {t.rank}")
     degrees = tuple(sorted(e + 1 for e in exponents))
     counts = Counter(k for k in _heights(t) if k > 0).values()

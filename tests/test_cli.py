@@ -608,8 +608,8 @@ def test_failed_check_exits_3_under_optimize():
 # Coxeter elements of A2 for the degree checks, as permutations of its six
 # roots -a1-a2, -a1, -a2, a2, a1, a1+a2; a true one has two orbits of h = 3
 ONE_ORBIT = (5, 2, 4, 1, 0, 3)
-ODD_NEWTON = (5, 2, 3, 1, 0, 4)  # tr(c^2) - tr(c)^2 = -1
-NILPOTENT = (4, 5, 0, 1, 2, 3)  # tr(c) = tr(c^2) = 0, so det(x - c) = x^2
+OFF_ORDER = (5, 2, 3, 1, 0, 4)  # tr(c) = -1 and c^3 = 1 need tr(c^2) = -1, not 0
+NILPOTENT = (4, 5, 0, 1, 2, 3)  # tr(c) = tr(c^2) = 0 and tr(c^3) = 2 leave x^3 - 1 2/3 times
 
 
 def degrees_exit(capsys, monkeypatch, name, patch):
@@ -635,9 +635,10 @@ def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("c,message", [
-    (ODD_NEWTON, "Newton's identity for A2 does not divide by 2"),
-    (NILPOTENT, "characteristic polynomial is not a product of cyclotomics"),
-])
+    (OFF_ORDER, "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
+    (NILPOTENT, "the traces of a Coxeter element of A2 give x^3 - 1 the multiplicity 2/3, "
+                "not an integer"),
+], ids=["off_order", "nilpotent"])
 def test_coxeter_traces_off_a_weyl_group_exit_3(capsys, monkeypatch, c, message):
     # orbits of length h, but traces no Coxeter element of A2 has
     code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
@@ -662,7 +663,9 @@ def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch):
      "not 2 of length |Phi|/r = 3"),
     ("heights = weyl._heights\nweyl._heights = lambda t: heights(t) + [3]",
      "the degrees [2, 3] of A2 from a Coxeter element are not [2, 4] from the root heights"),
-], ids=["orbit", "routes"])
+    (f"weyl._root_permutations = lambda t: ({OFF_ORDER}, tuple(range(6)))",
+     "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
+], ids=["orbit", "routes", "traces"])
 def test_degree_checks_exit_3_under_optimize(patch, message):
     script = ("import sys\n"
               "from bundleaut import cli, weyl\n"

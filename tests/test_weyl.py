@@ -5,9 +5,11 @@ from math import factorial
 
 import pytest
 
+from bundleaut.groupclass import enumerate_forms
+from bundleaut.moduli import hitchin_report
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import (
-    _coxeter_charpoly,
+    _coxeter_cyclotomics,
     _root_permutations,
     discriminant_orbit_counts,
     invariant_degrees,
@@ -280,6 +282,22 @@ def test_classical_family_degrees(t):
     assert weyl_order(t) == order
 
 
+@pytest.mark.parametrize("t", [DynkinType(family, rank) for rank in (16, 20, 30)
+                               for family in "ABCD"])
+def test_classical_family_report_numerology(t):
+    # the Hitchin numerology of report past the rank-8 golden table, against
+    # dim G and h of each family (Bourbaki plates I-IV); the base has
+    # dimension dim G (g-1)
+    n, genus = t.rank, 3
+    dim_group, h = {"A": (n * (n + 2), n + 1), "B": (n * (2 * n + 1), 2 * n),
+                    "C": (n * (2 * n + 1), 2 * n), "D": (n * (2 * n - 1), 2 * n - 2)}[t.family]
+    report = hitchin_report(enumerate_forms(t)[0], genus)
+    assert report.dim_group == dim_group
+    assert report.weights == family_degrees(t)[0]
+    assert report.coxeter_number == h
+    assert report.dim_basis == dim_group * (genus - 1)
+
+
 def test_pair_orbit_golden_values():
     # golden-by-oracle: frozen from the brute force above
     golden = {"B2": 3, "G2": 4, "A3": 2}
@@ -330,15 +348,44 @@ def test_one_dominant_root_per_root_orbit(t):
 def test_coxeter_element_order(name, order):
     t = DynkinType.parse(name)
     rd = build_root_datum(t)
-    assert _coxeter_charpoly(t)[0] == order
+    assert _coxeter_cyclotomics(t)[0] == order
     assert matrix_order(coxeter_matrix(t)) == order
     assert order == len(rd.roots) // rd.rank
 
 
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def cyclotomic(d):
+    """Phi_d, descending coefficients: x^d - 1 divided by each Phi_e, e | d,
+    e < d, the long division by a monic divisor asserted exact."""
+    poly = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            divisor, quotient = cyclotomic(e), []
+            for i in range(len(poly) - len(divisor) + 1):
+                quotient.append(poly[i])
+                for j, y in enumerate(divisor):
+                    poly[i + j] -= quotient[-1] * y
+            assert not any(poly)
+            poly = quotient
+    return poly
+
+
 @pytest.mark.parametrize("t", admissible_types(12))
 def test_coxeter_charpoly_against_matrix_oracle(t):
-    # the power sums of the permutation against Faddeev-LeVerrier on the matrix
-    assert _coxeter_charpoly(t)[1] == faddeev_leverrier(coxeter_matrix(t))[::-1]
+    # the cyclotomic multiplicities from the traces of the permutation against
+    # Faddeev-LeVerrier on the matrix
+    product = [1]
+    for d, a in _coxeter_cyclotomics(t)[1].items():
+        for _ in range(a):
+            product = poly_mul(product, cyclotomic(d))
+    assert product == faddeev_leverrier(coxeter_matrix(t))
 
 
 @pytest.mark.parametrize("name,degrees", [
