@@ -1,10 +1,11 @@
 """Exact integer-lattice arithmetic and finite abelian groups.
 
 Smith normal form over Z by elementary row/column reduction, quotients of
-Z^r by the row lattice of an integer relation matrix (and of one row
-lattice by another, `sublattice_quotient`), with invariant factors and
-explicit projection maps, finite abelian groups in invariant-factor form,
-subgroup enumeration, and named automorphism actions on them.
+Z^r by the row or the column lattice of an integer relation matrix (both
+from one Smith form) and of one row lattice by another
+(`sublattice_quotient`), with invariant factors and explicit projection
+maps, finite abelian groups in invariant-factor form, subgroup enumeration,
+the quotient of a group by a subgroup, and named automorphism actions.
 
 This module alone decides the coordinates of a finite abelian group and its
 subgroups: a quotient is one integer matrix of unit-vector classes, a whole
@@ -40,7 +41,9 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular, and V^-1 is kept in step with V: a column
     operation on V is the inverse row operation on V^-1.  Pivots are chosen
     as the minimal nonzero absolute value (first in scan order on ties),
-    which makes the output deterministic for a fixed input.
+    which makes the output deterministic for a fixed input.  An entry of
+    absolute value 1 is such a pivot, so the scan stops at the first one,
+    and a unit pivot divides everything, so it skips the divisibility scan.
     """
     s = [list(row) for row in m]
     nrows = len(s)
@@ -80,6 +83,10 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
                     val = abs(s[i][j])
                     if val and (best is None or val < best):
                         best, pivot = val, (i, j)
+                        if val == 1:  # no smaller nonzero entry: stop scanning
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             if pivot != (t, t):
@@ -98,6 +105,8 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
                     dirty = dirty or s[t][j] != 0
             if dirty:
                 continue
+            if best == 1:  # a unit divides every entry
+                break
             # divisibility: fold in a row whose entries the pivot misses
             culprit = next(
                 (i for i in range(t + 1, nrows)
@@ -195,6 +204,11 @@ def _coordinates(group: FiniteAbelianGroup, basis, factors) -> dict:
             for c in itertools.product(*(range(f) for f in factors))}
 
 
+def _torsion_rows(factors) -> IntMatrix:
+    """diag(factors): the relations of Z/f_1 x ... x Z/f_k on Z^k."""
+    return [[f if j == i else 0 for j in range(len(factors))] for i, f in enumerate(factors)]
+
+
 class Subgroup:
     """A subgroup of a FiniteAbelianGroup, with explicit coordinates.
 
@@ -216,7 +230,7 @@ class Subgroup:
             self.structure = ambient
             self.basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
         else:
-            torsion = [[f if j == i else 0 for j in range(r)] for i, f in enumerate(d)]
+            torsion = _torsion_rows(d)
             quotient, lattice = sublattice_quotient(
                 [list(g) for g in self.generators] + torsion, torsion)
             self.structure = quotient.group
@@ -238,6 +252,13 @@ class Subgroup:
         sub = cls(ambient, gens)
         check(sub.elements == elements, "generators do not span the given elements")
         return sub
+
+    def quotient(self) -> FiniteAbelianGroup:
+        """ambient / self, from one Smith form of the ambient's torsion
+        relations stacked on the generators."""
+        d = self.ambient.invariant_factors
+        s = smith_normal_form(_torsion_rows(d) + [list(g) for g in self.generators])[0]
+        return FiniteAbelianGroup(tuple(s[k][k] for k in range(len(d)) if s[k][k] > 1))
 
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
@@ -270,32 +291,44 @@ def enumerate_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
 
 
 class LatticeQuotient:
-    """Z^r modulo the row lattice of an r x r integer relation matrix.
+    """Z^r modulo the row lattice of an r x r integer relation matrix R, or
+    with `columns` modulo its column lattice.
 
     The quotient is one integer matrix: row i holds the class of the unit
     vector e_i in invariant-factor coordinates, and `project` applies it
     modulo the invariant factors.  With U R V = S in Smith normal form, row
-    i is row i of V at the columns where d_i > 1, and `generator_lifts` are
-    the matching rows of V^-1, which project to the unit classes;
-    `with_basis` re-coordinatizes the matrix on the classes of other lifts.
+    i is row i of V at the columns k where d_k > 1, and `generator_lifts` are
+    the matching rows of V^-1, which project to the unit classes.  The
+    column quotient reads the same Smith form: e_i has class (U e_i)_k, and
+    column k of U^-1 = R V S^-1, that is R V e_k / d_k, lifts the unit
+    class k.  A caller holding the Smith form passes it as `smith`, so both
+    quotients of R cost one.  `with_basis` re-coordinatizes the matrix on
+    the classes of other lifts.
     """
 
-    def __init__(self, relations):
+    def __init__(self, relations, smith=None, columns=False):
         rel = [list(row) for row in relations]
         r = len(rel)
         if any(len(row) != r for row in rel):
             raise LatticeError("need one relation row of length r per coordinate of Z^r")
         if not all(isinstance(x, int) for row in rel for x in row):
             raise LatticeError("relations must be integer vectors")
-        s, _, v, vinv = smith_normal_form(rel)
+        s, u, v, vinv = smith or smith_normal_form(rel)
         full = [s[i][i] for i in range(r)]
         if any(f == 0 for f in full):
             raise LatticeError("relations do not span a full-rank lattice")
         positions = [i for i, f in enumerate(full) if f > 1]
         self.rank = r
         self.group = FiniteAbelianGroup(tuple(full[i] for i in positions))
-        self.generator_lifts = tuple(tuple(vinv[i]) for i in positions)
-        self._matrix = tuple(self.group.reduce([row[j] for j in positions]) for row in v)
+        if columns:
+            self.generator_lifts = tuple(
+                tuple(sum(x * v[j][k] for j, x in enumerate(row)) // full[k] for row in rel)
+                for k in positions)
+            classes = [[u[k][i] for k in positions] for i in range(r)]
+        else:
+            self.generator_lifts = tuple(tuple(vinv[k]) for k in positions)
+            classes = [[row[k] for k in positions] for row in v]
+        self._matrix = tuple(self.group.reduce(c) for c in classes)
 
     def project(self, x) -> tuple[int, ...]:
         if len(x) != self.rank:

@@ -3,10 +3,12 @@
 A group form is the quotient of the simply-connected group by a subgroup mu
 of its center.  The center is identified with the coweight-side quotient
 P^vee/Q^vee, its character group with P/Q; both are computed as lattice
-quotients of the integer Cartan matrix, never tabulated.  In
+quotients of the integer Cartan matrix A, never tabulated.  In
 fundamental-weight coordinates Q is spanned by the columns of A, in
-fundamental-coweight coordinates Q^vee by its rows, and the perfect pairing
-between the two quotients is read off A^-1.  Outer automorphisms are the
+fundamental-coweight coordinates Q^vee by its rows, and one Smith form
+U A V = S gives both quotients and the perfect pairing between them, read
+off the integer matrix e A^-1 = V diag(e/d_k) U (e = d_r) once per type as
+the pairings of their generators.  Outer automorphisms are the
 Cartan-matrix-preserving node permutations, which permute the weight and
 coweight coordinates directly, and everything downstream (Out(G), actions
 on pi_1 and on the character group, stabilizers of a component label) is
@@ -18,8 +20,11 @@ each form's invariants, computed and cross-checked once per form.  One
 function, `_names`, gives a form its display name and the spec tokens that
 select it ('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name`
 looks a token up among the records.  Subgroups and their coordinates come
-from `finabel` as built (a whole group is already in its unit basis), and
-pi_1 is cross-checked through its `sublattice_quotient`.
+from `finabel` as built (a whole group is already in its unit basis).
+pi_1(G) = mu is cross-checked by duality: the pairing is perfect, so
+(P/Q)/mu^perp, with mu^perp = Hom(Z(G), G_m) found through the pairing,
+must have the invariant factors of mu (`Subgroup.quotient`, one Smith form
+of at most two columns).
 """
 
 from __future__ import annotations
@@ -28,16 +33,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .finabel import (
     AbelianAction,
     FiniteAbelianGroup,
     LatticeQuotient,
     Subgroup,
     enumerate_subgroups,
-    lattice_quotient,
-    sublattice_quotient,
+    smith_normal_form,
 )
+from .linalg import scaled_inverse
 from .rootdata import DynkinType, _unit, cartan_matrix, check
 
 
@@ -123,27 +127,31 @@ def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
                 parent[j] = i
                 order.append(j)
     check(len(order) == r, "the Dynkin diagram is not connected")
+    # edges[k]: the parent of node order[k + 1] and the two entries on its edge
+    edges = [(parent[i], cartan[i][parent[i]], cartan[parent[i]][i]) for i in order[1:]]
     perms: list[tuple[int, ...]] = []
     image = [0] * r
     used = [False] * r
-
-    def extend(k):
-        if k == r:
+    # depth-first with a stack of (k, image of order[k]) instead of recursion,
+    # so the depth is not bounded by the interpreter's recursion limit; the
+    # nodes order[k:] are unassigned again before an entry (k, _) is taken
+    stack = [(0, img) for img in range(r)]
+    depth = 0
+    while stack:
+        k, img = stack.pop()
+        while depth > k:
+            depth -= 1
+            used[image[order[depth]]] = False
+        image[order[k]], used[img] = img, True
+        depth = k + 1
+        if depth == r:
             perms.append(tuple(image))
-            return
-        i = order[k]
-        p = parent[i]
-        for img in neighbours[image[p]]:
-            if (not used[img] and cartan[img][image[p]] == cartan[i][p]
-                    and cartan[image[p]][img] == cartan[p][i]):
-                image[i], used[img] = img, True
-                extend(k + 1)
-                used[img] = False
-
-    for first in range(r):
-        image[0], used[first] = first, True
-        extend(1)
-        used[first] = False
+            continue
+        p, a, b = edges[k]
+        q = image[p]
+        for c in neighbours[q]:
+            if not used[c] and cartan[c][q] == a and cartan[q][c] == b:
+                stack.append((depth, c))
     return sorted(perms)
 
 
@@ -154,16 +162,19 @@ class TypeLattices:
     cartan: tuple[tuple[int, ...], ...]
     chars: LatticeQuotient  # P/Q  = Hom(Z(G^sc), G_m), weight coordinates
     center: LatticeQuotient  # P^vee/Q^vee = Z(G^sc), coweight coordinates
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]  # [j][i] = <omega_i, omega_j^vee>
+    exponent: int  # e, the last invariant factor of A, so e A^-1 is integral
+    pairings: tuple[tuple[int, ...], ...]  # [a][b] = e <chars gen a, center gen b> mod e
     out_elements: tuple[OutElement, ...]  # Out(G^sc), the Cartan automorphisms
 
 
 @lru_cache(maxsize=None)
 def type_lattices(t: DynkinType) -> TypeLattices:
     cartan = cartan_matrix(t)
-    # alpha_j = sum_i A[i][j] omega_i and alpha_i^vee = sum_j A[i][j] omega_j^vee
-    chars = lattice_quotient(list(zip(*cartan)))
-    center = lattice_quotient(cartan)
+    # alpha_j = sum_i A[i][j] omega_i and alpha_i^vee = sum_j A[i][j] omega_j^vee,
+    # so P/Q is Z^r mod the columns of A and P^vee/Q^vee mod its rows
+    smith = smith_normal_form(cartan)
+    chars = LatticeQuotient(cartan, smith, columns=True)
+    center = LatticeQuotient(cartan, smith)
     n = t.rank
     lifts = None
     if t.family == "D":
@@ -173,21 +184,26 @@ def type_lattices(t: DynkinType) -> TypeLattices:
     if lifts is not None:
         chars = chars.with_basis(lifts)
         center = center.with_basis(lifts)
+    # <omega_i, omega_j^vee> = A^-1[j][i], so <w, z> = z^T A^-1 w
+    inverse, e = scaled_inverse(smith)
+    images = [[sum(x * y for x, y in zip(row, w)) for row in inverse]
+              for w in chars.generator_lifts]
+    pairings = tuple(tuple(sum(x * y for x, y in zip(z, nw)) % e
+                           for z in center.generator_lifts) for nw in images)
     outs = tuple(OutElement(name=_cycle_name(perm), node_permutation=perm)
                  for perm in _cartan_automorphisms(cartan))
-    return TypeLattices(cartan=cartan, chars=chars, center=center,
-                        inverse_cartan=linalg.invert(cartan), out_elements=outs)
+    return TypeLattices(cartan=cartan, chars=chars, center=center, exponent=e,
+                        pairings=pairings, out_elements=outs)
 
 
 def pairing(lat: TypeLattices, char_coords, center_coords):
-    """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z."""
-    weight = lat.chars.lift(char_coords)
-    coweight = lat.center.lift(center_coords)
-    inv = lat.inverse_cartan
-    value = sum(c * d * inv[j][i]
-                for i, c in enumerate(weight) if c
-                for j, d in enumerate(coweight) if d)
-    return value % 1
+    """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z, bilinear on the
+    generators' pairings."""
+    e = lat.exponent
+    value = sum(a * z * p
+                for a, row in zip(char_coords, lat.pairings) if a
+                for z, p in zip(center_coords, row) if z)
+    return Fraction(value % e, e)
 
 
 def _image(quotient: LatticeQuotient, elem: OutElement, coords) -> tuple[int, ...]:
@@ -250,14 +266,6 @@ def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
     ann = [a for a in lat.chars.group.elements()
            if all(pairing(lat, a, g) == 0 for g in mu.generators)]
     return Subgroup.from_elements(lat.chars.group, ann)
-
-
-def _pi1_lattice_quotient(lat: TypeLattices, mu: Subgroup) -> FiniteAbelianGroup:
-    """X_*(T_G)/Q^vee in coweight coordinates, where the coroots are the rows
-    of the Cartan matrix and X_* is spanned by them and lifts of mu."""
-    coroots = lat.cartan
-    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in mu.generators]
-    return sublattice_quotient(rows, coroots)[0].group
 
 
 def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> AbelianAction:
@@ -323,15 +331,18 @@ class GroupForm:
 def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | None) -> GroupForm:
     """G^sc/mu with each invariant computed, and cross-checked, once; `so`
     is the SO subgroup of a type-D center, None otherwise."""
+    display_name, tokens = _names(t, len(mu.elements), lat.center.group.order, mu == so)
     chars = _annihilator(lat, mu)
     pi1 = mu.structure
-    check(pi1.invariant_factors == _pi1_lattice_quotient(lat, mu).invariant_factors,
-          "pi_1 from mu disagrees with the coweight-lattice quotient")
+    # the pairing is perfect, so (P/Q)/mu^perp = Hom(mu, Q/Z) is isomorphic to mu
+    dual = chars.quotient()
+    check(pi1 == dual,
+          f"pi_1({display_name}) = {pi1.symbol()} is not (P/Q)/Hom(Z(G), G_m) = "
+          f"{dual.symbol()}, its dual")
     out = _make_out_group(
         elem for elem in lat.out_elements
         if {_image(lat.center, elem, x) for x in mu.elements} == mu.elements)
     pi1_action = _out_action(out, mu, lat.center)
-    display_name, tokens = _names(t, len(mu.elements), lat.center.group.order, mu == so)
     return GroupForm(
         dynkin=t, mu=mu, display_name=display_name, tokens=tokens,
         chars=chars, pi1=pi1, out=out, pi1_action=pi1_action,

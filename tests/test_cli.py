@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bundleaut
-from bundleaut import cli, finabel, weyl
+from bundleaut import cli, finabel, groupclass, weyl
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -23,7 +23,7 @@ from bundleaut.cli import (
     parse_group_spec,
     parse_profile,
 )
-from bundleaut.groupclass import enumerate_forms, form_by_name
+from bundleaut.groupclass import enumerate_forms, form_by_name, type_lattices
 from bundleaut.moduli import classification_table, table_types
 from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 
@@ -720,6 +720,33 @@ def test_non_invertible_actor_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal consistency failure: actor 'e' is not invertible\n"
+
+
+# pi_1 of PSL_3 against the dual of its characters when the pairing is made
+# zero: then all of P/Q annihilates mu = Z(SL_3), and (P/Q)/mu^perp is trivial
+PI1_NOT_DUAL = "pi_1(PSL_3) = Z/3Z is not (P/Q)/Hom(Z(G), G_m) = {0}, its dual"
+
+
+def test_pairing_off_the_pi1_duality_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(groupclass, "pairing", lambda *args: 0)
+    enumerate_forms.cache_clear()
+    type_lattices.cache_clear()
+    try:
+        code, out, err = run(capsys, "report", "--group", "A2:adjoint")
+    finally:
+        enumerate_forms.cache_clear()
+        type_lattices.cache_clear()
+    assert (code, out, err) == (3, "", f"internal consistency failure: {PI1_NOT_DUAL}\n")
+
+
+def test_pi1_duality_check_exits_3_under_optimize():
+    script = ("import sys\n"
+              "from bundleaut import cli, groupclass\n"
+              "groupclass.pairing = lambda *args: 0\n"
+              "sys.exit(cli.main(['report', '--group', 'A2:adjoint']))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal consistency failure: {PI1_NOT_DUAL}\n"
 
 
 def test_color_toggle(capsys, monkeypatch):

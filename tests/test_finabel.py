@@ -8,13 +8,14 @@ import pytest
 from bundleaut.finabel import (
     FiniteAbelianGroup,
     LatticeError,
+    LatticeQuotient,
     Subgroup,
     closure,
     enumerate_subgroups,
     lattice_quotient,
     smith_normal_form,
 )
-from bundleaut.rootdata import DynkinType, build_root_datum
+from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum, cartan_matrix
 
 
 def mat_mul_int(a, b):
@@ -115,6 +116,125 @@ def test_snf_zero_matrix():
     assert s == [[0, 0], [0, 0]]
     assert abs(int_det(u)) == 1 and abs(int_det(v)) == 1
     assert mat_mul_int(v, vinv) == [[1, 0], [0, 1]]
+
+
+def full_scan_smith_normal_form(m):
+    """The Smith form as the package computed it before unit pivots ended
+    the pivot search: every pivot search scans the whole remaining block,
+    and every pivot runs the divisibility scan."""
+    s = [list(row) for row in m]
+    nrows = len(s)
+    ncols = len(s[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i, j, q):
+        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for row in s:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+        vinv[j] = [a + q * b for a, b in zip(vinv[j], vinv[i])]
+
+    for t in range(min(nrows, ncols)):
+        while True:
+            pivot = None
+            best = None
+            for i in range(t, nrows):
+                for j in range(t, ncols):
+                    val = abs(s[i][j])
+                    if val and (best is None or val < best):
+                        best, pivot = val, (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != t:
+                s[t], s[pivot[0]] = s[pivot[0]], s[t]
+                u[t], u[pivot[0]] = u[pivot[0]], u[t]
+            if pivot[1] != t:
+                j = pivot[1]
+                for row in s + v:
+                    row[t], row[j] = row[j], row[t]
+                vinv[t], vinv[j] = vinv[j], vinv[t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if s[i][t]:
+                    row_op(i, t, s[i][t] // s[t][t])
+                    dirty = dirty or s[i][t] != 0
+            for j in range(t + 1, ncols):
+                if s[t][j]:
+                    col_op(j, t, s[t][j] // s[t][t])
+                    dirty = dirty or s[t][j] != 0
+            if dirty:
+                continue
+            culprit = next((i for i in range(t + 1, nrows)
+                            for j in range(t + 1, ncols) if s[i][j] % s[t][t]), None)
+            if culprit is None:
+                break
+            s[t] = [a + b for a, b in zip(s[t], s[culprit])]
+            u[t] = [a + b for a, b in zip(u[t], u[culprit])]
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+            u[t] = [-a for a in u[t]]
+    return s, u, v, vinv
+
+
+@pytest.mark.parametrize("t", admissible_types(12), ids=lambda t: t.label)
+def test_unit_pivots_keep_the_smith_form_of_cartan_matrices(t):
+    cartan = cartan_matrix(t)
+    assert smith_normal_form(cartan) == full_scan_smith_normal_form(cartan)
+
+
+def test_unit_pivots_keep_the_smith_form_of_random_matrices():
+    rng = random.Random(1509)
+    no_units = [x for x in range(-9, 10) if abs(x) != 1]
+    for k in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        # every third matrix has no entry of absolute value 1
+        entries = no_units if k % 3 == 0 else range(-9, 10)
+        m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(m) == full_scan_smith_normal_form(m), m
+
+
+def test_column_quotient_reads_the_row_smith_form():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if int_det(m) == 0:
+            continue
+        q = LatticeQuotient(m, smith_normal_form(m), columns=True)
+        transposed = lattice_quotient(list(zip(*m)))
+        assert q.group == transposed.group
+        # the columns of m are the relations, the lifts hit the unit classes
+        for col in zip(*m):
+            assert q.project(col) == q.group.zero()
+        k = len(q.group.invariant_factors)
+        for i, lift in enumerate(q.generator_lifts):
+            assert q.project(lift) == tuple(int(j == i) for j in range(k))
+        for coords in q.group.elements():
+            assert q.project(q.lift(coords)) == coords
+
+
+def coset_order(group, sub, x):
+    n, y = 1, group.reduce(x)
+    while y not in sub.elements:
+        y, n = group.add(y, x), n + 1
+    return n
+
+
+def test_subgroup_quotient_has_the_coset_structure():
+    # a group of at most two invariant factors is fixed by its order and exponent
+    for fs in [(12,), (2, 2), (2, 4), (3, 9), (6, 6)]:
+        g = FiniteAbelianGroup(fs)
+        for sub in enumerate_subgroups(g):
+            order = g.order // len(sub.elements)
+            exponent = max(coset_order(g, sub, x) for x in g.elements())
+            expected = tuple(f for f in (order // exponent, exponent) if f > 1)
+            assert sub.quotient() == FiniteAbelianGroup(expected), sub
 
 
 def test_lattice_quotient_d5():

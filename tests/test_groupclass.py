@@ -1,7 +1,10 @@
 """Centers, fundamental groups, outer actions: the classification data."""
 
+import sys
+
 import pytest
 
+from bundleaut.finabel import sublattice_quotient
 from bundleaut.groupclass import (
     InvalidDegree,
     _cartan_automorphisms,
@@ -281,12 +284,24 @@ def test_d4_out_is_gl2_f2():
     assert mats == gl2
 
 
+def pi1_lattice_quotient(lat, mu):
+    """X_*(T_G)/Q^vee in coweight coordinates, where the coroots are the rows
+    of the Cartan matrix and X_* is spanned by them and lifts of mu: the
+    rank-r route that building a form ran before it checked pi_1 by duality."""
+    coroots = lat.cartan
+    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in mu.generators]
+    return sublattice_quotient(rows, coroots)[0].group
+
+
 def test_fundamental_group_matches_coweight_route():
-    # building a form cross-checks pi1 against the coweight route; exercise broadly
-    for t in admissible_types(8):
+    # building a form checks pi_1 = mu against (P/Q)/mu^perp; the coweight
+    # lattice X_*/Q^vee is a third route, kept here
+    types = admissible_types(12) + [T(f"{f}{n}") for f in "AD" for n in (16, 20)]
+    for t in types:
+        lat = type_lattices(t)
         for gf in enumerate_forms(t):
-            mu_order = len(gf.mu.elements)
-            assert gf.pi1.order == mu_order
+            assert gf.pi1 == pi1_lattice_quotient(lat, gf.mu), gf.display_name
+            assert gf.pi1.order == len(gf.mu.elements)
 
 
 def test_action_set_closed_under_composition():
@@ -330,3 +345,18 @@ def lexicographic_automorphisms(cartan):
 def test_cartan_automorphisms_match_the_exhaustive_search(t):
     cartan = cartan_matrix(t)
     assert _cartan_automorphisms(cartan) == lexicographic_automorphisms(cartan)
+
+
+def test_cartan_automorphisms_need_no_recursion():
+    # the search keeps its own stack, so a path of 300 nodes, with its two
+    # automorphisms, runs under a recursion limit of 200
+    n = 300
+    cartan = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+                   for i in range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        perms = _cartan_automorphisms(cartan)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert perms == [tuple(range(n)), tuple(reversed(range(n)))]

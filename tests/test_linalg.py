@@ -1,21 +1,27 @@
-"""The exact inverse of an integer matrix, A^-1 = V S^-1 U read off its Smith
-form."""
+"""The inverse of an integer matrix as the integer matrix N = e A^-1, read off
+its Smith form: N = V diag(e / d_k) U with e = d_n."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from bundleaut.linalg import LinAlgError, invert
+from bundleaut.finabel import smith_normal_form
+from bundleaut.linalg import LinAlgError, scaled_inverse
 from bundleaut.rootdata import admissible_types, build_root_datum
 
 
-def identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def inverse(a):
+    return scaled_inverse(smith_normal_form(a))
+
+
+def scalar(n, e):
+    return [[e * int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_inverse_of_random_integer_matrices():
@@ -25,12 +31,14 @@ def test_inverse_of_random_integer_matrices():
         n = rng.randint(1, 7)
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         try:
-            inv = invert(a)
+            inv, e = inverse(a)
         except LinAlgError:
             continue
-        assert mat_mul(a, inv) == identity(n)
-        assert mat_mul(inv, a) == identity(n)
-        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        assert mat_mul(a, inv) == scalar(n, e)
+        assert mat_mul(inv, a) == scalar(n, e)
+        assert all(type(x) is int for row in inv for x in row)
+        # e is the least scale that makes A^-1 integral
+        assert gcd(e, *(x for row in inv for x in row)) == 1
         inverted += 1
     assert inverted > 400
 
@@ -38,21 +46,23 @@ def test_inverse_of_random_integer_matrices():
 @pytest.mark.parametrize("t", admissible_types(8))
 def test_inverse_cartan(t):
     cartan = build_root_datum(t).cartan
-    assert mat_mul(cartan, invert(cartan)) == identity(t.rank)
+    inv, e = inverse(cartan)
+    assert mat_mul(cartan, inv) == scalar(t.rank, e)
 
 
 def test_pivot_needs_a_row_swap():
-    assert invert([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
-    assert invert([[0, 2], [3, 1]]) == (
-        (Fraction(-1, 6), Fraction(1, 3)), (Fraction(1, 2), Fraction(0)))
+    assert inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    # A^-1 = ((-1/6, 1/3), (1/2, 0))
+    assert inverse([[0, 2], [3, 1]]) == ([[-1, 2], [3, 0]], 6)
 
 
 @pytest.mark.parametrize("a", [[[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
 def test_singular_matrix_is_rejected(a):
     with pytest.raises(LinAlgError):
-        invert(a)
+        inverse(a)
 
 
 def test_non_integer_entry_is_rejected():
-    with pytest.raises(TypeError):
-        invert([[Fraction(1, 2)]])
+    for a in ([[Fraction(1, 2)]], [[1, 0], [0, Fraction(1, 2)]], [[2, -1], [-1, 2.0]]):
+        with pytest.raises(TypeError):
+            inverse(a)

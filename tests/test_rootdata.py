@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bundleaut.finabel import lattice_quotient
+from bundleaut.finabel import lattice_quotient, smith_normal_form
 from bundleaut.groupclass import type_lattices
+from bundleaut.linalg import scaled_inverse
 from bundleaut.rootdata import (
     DynkinType,
     InvalidType,
@@ -156,14 +157,15 @@ def test_root_system_invariants(t):
         assert all(c.denominator == 1 for c in cv)
         assert dot(cv, pair_with_simple_coroots(rd.cartan, a)) == 2
     # weights and coweights are dual to the simple (co)roots: with
-    # <omega_i, omega_k^vee> = inv[k][i], alpha_j^vee = sum_k A[j][k] omega_k^vee
+    # <omega_i, omega_k^vee> = inv[k][i] / e, alpha_j^vee = sum_k A[j][k] omega_k^vee
     # and alpha_j = sum_k A[k][j] omega_k
-    inv = type_lattices(t).inverse_cartan
+    inv, e = scaled_inverse(smith_normal_form(rd.cartan))
+    assert e == type_lattices(t).exponent
     r = rd.rank
     for i in range(r):
         for j in range(r):
-            assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == (i == j)
-            assert sum(rd.cartan[k][j] * inv[i][k] for k in range(r)) == (i == j)
+            assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == e * (i == j)
+            assert sum(rd.cartan[k][j] * inv[i][k] for k in range(r)) == e * (i == j)
 
 
 @pytest.mark.parametrize("name,planes", [
