@@ -37,6 +37,8 @@ from .rootdata import (
     InvalidType,
     ambient_simple_roots,
     build_root_datum,
+    check,
+    has_cartan_matrix,
 )
 
 EXIT_OK = 0
@@ -378,17 +380,25 @@ def cmd_delta(args) -> int:
     return EXIT_OK
 
 
+def _halved(x: int) -> str:
+    """x / 2 as `str` prints a fraction: `1/2`, `-1/2`, `0`, `2`."""
+    return str(x // 2) if x % 2 == 0 else f"{x}/2"
+
+
 def cmd_rootdata(args) -> int:
     t = DynkinType.parse(args.type)  # InvalidType is a usage error in `main`
     rd = build_root_datum(t)
-    ambient_dim, simple_roots = ambient_simple_roots(t)
+    ambient_dim, doubled = ambient_simple_roots(t)
+    check(has_cartan_matrix(doubled, rd.cartan),
+          f"the ambient simple roots of {t} do not give the Cartan matrix of its Dynkin diagram")
+    simple_roots = [[_halved(x) for x in v] for v in doubled]
     degrees = weyl.invariant_degrees(t)
     # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
     # roots, which are the columns of A there
-    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
+    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group
     m, n = weyl.discriminant_orbit_counts(t)
     ordered = weyl.ordered_root_pair_orbit_count(t)
-    order = weyl.weyl_order(t)
+    order = weyl.weyl_order(t, weight_quotient.order)
     if args.format == "json":
         doc = {
             "schema": "bundleaut.rootdata/1",
@@ -396,12 +406,12 @@ def cmd_rootdata(args) -> int:
             "rank": rd.rank,
             "ambient_dim": ambient_dim,
             "num_roots": len(rd.roots),
-            "simple_roots": [[str(c) for c in v] for v in simple_roots],
+            "simple_roots": simple_roots,
             "cartan": [list(row) for row in rd.cartan],
             "degrees": list(degrees),
             "coxeter_number": degrees[-1],
             "weyl_order": order,
-            "weight_quotient": weight_quotient,
+            "weight_quotient": weight_quotient.symbol(),
             "num_hyperplanes": len(rd.roots) // 2,
             "root_orbit_count": m,
             "hyperplane_pair_orbit_count": n,
@@ -415,14 +425,14 @@ def cmd_rootdata(args) -> int:
               f"{len(rd.roots)} roots, {len(rd.roots) // 2} hyperplanes")
         print("  simple roots:")
         for i, v in enumerate(simple_roots):
-            print(f"    a_{i + 1} = ({', '.join(str(c) for c in v)})")
+            print(f"    a_{i + 1} = ({', '.join(v)})")
         print("  Cartan matrix:")
         for row in rd.cartan:
             print("    [" + " ".join(f"{x:2d}" for x in row) + "]")
         print(f"  invariant degrees: {list(degrees)}   "
               f"(Coxeter number h = {degrees[-1]})")
         print(f"  |W| = {order}")
-        print(f"  P/Q = {weight_quotient}")
+        print(f"  P/Q = {weight_quotient.symbol()}")
         print(f"  orbit counts: roots m = {m}, distinct hyperplane pairs n = {n}, "
               f"ordered root pairs = {ordered}")
     return EXIT_OK

@@ -30,7 +30,6 @@ of at most two columns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .finabel import (
@@ -196,14 +195,13 @@ def type_lattices(t: DynkinType) -> TypeLattices:
                         pairings=pairings, out_elements=outs)
 
 
-def pairing(lat: TypeLattices, char_coords, center_coords):
+def pairing(lat: TypeLattices, char_coords, center_coords) -> int:
     """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z, bilinear on the
-    generators' pairings."""
-    e = lat.exponent
+    generators' pairings, as e times its value: an integer mod e."""
     value = sum(a * z * p
                 for a, row in zip(char_coords, lat.pairings) if a
                 for z, p in zip(center_coords, row) if z)
-    return Fraction(value % e, e)
+    return value % lat.exponent
 
 
 def _image(quotient: LatticeQuotient, elem: OutElement, coords) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 All that is left of the rational layer: `groupclass.type_lattices` reads
 the pairing <omega_i, omega_j^vee> off N = e A^-1 for the Cartan matrix A.
 The elimination is `finabel.smith_normal_form`'s, done once by the caller;
-this module only multiplies its U and V.  No `Fraction` and no floating
-point anywhere.
+this module only multiplies its U and V.  No rational arithmetic and no
+floating point anywhere.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ under it.  Weights and coweights are taken in fundamental-(co)weight
 coordinates, in which the simple roots are the columns of A and the simple
 coroots its rows (Bourbaki, Lie Groups and Lie Algebras VI 1.9-1.10).
 
-The Cartan matrix is read once off the usual ambient realisation, in exact
-rationals, which is also what `bundleaut rootdata` prints: A, B, C use the
-e_i - e_j / +-e_i / +-2e_i conventions, D_n the coordinates with Q(D_n) the
-even integer vectors, the E-types the standard even coordinates of R^8 and
-G_2 the sum-zero plane of R^3.
+The Cartan matrix is read off the Dynkin diagram, its bonds and the squared
+lengths of the simple roots, in integers.  `bundleaut rootdata` also prints
+the simple roots of the usual ambient realisation, held doubled so that they
+are integers too, and checks that they have the same Cartan matrix: A, B, C
+use the e_i - e_j / +-e_i / +-2e_i conventions, D_n the coordinates with
+Q(D_n) the even integer vectors, the E-types the standard even coordinates
+of R^8 and G_2 the sum-zero plane of R^3.
 
 The package's cross-check helper `check` lives here too, beside `InvalidType`:
 every command loads this module, so the helper adds no module to import.
@@ -21,9 +23,7 @@ every command loads this module, so the helper adds no module to import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 DEFAULT_MAX_RANK = 8
 
@@ -84,80 +84,90 @@ class DynkinType:
 
 
 Root = tuple[int, ...]
-AmbientVector = tuple[Fraction, ...]
 
 
 def _unit(dim: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(dim))
 
 
-def _ambient(coords) -> AmbientVector:
-    return tuple(Fraction(c) for c in coords)
+def _minus(u, v) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(u, v))
 
 
-def _minus(u, v) -> AmbientVector:
-    return _ambient(a - b for a, b in zip(u, v))
+def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The ambient dimension and the simple roots of the usual realisation,
+    each doubled, so that the halves of E and F are integers too."""
+    n, family = t.rank, t.family
+    dim = {"A": n + 1, "E": 8, "F": 4, "G": 3}.get(family, n)
+    e = [tuple(2 * x for x in _unit(dim, i)) for i in range(dim)]  # 2 e_i
+    chain = [_minus(e[i], e[i + 1]) for i in range(dim - 1)]
+    if family == "A":
+        return dim, tuple(chain)
+    if family == "B":
+        return dim, (*chain, e[-1])
+    if family == "C":
+        return dim, (*chain, (0,) * (n - 1) + (4,))
+    if family == "D":
+        return dim, (*chain, (0,) * (n - 2) + (2, 2))
+    if family == "E":
+        # alpha_1 = (e_1 - e_2 - ... - e_7 + e_8) / 2 and alpha_2 = e_1 + e_2
+        return dim, ((1, -1, -1, -1, -1, -1, -1, 1), (2, 2) + (0,) * 6,
+                     *(_minus(e[k], e[k - 1]) for k in range(1, n - 1)))
+    if family == "F":
+        return dim, (chain[1], chain[2], e[3], (1, -1, -1, -1))
+    return dim, (chain[0], (-4, 2, 2))  # G_2, in the sum-zero plane of R^3
 
 
-def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[AmbientVector, ...]]:
-    """The ambient dimension and the simple roots of the usual realisation."""
-    n = t.rank
-    half = Fraction(1, 2)
-    chain = [_minus(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-    if t.family == "A":
-        dim = n + 1
-        return dim, tuple(_minus(_unit(dim, i), _unit(dim, i + 1)) for i in range(n))
-    if t.family == "B":
-        return n, (*chain, _ambient(_unit(n, n - 1)))
-    if t.family == "C":
-        return n, (*chain, _ambient(2 * x for x in _unit(n, n - 1)))
-    if t.family == "D":
-        return n, (*chain, _ambient([0] * (n - 2) + [1, 1]))
-    if t.family == "E":
-        a1 = _ambient([half, -half, -half, -half, -half, -half, -half, half])
-        a2 = _ambient([1, 1, 0, 0, 0, 0, 0, 0])
-        rest = [_minus(_unit(8, k - 2), _unit(8, k - 3)) for k in range(3, 9)]
-        return 8, tuple([a1, a2] + rest)[:n]
-    if t.family == "F":
-        return 4, (
-            _ambient([0, 1, -1, 0]),
-            _ambient([0, 0, 1, -1]),
-            _ambient([0, 0, 0, 1]),
-            _ambient([half, -half, -half, -half]),
-        )
-    # G_2: realized in the sum-zero plane of R^3
-    return 3, (_ambient([1, -1, 0]), _ambient([-2, 1, 1]))
+def has_cartan_matrix(simples, cartan) -> bool:
+    """Whether the simple roots a_i have the Cartan matrix `cartan`:
+    2 (a_j, a_i) = cartan[i][j] (a_i, a_i) with (a_i, a_i) > 0, so that every
+    division 2 (a_j, a_i) / (a_i, a_i) is exact.  A common scale, such as the
+    doubling, cancels.  An ambient root has at most 8 nonzero coordinates."""
+    if len(simples) != len(cartan):
+        return False
+    for a, row in zip(simples, cartan):
+        nonzero = [(k, x) for k, x in enumerate(a) if x]
+        norm = sum(x * a[k] for k, x in nonzero)
+        if norm <= 0 or any(2 * sum(x * b[k] for k, x in nonzero) != c * norm
+                            for b, c in zip(simples, row)):
+            return False
+    return True
+
+
+def _diagram(t: DynkinType) -> tuple[list[int], list[tuple[int, int]]]:
+    """The squared lengths of the simple roots, the short ones 2, and the
+    bonds of the Dynkin diagram, in Bourbaki's numbering from 0."""
+    n, family = t.rank, t.family
+    lengths = {"B": [4] * (n - 1) + [2], "C": [2] * (n - 1) + [4],
+               "F": [4, 4, 2, 2], "G": [2, 6]}.get(family, [2] * n)
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":
+        bonds[-1] = (n - 3, n - 1)
+    elif family == "E":
+        bonds[:2] = [(0, 2), (1, 3)]
+    return lengths, bonds
 
 
 def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """<alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i).
+    """<alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i),
+    read off the Dynkin diagram in O(r^2) integers.
 
-    The ratio is taken on the simple roots scaled to integer vectors."""
-    _, simples = ambient_simple_roots(t)
-    den = lcm(*(x.denominator for a in simples for x in a))
-    scaled = [[int(x * den) for x in a] for a in simples]
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    rows = []
-    for a in scaled:
-        norm = dot(a, a)
-        row = []
-        for b in scaled:
-            c, rem = divmod(2 * dot(b, a), norm)
-            if rem:
-                raise InvalidType(f"non-integral Cartan pairing for {t}")
-            row.append(c)
-        rows.append(tuple(row))
+    The two roots of a bond have (alpha_i, alpha_j) = -l/2, l the larger of
+    their squared lengths, so the longer root's row holds -1 and the shorter
+    one's -l/l_i, the multiplicity of the bond."""
+    lengths, bonds = _diagram(t)
     n = t.rank
-    for i in range(n):
-        check(rows[i][i] == 2, "Cartan diagonal entry is not 2")
-        for j in range(n):
-            if i != j:
-                check(rows[i][j] in (0, -1, -2, -3),
-                      "Cartan entry off the diagonal is not 0, -1, -2 or -3")
-    return tuple(rows)
+    gram = [[lengths[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
+    if any(2 * x % norm for norm, row in zip(lengths, gram) for x in row):
+        raise InvalidType(f"non-integral Cartan pairing for {t}")
+    rows = tuple(tuple(2 * x // norm for x in row) for norm, row in zip(lengths, gram))
+    for i, row in enumerate(rows):
+        check(row[i] == 2, "Cartan diagonal entry is not 2")
+        check(all(c in (0, -1, -2, -3) for j, c in enumerate(row) if j != i),
+              "Cartan entry off the diagonal is not 0, -1, -2 or -3")
+    return rows
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ only the orbit numbers.  Each W-orbit of roots holds exactly one dominant
 root, read off the permutations and the root heights.  Orbits on ordered root
 pairs and on pairs of hyperplanes are counted through the stabilizers of the
 dominant roots and their hyperplanes, without forming any pairs.  The group
-order comes from an orbit-stabilizer chain on fundamental weights, in
-fundamental-weight coordinates; the full group is never enumerated.
+order is r! times the product of the coefficients of the highest root times
+the connection index |P/Q|; the group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
 multiplicity of each cyclotomic factor in the characteristic polynomial of a
 Coxeter element c, itself a permutation of the roots whose powers give the
@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd, prod
+from math import factorial, gcd, prod
 
+from .finabel import lattice_quotient
 from .rootdata import DynkinType, _unit, build_root_datum, check
 
 
@@ -244,40 +245,20 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def weyl_order(t: DynkinType) -> int:
-    """|W| by an orbit-stabilizer chain on fundamental weights.
+def weyl_order(t: DynkinType, connection_index: int | None = None) -> int:
+    """|W| = r! n_1 ... n_r f, the n_i the coefficients of the highest root
+    and f = det A = |P/Q| the connection index (Bourbaki VI 2.4, Prop. 7).
 
-    Stab_W(w_i) is the parabolic generated by the other simple reflections,
-    so |W| = |orbit(w_i)| * |W_{S - i}| recursively; orbits are small even
-    in rank 8.  In fundamental-weight coordinates omega_i is the unit vector
-    e_i and s_j(v) = v - v_j (column j of A).  The result is checked against
-    the product of the invariant degrees (Humphreys 3.9).
+    theta - beta >= 0 coefficientwise for every root beta, so the highest
+    root theta is the last of the sorted roots.  A caller that has the Smith
+    form of A passes the order of P/Q as `connection_index`; otherwise it is
+    read off one.  The result is checked against the product of the
+    invariant degrees (Humphreys 3.9).
     """
-    cartan = build_root_datum(t).cartan
-    columns = list(zip(*cartan))  # alpha_j in fundamental-weight coordinates
-
-    def order(active: frozenset) -> int:
-        if not active:
-            return 1
-        i = min(active)
-        start = _unit(t.rank, i)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for j in active:
-                    c = v[j]
-                    if c == 0:
-                        continue
-                    image = tuple(x - c * a for x, a in zip(v, columns[j]))
-                    if image not in orbit:
-                        orbit.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        return len(orbit) * order(active - {i})
-
-    w = order(frozenset(range(t.rank)))
+    rd = build_root_datum(t)
+    if connection_index is None:
+        connection_index = lattice_quotient(rd.cartan).group.order
+    w = factorial(t.rank) * prod(rd.roots[-1]) * connection_index
     degrees = invariant_degrees(t)
     check(w == prod(degrees), f"|W| = {w} is not the product of the degrees {list(degrees)}")
     return w

@@ -1,8 +1,10 @@
 """The benchmark contract: every workload runs, traced, and checks correct.
 
-Deleting a module or method that the tracer in `bench/layers.py` wraps, or
-changing an output the oracles in `bench/` read, fails here rather than
-only in a full benchmark run.  Each run writes only to `bench/out/`.
+Deleting a module that `bench/layers.py` lists, which the tracer imports,
+or changing an output the oracles in `bench/` read, fails here rather than
+only in a full benchmark run.  Deleting or renaming a function the tracer
+wraps does not: the tracer lists it as missing, reads it as 0 and goes on.
+Each run writes only to `bench/out/`.
 """
 
 import json

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bundleaut
-from bundleaut import cli, finabel, groupclass, weyl
+from bundleaut import cli, finabel, groupclass, rootdata, weyl
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -422,6 +422,24 @@ def test_cached_parser_leaks_no_state(capsys, monkeypatch):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_rational_arithmetic_is_imported():
+    # the package computes in integers only: importing the CLI and running
+    # rootdata, table and report load neither `fractions` nor `decimal`,
+    # which `fractions` imports
+    script = ("import contextlib, io, sys\n"
+              "from bundleaut import cli\n"
+              "def loaded(step):\n"
+              "    found = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+              "    assert not found, (step, found)\n"
+              "loaded('import')\n"
+              "for argv in (['rootdata', '--type', 'E8'], ['table'], ['report', '--group', 'E8']):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    loaded(argv)\n")
+    proc = run_process("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 # ---------------------------------------------------------------------------
 # the option table against the argparse parser it replaced
 
@@ -665,7 +683,9 @@ def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch):
      "the degrees [2, 3] of A2 from a Coxeter element are not [2, 4] from the root heights"),
     (f"weyl._root_permutations = lambda t: ({OFF_ORDER}, tuple(range(6)))",
      "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
-], ids=["orbit", "routes", "traces"])
+    ("weyl.invariant_degrees = lambda t: (2, 4)",
+     "|W| = 6 is not the product of the degrees [2, 4]"),
+], ids=["orbit", "routes", "traces", "order"])
 def test_degree_checks_exit_3_under_optimize(patch, message):
     script = ("import sys\n"
               "from bundleaut import cli, weyl\n"
@@ -677,8 +697,9 @@ def test_degree_checks_exit_3_under_optimize(patch, message):
 
 
 def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
-    # |W| comes from an orbit-stabilizer chain and is checked against the
-    # product of the invariant degrees, here made 8 instead of 6
+    # |W| = r! n_1 ... n_r f, from the highest root and the connection index,
+    # is checked against the product of the invariant degrees, here made 8
+    # instead of 6
     monkeypatch.setattr(weyl, "invariant_degrees", lambda t: (2, 4))
     weyl.weyl_order.cache_clear()
     try:
@@ -747,6 +768,63 @@ def test_pi1_duality_check_exits_3_under_optimize():
     proc = run_process("-O", "-c", script)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == f"internal consistency failure: {PI1_NOT_DUAL}\n"
+
+
+# Faults for the checks on the Cartan matrix, each a replacement for one
+# module attribute, given as source so that it runs in process and under
+# `python -O` alike: the module, the attribute, the new value, the command
+# and the message.  The diagram faults replace the bond table `_diagram`.
+CARTAN_FAULTS = {
+    # a bond from a node to itself overwrites (alpha_2, alpha_2) with -1
+    "diagonal": ("rootdata", "_diagram", "lambda t: ([2, 2], [(0, 1), (1, 1)])",
+                 ["rootdata", "--type", "A2"], "Cartan diagonal entry is not 2"),
+    # a bond between roots whose squared lengths differ fourfold gives -4
+    "off_diagonal": ("rootdata", "_diagram", "lambda t: ([2, 8], [(0, 1)])",
+                     ["rootdata", "--type", "A2"],
+                     "Cartan entry off the diagonal is not 0, -1, -2 or -3"),
+    # G2 without its bond is A1 x A1, with a valid Cartan matrix
+    "not_connected": ("rootdata", "_diagram", "lambda t: ([2, 6], [])",
+                      ["report", "--group", "G2"], "the Dynkin diagram is not connected"),
+    # 2 (alpha_1, alpha_2) / (alpha_2, alpha_2) = -8/20 is not an integer
+    "ambient_inexact": ("cli", "ambient_simple_roots",
+                        "lambda t: (3, ((2, -2, 0), (0, 2, -4)))",
+                        ["rootdata", "--type", "A2"],
+                        "the ambient simple roots of A2 do not give the Cartan matrix "
+                        "of its Dynkin diagram"),
+    # orthogonal simple roots: the divisions are exact, the matrix is A1 x A1
+    "ambient_other_matrix": ("cli", "ambient_simple_roots",
+                             "lambda t: (3, ((2, -2, 0), (0, 0, 2)))",
+                             ["rootdata", "--type", "A2"],
+                             "the ambient simple roots of A2 do not give the Cartan matrix "
+                             "of its Dynkin diagram"),
+}
+
+
+@pytest.mark.parametrize("fault", CARTAN_FAULTS)
+def test_cartan_checks_exit_3(capsys, monkeypatch, fault):
+    module, attr, value, argv, message = CARTAN_FAULTS[fault]
+    monkeypatch.setattr({"cli": cli, "rootdata": rootdata}[module], attr, eval(value))
+    caches = (rootdata.build_root_datum, type_lattices, enumerate_forms)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
+
+
+@pytest.mark.parametrize("fault", CARTAN_FAULTS)
+def test_cartan_checks_exit_3_under_optimize(fault):
+    module, attr, value, argv, message = CARTAN_FAULTS[fault]
+    script = ("import sys\n"
+              "from bundleaut import cli, rootdata\n"
+              f"{module}.{attr} = {value}\n"
+              f"sys.exit(cli.main({argv!r}))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal consistency failure: {message}\n"
 
 
 def test_color_toggle(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from bundleaut.rootdata import (
     admissible_types,
     ambient_simple_roots,
     build_root_datum,
+    cartan_matrix,
 )
 
 
@@ -39,15 +40,21 @@ def pair_with_simple_coroots(cartan, v):
     return [dot(row, v) for row in cartan]
 
 
+def ambient_simples(t):
+    """The printed ambient simple roots, as exact rationals: the package
+    holds them with every coordinate doubled."""
+    _, doubled = ambient_simple_roots(t)
+    return tuple(tuple(Fraction(x, 2) for x in a) for a in doubled)
+
+
 def ambient_image(t, v):
     """sum_j v_j alpha_j in the printed ambient coordinates."""
-    _, simples = ambient_simple_roots(t)
-    return tuple(dot(v, column) for column in zip(*simples))
+    return tuple(dot(v, column) for column in zip(*ambient_simples(t)))
 
 
 def coroot_coordinates(t, a):
     """a^vee = 2a/(a,a) in simple-coroot coordinates: a_j (alpha_j, alpha_j)/(a, a)."""
-    _, simples = ambient_simple_roots(t)
+    simples = ambient_simples(t)
     image = ambient_image(t, a)
     norm = dot(image, image)
     return tuple(x * dot(s, s) / norm for x, s in zip(a, simples))
@@ -109,7 +116,7 @@ def test_root_counts(name, count):
     t = DynkinType.parse(name)
     rd = build_root_datum(t)
     assert len(rd.roots) == count
-    ambient = closure_oracle(ambient_simple_roots(t)[1])
+    ambient = closure_oracle(ambient_simples(t))
     assert {ambient_image(t, a) for a in rd.roots} == ambient
 
 
@@ -166,6 +173,16 @@ def test_root_system_invariants(t):
         for j in range(r):
             assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == e * (i == j)
             assert sum(rd.cartan[k][j] * inv[i][k] for k in range(r)) == e * (i == j)
+
+
+@pytest.mark.parametrize("t", admissible_types(16))
+def test_diagram_cartan_matrix_is_that_of_the_ambient_roots(t):
+    # the Cartan matrix comes from the Dynkin diagram; the printed ambient
+    # roots must have it, 2 (a_j, a_i) / (a_i, a_i) in exact rationals, on
+    # the doubled integer roots, as the ratio ignores the scale
+    _, doubled = ambient_simple_roots(t)
+    assert cartan_matrix(t) == tuple(tuple(Fraction(2 * dot(b, a), dot(a, a)) for b in doubled)
+                                     for a in doubled)
 
 
 @pytest.mark.parametrize("name,planes", [

@@ -414,12 +414,55 @@ def test_degree_identities(t):
     assert degrees[-1] == len(rd.roots) // rd.rank
 
 
-@pytest.mark.parametrize("t", admissible_types(8))
+@pytest.mark.parametrize("t", admissible_types(16))
 def test_weyl_order_matches_degree_product(t):
     product = 1
     for d in invariant_degrees(t):
         product *= d
     assert weyl_order(t) == product
+
+
+def weyl_order_oracle(t):
+    """|W| by an orbit-stabilizer chain on fundamental weights, independent
+    of the highest root and of the connection index.
+
+    Stab_W(omega_i) is the parabolic generated by the other simple
+    reflections, so |W| = |orbit(omega_i)| |W_{S - i}| recursively.  In
+    fundamental-weight coordinates omega_i is the unit vector e_i and
+    s_j(v) = v - v_j (column j of A)."""
+    columns = list(zip(*build_root_datum(t).cartan))
+
+    def order(active):
+        if not active:
+            return 1
+        i = min(active)
+        start = tuple(1 if j == i else 0 for j in range(t.rank))
+        orbit, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for j in active:
+                    if v[j]:
+                        image = tuple(x - v[j] * a for x, a in zip(v, columns[j]))
+                        if image not in orbit:
+                            orbit.add(image)
+                            nxt.append(image)
+            frontier = nxt
+        return len(orbit) * order(active - {i})
+
+    return order(frozenset(range(t.rank)))
+
+
+@pytest.mark.parametrize("t", admissible_types(12))
+def test_weyl_order_against_orbit_stabilizer_oracle(t):
+    assert weyl_order(t) == weyl_order_oracle(t)
+
+
+def test_weyl_order_takes_the_connection_index_of_the_caller():
+    # rootdata passes |P/Q| from its own Smith form; without it weyl_order
+    # reads the index off one of its own, to the same |W|
+    t = DynkinType("E", 6)
+    assert weyl_order(t, 3) == weyl_order(t) == 51840
 
 
 def test_weyl_order_classical_values():
