@@ -395,10 +395,10 @@ def cmd_rootdata(args) -> int:
     degrees = weyl.invariant_degrees(t)
     # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
     # roots, which are the columns of A there
-    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group
+    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
     m, n = weyl.discriminant_orbit_counts(t)
     ordered = weyl.ordered_root_pair_orbit_count(t)
-    order = weyl.weyl_order(t, weight_quotient.order)
+    order = weyl.weyl_order(t)
     if args.format == "json":
         doc = {
             "schema": "bundleaut.rootdata/1",
@@ -411,7 +411,7 @@ def cmd_rootdata(args) -> int:
             "degrees": list(degrees),
             "coxeter_number": degrees[-1],
             "weyl_order": order,
-            "weight_quotient": weight_quotient.symbol(),
+            "weight_quotient": weight_quotient,
             "num_hyperplanes": len(rd.roots) // 2,
             "root_orbit_count": m,
             "hyperplane_pair_orbit_count": n,
@@ -432,7 +432,7 @@ def cmd_rootdata(args) -> int:
         print(f"  invariant degrees: {list(degrees)}   "
               f"(Coxeter number h = {degrees[-1]})")
         print(f"  |W| = {order}")
-        print(f"  P/Q = {weight_quotient.symbol()}")
+        print(f"  P/Q = {weight_quotient}")
         print(f"  orbit counts: roots m = {m}, distinct hyperplane pairs n = {n}, "
               f"ordered root pairs = {ordered}")
     return EXIT_OK

@@ -94,6 +94,10 @@ def _minus(u, v) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The ambient dimension and the simple roots of the usual realisation,
     each doubled, so that the halves of E and F are integers too."""
@@ -122,14 +126,12 @@ def has_cartan_matrix(simples, cartan) -> bool:
     """Whether the simple roots a_i have the Cartan matrix `cartan`:
     2 (a_j, a_i) = cartan[i][j] (a_i, a_i) with (a_i, a_i) > 0, so that every
     division 2 (a_j, a_i) / (a_i, a_i) is exact.  A common scale, such as the
-    doubling, cancels.  An ambient root has at most 8 nonzero coordinates."""
+    doubling, cancels."""
     if len(simples) != len(cartan):
         return False
     for a, row in zip(simples, cartan):
-        nonzero = [(k, x) for k, x in enumerate(a) if x]
-        norm = sum(x * a[k] for k, x in nonzero)
-        if norm <= 0 or any(2 * sum(x * b[k] for k, x in nonzero) != c * norm
-                            for b, c in zip(simples, row)):
+        norm = _dot(a, a)
+        if norm <= 0 or any(2 * _dot(b, a) != c * norm for b, c in zip(simples, row)):
             return False
     return True
 
@@ -160,8 +162,8 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     gram = [[lengths[i] if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in bonds:
         gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
-    if any(2 * x % norm for norm, row in zip(lengths, gram) for x in row):
-        raise InvalidType(f"non-integral Cartan pairing for {t}")
+    check(not any(2 * x % norm for norm, row in zip(lengths, gram) for x in row),
+          "Cartan entry is not an integer")
     rows = tuple(tuple(2 * x // norm for x in row) for norm, row in zip(lengths, gram))
     for i, row in enumerate(rows):
         check(row[i] == 2, "Cartan diagonal entry is not 2")

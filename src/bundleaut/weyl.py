@@ -9,7 +9,8 @@ root, read off the permutations and the root heights.  Orbits on ordered root
 pairs and on pairs of hyperplanes are counted through the stabilizers of the
 dominant roots and their hyperplanes, without forming any pairs.  The group
 order is r! times the product of the coefficients of the highest root times
-the connection index |P/Q|; the group is never enumerated.
+the connection index |P/Q|, one more than the number of those coefficients
+equal to 1; the group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
 multiplicity of each cyclotomic factor in the characteristic polynomial of a
 Coxeter element c, itself a permutation of the roots whose powers give the
@@ -25,7 +26,6 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from .finabel import lattice_quotient
 from .rootdata import DynkinType, _unit, build_root_datum, check
 
 
@@ -245,20 +245,18 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def weyl_order(t: DynkinType, connection_index: int | None = None) -> int:
+def weyl_order(t: DynkinType) -> int:
     """|W| = r! n_1 ... n_r f, the n_i the coefficients of the highest root
     and f = det A = |P/Q| the connection index (Bourbaki VI 2.4, Prop. 7).
 
     theta - beta >= 0 coefficientwise for every root beta, so the highest
-    root theta is the last of the sorted roots.  A caller that has the Smith
-    form of A passes the order of P/Q as `connection_index`; otherwise it is
-    read off one.  The result is checked against the product of the
-    invariant degrees (Humphreys 3.9).
+    root theta is the last of the sorted roots.  The fundamental coweights
+    omega_i^vee with n_i = 1 represent the nonzero classes of P^vee/Q^vee
+    (Bourbaki VI 2.3, Prop. 6, Cor.), so f = 1 + #{i : n_i = 1}.  The result
+    is checked against the product of the invariant degrees (Humphreys 3.9).
     """
-    rd = build_root_datum(t)
-    if connection_index is None:
-        connection_index = lattice_quotient(rd.cartan).group.order
-    w = factorial(t.rank) * prod(rd.roots[-1]) * connection_index
+    theta = build_root_datum(t).roots[-1]
+    w = factorial(t.rank) * prod(theta) * (1 + theta.count(1))
     degrees = invariant_degrees(t)
     check(w == prod(degrees), f"|W| = {w} is not the product of the degrees {list(degrees)}")
     return w

@@ -697,8 +697,8 @@ def test_degree_checks_exit_3_under_optimize(patch, message):
 
 
 def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
-    # |W| = r! n_1 ... n_r f, from the highest root and the connection index,
-    # is checked against the product of the invariant degrees, here made 8
+    # |W| = r! n_1 ... n_r f, from the highest root, whose coefficients 1
+    # also give the connection index f, is checked against the product of the invariant degrees, here made 8
     # instead of 6
     monkeypatch.setattr(weyl, "invariant_degrees", lambda t: (2, 4))
     weyl.weyl_order.cache_clear()
@@ -782,6 +782,9 @@ CARTAN_FAULTS = {
     "off_diagonal": ("rootdata", "_diagram", "lambda t: ([2, 8], [(0, 1)])",
                      ["rootdata", "--type", "A2"],
                      "Cartan entry off the diagonal is not 0, -1, -2 or -3"),
+    # a bond between roots of squared lengths 4 and 6 gives 2 (-3) / 4
+    "non_integral": ("rootdata", "_diagram", "lambda t: ([4, 6], [(0, 1)])",
+                     ["rootdata", "--type", "A2"], "Cartan entry is not an integer"),
     # G2 without its bond is A1 x A1, with a valid Cartan matrix
     "not_connected": ("rootdata", "_diagram", "lambda t: ([2, 6], [])",
                       ["report", "--group", "G2"], "the Dynkin diagram is not connected"),

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from bundleaut.finabel import lattice_quotient
 from bundleaut.groupclass import enumerate_forms
 from bundleaut.moduli import hitchin_report
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
@@ -458,11 +459,12 @@ def test_weyl_order_against_orbit_stabilizer_oracle(t):
     assert weyl_order(t) == weyl_order_oracle(t)
 
 
-def test_weyl_order_takes_the_connection_index_of_the_caller():
-    # rootdata passes |P/Q| from its own Smith form; without it weyl_order
-    # reads the index off one of its own, to the same |W|
-    t = DynkinType("E", 6)
-    assert weyl_order(t, 3) == weyl_order(t) == 51840
+@pytest.mark.parametrize("t", admissible_types(16))
+def test_connection_index_counts_the_highest_root_ones(t):
+    # weyl_order takes |P/Q| = 1 + #{i : n_i = 1}; here |P/Q| is read off a
+    # Smith form of the Cartan matrix instead
+    theta = build_root_datum(t).roots[-1]
+    assert 1 + theta.count(1) == lattice_quotient(build_root_datum(t).cartan).group.order
 
 
 def test_weyl_order_classical_values():
