@@ -13,6 +13,14 @@ group is its own subgroup in the ambient unit basis, a proper subgroup takes
 the Smith basis of its lattice quotient, and one span table (`_coordinates`)
 turns any such basis into coordinates.  Matrices are plain lists of lists
 of Python ints; there is no size limit beyond practicality.
+
+What depends only on an abstract group is built once per group and shared
+by every caller, whichever Dynkin type it serves: the subgroup list of a
+`FiniteAbelianGroup` (`enumerate_subgroups`), the `Subgroup` with a given
+ambient group and element set (`Subgroup.from_elements`), and the quotient
+by a subgroup (`Subgroup.quotient`).  A shared result ran its checks when
+it was built.  `scaled_solve` applies e A^-1 to a few vectors from the Smith
+form of A, so that no caller forms the whole inverse.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .rootdata import check
@@ -123,6 +132,31 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     return s, u, v, vinv
 
 
+def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """((x_1, ...), e) with A x_i = e w_i for the vectors w_i, from the Smith
+    form (S, U, V, V^-1) of a square matrix A, e = d_n its last invariant
+    factor.
+
+    U A V = S = diag(d_1, ..., d_n) with d_k | e gives x = e A^-1 w =
+    V diag(e / d_k) (U w): two matrix-vector products per vector, O(n^2),
+    in integers.  A zero d_k means A is singular.  The row and column
+    operations never turn an entry that is not an `int` into one, so such
+    an entry of A leaves one in S, which raises `TypeError`.
+    """
+    s, u, v, _ = smith
+    if not all(isinstance(x, int) for row in s for x in row):
+        raise TypeError("matrix entries must be integers")
+    d = [s[k][k] for k in range(len(s))]
+    if not all(d):
+        raise LatticeError("matrix is singular")
+    e = d[-1] if d else 1
+    solutions = []
+    for w in vectors:
+        uw = [e // dk * sum(a * b for a, b in zip(row, w)) for dk, row in zip(d, u)]
+        solutions.append(tuple(sum(a * b for a, b in zip(row, uw)) for row in v))
+    return tuple(solutions), e
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Z/l_1 x ... x Z/l_k with l_1 | l_2 | ... | l_k, every l_i >= 2.
@@ -218,6 +252,8 @@ class Subgroup:
     its own structure in the ambient unit basis, so its coordinates are the
     ambient ones; a proper subgroup takes the Smith basis of
     <generators, torsion> / torsion from `sublattice_quotient`.
+    `from_elements` shares one instance per ambient group and element set,
+    so nothing may change a subgroup once it is built.
     """
 
     def __init__(self, ambient: FiniteAbelianGroup, generators):
@@ -239,26 +275,23 @@ class Subgroup:
         self._coords = _coordinates(ambient, self.basis, self.structure.invariant_factors)
         check(len(self._coords) == self.structure.order and self._coords.keys() == self.elements,
               "subgroup coordinates do not match its elements")
+        self._quotient = None
 
     @classmethod
     def from_elements(cls, ambient: FiniteAbelianGroup, elements) -> "Subgroup":
-        elements = frozenset(ambient.reduce(e) for e in elements)
-        gens: list[tuple[int, ...]] = []
-        have = frozenset({ambient.zero()})
-        for e in sorted(elements):
-            if e not in have:
-                gens.append(e)
-                have = closure(ambient, gens)
-        sub = cls(ambient, gens)
-        check(sub.elements == elements, "generators do not span the given elements")
-        return sub
+        """The subgroup with the given elements, one shared instance per
+        ambient group and element set."""
+        return _shared_subgroup(ambient, frozenset(ambient.reduce(e) for e in elements))
 
     def quotient(self) -> FiniteAbelianGroup:
         """ambient / self, from one Smith form of the ambient's torsion
-        relations stacked on the generators."""
-        d = self.ambient.invariant_factors
-        s = smith_normal_form(_torsion_rows(d) + [list(g) for g in self.generators])[0]
-        return FiniteAbelianGroup(tuple(s[k][k] for k in range(len(d)) if s[k][k] > 1))
+        relations stacked on the generators, computed on the first call."""
+        if self._quotient is None:
+            d = self.ambient.invariant_factors
+            s = smith_normal_form(_torsion_rows(d) + [list(g) for g in self.generators])[0]
+            self._quotient = FiniteAbelianGroup(
+                tuple(s[k][k] for k in range(len(d)) if s[k][k] > 1))
+        return self._quotient
 
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
@@ -278,8 +311,24 @@ class Subgroup:
         return f"Subgroup({self.structure.symbol()} in {self.ambient.symbol()})"
 
 
-def enumerate_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, ordered by size then element lists.
+@lru_cache(maxsize=None)
+def _shared_subgroup(ambient: FiniteAbelianGroup, elements: frozenset) -> Subgroup:
+    """`Subgroup.from_elements`: generators picked greedily in sorted order."""
+    gens: list[tuple[int, ...]] = []
+    have = frozenset({ambient.zero()})
+    for e in sorted(elements):
+        if e not in have:
+            gens.append(e)
+            have = closure(ambient, gens)
+    sub = Subgroup(ambient, gens)
+    check(sub.elements == elements, "generators do not span the given elements")
+    return sub
+
+
+@lru_cache(maxsize=None)
+def enumerate_subgroups(g: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup exactly once, ordered by size then element lists,
+    built once per group.
 
     With k invariant factors every subgroup is generated by k elements, so
     the subgroups are the closures of the k-element multisets."""
@@ -287,7 +336,7 @@ def enumerate_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
     found = {closure(g, gens)
              for gens in itertools.combinations_with_replacement(g.elements(), k)}
     ordered = sorted(found, key=lambda e: (len(e), tuple(sorted(e))))
-    return [Subgroup.from_elements(g, elems) for elems in ordered]
+    return tuple(Subgroup.from_elements(g, elems) for elems in ordered)
 
 
 class LatticeQuotient:

@@ -6,25 +6,27 @@ P^vee/Q^vee, its character group with P/Q; both are computed as lattice
 quotients of the integer Cartan matrix A, never tabulated.  In
 fundamental-weight coordinates Q is spanned by the columns of A, in
 fundamental-coweight coordinates Q^vee by its rows, and one Smith form
-U A V = S gives both quotients and the perfect pairing between them, read
-off the integer matrix e A^-1 = V diag(e/d_k) U (e = d_r) once per type as
-the pairings of their generators.  Outer automorphisms are the
+U A V = S gives both quotients and the perfect pairing between them: for
+each of the at most two generator lifts w of P/Q, e A^-1 w = V diag(e/d_k)
+(U w) (e = d_r, `finabel.scaled_solve`) is paired with the lifts of
+P^vee/Q^vee, once per type.  Outer automorphisms are the
 Cartan-matrix-preserving node permutations, which permute the weight and
 coweight coordinates directly, and everything downstream (Out(G), actions
 on pi_1 and on the character group, stabilizers of a component label) is
 derived from those permutations acting on lattice classes.
 
-Two caches hold all of it: `type_lattices` per Dynkin type, and
+Two caches hold what depends on the Dynkin type: `type_lattices`, and
 `enumerate_forms`, the only constructor of `GroupForm`, whose records carry
-each form's invariants, computed and cross-checked once per form.  One
-function, `_names`, gives a form its display name and the spec tokens that
-select it ('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name`
-looks a token up among the records.  Subgroups and their coordinates come
-from `finabel` as built (a whole group is already in its unit basis).
-pi_1(G) = mu is cross-checked by duality: the pairing is perfect, so
-(P/Q)/mu^perp, with mu^perp = Hom(Z(G), G_m) found through the pairing,
-must have the invariant factors of mu (`Subgroup.quotient`, one Smith form
-of at most two columns).
+each form's invariants, computed and cross-checked once per form.  What
+depends only on the abstract centre, its subgroups, their coordinates and
+quotients, comes from `finabel` as built, shared by the types with the same
+centre (a whole group is already in its unit basis).  One function,
+`_names`, gives a form its display name and the spec tokens that select it
+('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name` looks a
+token up among the records.  pi_1(G) = mu is cross-checked by duality: the
+pairing is perfect, so (P/Q)/mu^perp, with mu^perp = Hom(Z(G), G_m) found
+through the pairing, must have the invariant factors of mu
+(`Subgroup.quotient`, one Smith form of at most two columns per subgroup).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .finabel import (
     LatticeQuotient,
     Subgroup,
     enumerate_subgroups,
+    scaled_solve,
     smith_normal_form,
 )
-from .linalg import scaled_inverse
 from .rootdata import DynkinType, _unit, cartan_matrix, check
 
 
@@ -184,9 +186,7 @@ def type_lattices(t: DynkinType) -> TypeLattices:
         chars = chars.with_basis(lifts)
         center = center.with_basis(lifts)
     # <omega_i, omega_j^vee> = A^-1[j][i], so <w, z> = z^T A^-1 w
-    inverse, e = scaled_inverse(smith)
-    images = [[sum(x * y for x, y in zip(row, w)) for row in inverse]
-              for w in chars.generator_lifts]
+    images, e = scaled_solve(smith, chars.generator_lifts)
     pairings = tuple(tuple(sum(x * y for x, y in zip(z, nw)) % e
                            for z in center.generator_lifts) for nw in images)
     outs = tuple(OutElement(name=_cycle_name(perm), node_permutation=perm)

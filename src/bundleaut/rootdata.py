@@ -190,8 +190,13 @@ class RootDatum:
 def build_root_datum(t: DynkinType) -> RootDatum:
     """The Cartan matrix and the roots, the closure of the simple roots
     under the simple reflections, with the index of every s_i image that
-    the closure computes."""
+    the closure computes.
+
+    |Phi| = r h with h <= 2r for the classical types and h <= 30 for the
+    exceptional ones, so a closure past 2r^2 + 240 roots is a check failure:
+    a wrong Cartan matrix, whose real roots may be infinite, stops there."""
     cartan = cartan_matrix(t)
+    bound = 2 * t.rank ** 2 + 240
     found = [_unit(t.rank, i) for i in range(t.rank)]
     index = {root: k for k, root in enumerate(found)}
     images: list[list[int]] = [[] for _ in range(t.rank)]
@@ -207,6 +212,9 @@ def build_root_datum(t: DynkinType) -> RootDatum:
             j = index.get(image)
             if j is None:
                 j = index[image] = len(found)
+                if j == bound:  # one comparison per new root; the message only on failure
+                    check(False, f"the root closure of {t.name} holds more than "
+                                 f"2r^2 + 240 = {bound} roots")
                 found.append(image)
             images[i].append(j)
     order = sorted(range(len(found)), key=found.__getitem__)

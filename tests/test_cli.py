@@ -23,7 +23,7 @@ from bundleaut.cli import (
     parse_group_spec,
     parse_profile,
 )
-from bundleaut.groupclass import enumerate_forms, form_by_name, type_lattices
+from bundleaut.groupclass import enumerate_forms, form_by_name
 from bundleaut.moduli import classification_table, table_types
 from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 
@@ -333,14 +333,14 @@ def test_usage_error_exit_code(capsys):
     assert "nonsense" in err
 
 
-def run_process(*args, stdout=subprocess.PIPE):
+def run_process(*args, stdout=subprocess.PIPE, timeout=60):
     """Run `python <args>` with the package on the path, so an uncaught
     exception would reach stderr."""
     src = str(Path(bundleaut.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+        text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.mark.parametrize("spec", ["SL4/mu0", "SL4mu0", "A3:mu0"])
@@ -632,16 +632,12 @@ NILPOTENT = (4, 5, 0, 1, 2, 3)  # tr(c) = tr(c^2) = 0 and tr(c^3) = 2 leave x^3 
 
 def degrees_exit(capsys, monkeypatch, name, patch):
     """Exit code, stdout and stderr of `rootdata --type A2` with one weyl
-    helper patched, the degree cache cleared before and after."""
+    helper patched; the callers request `fresh_caches`."""
     monkeypatch.setattr(weyl, name, patch)
-    weyl.invariant_degrees.cache_clear()
-    try:
-        return run(capsys, "rootdata", "--type", "A2")
-    finally:
-        weyl.invariant_degrees.cache_clear()
+    return run(capsys, "rootdata", "--type", "A2")
 
 
-def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch):
+def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch, fresh_caches):
     # h is read off the orbits of c on the roots, and every orbit must have
     # length |Phi|/r, so a broken Coxeter element fails a check in main
     code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
@@ -657,14 +653,14 @@ def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch):
     (NILPOTENT, "the traces of a Coxeter element of A2 give x^3 - 1 the multiplicity 2/3, "
                 "not an integer"),
 ], ids=["off_order", "nilpotent"])
-def test_coxeter_traces_off_a_weyl_group_exit_3(capsys, monkeypatch, c, message):
+def test_coxeter_traces_off_a_weyl_group_exit_3(capsys, monkeypatch, fresh_caches, c, message):
     # orbits of length h, but traces no Coxeter element of A2 has
     code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
                                   lambda t: (c, tuple(range(6))))
     assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
 
 
-def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch):
+def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch, fresh_caches):
     # one extra root of height 3 moves the dual partition of the height
     # counts off the degrees from the Coxeter element
     heights = weyl._heights
@@ -696,48 +692,36 @@ def test_degree_checks_exit_3_under_optimize(patch, message):
     assert proc.stderr == f"internal consistency failure: {message}\n"
 
 
-def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch):
+def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch, fresh_caches):
     # |W| = r! n_1 ... n_r f, from the highest root, whose coefficients 1
     # also give the connection index f, is checked against the product of the invariant degrees, here made 8
     # instead of 6
     monkeypatch.setattr(weyl, "invariant_degrees", lambda t: (2, 4))
-    weyl.weyl_order.cache_clear()
-    try:
-        code, out, err = run(capsys, "rootdata", "--type", "A2")
-    finally:
-        weyl.weyl_order.cache_clear()
+    code, out, err = run(capsys, "rootdata", "--type", "A2")
     assert code == 3
     assert out == ""
     assert err == ("internal consistency failure: "
                    "|W| = 6 is not the product of the degrees [2, 4]\n")
 
 
-def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch):
+def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch, fresh_caches):
     # without s_3 the reflections of B3 split the roots into 5 orbits, and
     # the orbit count is checked against the dominant roots; the degrees,
     # whose Coxeter element would fail first, are cached before the patch
     weyl.invariant_degrees(DynkinType("B", 3))
     permutations = weyl._root_permutations
     monkeypatch.setattr(weyl, "_root_permutations", lambda t: permutations(t)[:-1])
-    weyl.discriminant_orbit_counts.cache_clear()
-    try:
-        code, out, err = run(capsys, "rootdata", "--type", "B3")
-    finally:
-        weyl.discriminant_orbit_counts.cache_clear()
+    code, out, err = run(capsys, "rootdata", "--type", "B3")
     assert code == 3
     assert out == ""
     assert err == ("internal consistency failure: 5 W-orbits of roots do not "
                    "hold one each of the 3 dominant roots\n")
 
 
-def test_non_invertible_actor_exits_3(capsys, monkeypatch):
+def test_non_invertible_actor_exits_3(capsys, monkeypatch, fresh_caches):
     # an actor that collapses the group fails a check inside main
     monkeypatch.setattr(finabel.AbelianAction, "apply", lambda self, name, x: self.group.zero())
-    enumerate_forms.cache_clear()
-    try:
-        code, out, err = run(capsys, "report", "--group", "D4:adjoint")
-    finally:
-        enumerate_forms.cache_clear()
+    code, out, err = run(capsys, "report", "--group", "D4:adjoint")
     assert code == 3
     assert out == ""
     assert err == "internal consistency failure: actor 'e' is not invertible\n"
@@ -748,15 +732,9 @@ def test_non_invertible_actor_exits_3(capsys, monkeypatch):
 PI1_NOT_DUAL = "pi_1(PSL_3) = Z/3Z is not (P/Q)/Hom(Z(G), G_m) = {0}, its dual"
 
 
-def test_pairing_off_the_pi1_duality_exits_3(capsys, monkeypatch):
+def test_pairing_off_the_pi1_duality_exits_3(capsys, monkeypatch, fresh_caches):
     monkeypatch.setattr(groupclass, "pairing", lambda *args: 0)
-    enumerate_forms.cache_clear()
-    type_lattices.cache_clear()
-    try:
-        code, out, err = run(capsys, "report", "--group", "A2:adjoint")
-    finally:
-        enumerate_forms.cache_clear()
-        type_lattices.cache_clear()
+    code, out, err = run(capsys, "report", "--group", "A2:adjoint")
     assert (code, out, err) == (3, "", f"internal consistency failure: {PI1_NOT_DUAL}\n")
 
 
@@ -804,17 +782,10 @@ CARTAN_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", CARTAN_FAULTS)
-def test_cartan_checks_exit_3(capsys, monkeypatch, fault):
+def test_cartan_checks_exit_3(capsys, monkeypatch, fresh_caches, fault):
     module, attr, value, argv, message = CARTAN_FAULTS[fault]
     monkeypatch.setattr({"cli": cli, "rootdata": rootdata}[module], attr, eval(value))
-    caches = (rootdata.build_root_datum, type_lattices, enumerate_forms)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        code, out, err = run(capsys, *argv)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
 
 
@@ -837,3 +808,24 @@ def test_color_toggle(capsys, monkeypatch):
     monkeypatch.delenv("BUNDLEAUT_COLOR")
     _, plain, _ = run(capsys, "rootdata", "--type", "A1")
     assert "\x1b[" not in plain
+
+
+# ((2, -3), (-3, 2)) is a generalized Cartan matrix of hyperbolic type: the
+# closure of its simple roots under the reflections never ends
+ROOT_CLOSURE_PAST_BOUND = ("the root closure of A2 holds more than "
+                           "2r^2 + 240 = 248 roots")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_root_closure_past_its_bound_exits_3(flags):
+    # the child limits its own address space, so that a closure without the
+    # bound fails here with a MemoryError or the timeout instead of filling
+    # the machine's memory
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from bundleaut import cli, rootdata\n"
+              "rootdata.cartan_matrix = lambda t: ((2, -3), (-3, 2))\n"
+              "sys.exit(cli.main(['rootdata', '--type', 'A2']))\n")
+    proc = run_process(*flags, "-c", script, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal consistency failure: {ROOT_CLOSURE_PAST_BOUND}\n"

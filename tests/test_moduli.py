@@ -1,9 +1,11 @@
 """Presentations, table rows, Hitchin numerology, the delta calculator."""
 
 import random
+import sys
 
 import pytest
 
+from bundleaut import finabel
 from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name
 from bundleaut.moduli import (
     GenusOutOfRange,
@@ -249,3 +251,31 @@ def test_presentation_constant_on_classes():
             for cls in gf.delta_classes:
                 rendered = {aut_presentation(gf, d, 4).render() for d in cls}
                 assert len(rendered) == 1
+
+
+def test_cold_table_builds_each_group_result_once(monkeypatch, fresh_caches):
+    # counted, not timed: the 30 types of rank <= 8 have 9 distinct centres,
+    # whose 25 subgroups are built once each, and 5 SO subgroups of type D;
+    # a Smith form per type, two per proper subgroup and one quotient per
+    # subgroup
+    counts = {"Subgroup": 0, "smith_normal_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(finabel.Subgroup, "__init__",
+                        counted("Subgroup", finabel.Subgroup.__init__))
+    smith = finabel.smith_normal_form
+    wrapper = counted("smith_normal_form", smith)
+    for name, module in list(sys.modules.items()):
+        if name == "bundleaut" or name.startswith("bundleaut."):
+            for attr, value in list(vars(module).items()):
+                if value is smith:
+                    monkeypatch.setattr(module, attr, wrapper)
+    classification_table(4, 8)
+    assert counts["Subgroup"] <= 30
+    assert counts["smith_normal_form"] <= 97
+    assert finabel.enumerate_subgroups.cache_info().misses == 9

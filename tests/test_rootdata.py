@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bundleaut.finabel import lattice_quotient, smith_normal_form
+from bundleaut.finabel import lattice_quotient, scaled_solve, smith_normal_form
 from bundleaut.groupclass import type_lattices
-from bundleaut.linalg import scaled_inverse
 from bundleaut.rootdata import (
     DynkinType,
     InvalidType,
@@ -166,9 +165,11 @@ def test_root_system_invariants(t):
     # weights and coweights are dual to the simple (co)roots: with
     # <omega_i, omega_k^vee> = inv[k][i] / e, alpha_j^vee = sum_k A[j][k] omega_k^vee
     # and alpha_j = sum_k A[k][j] omega_k
-    inv, e = scaled_inverse(smith_normal_form(rd.cartan))
-    assert e == type_lattices(t).exponent
     r = rd.rank
+    # column i of N = e A^-1 is e A^-1 e_i
+    columns, e = scaled_solve(smith_normal_form(rd.cartan), [unit(r, i) for i in range(r)])
+    inv = [list(row) for row in zip(*columns)]
+    assert e == type_lattices(t).exponent
     for i in range(r):
         for j in range(r):
             assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == e * (i == j)
