@@ -32,6 +32,8 @@ from .groupclass import GroupForm, InvalidDegree
 from .moduli import GenusOutOfRange, InconsistentProfile
 from .rootdata import (
     DEFAULT_MAX_RANK,
+    MAX_RANK,
+    MAX_TABLE_RANK,
     ConsistencyError,
     DynkinType,
     InvalidType,
@@ -66,23 +68,39 @@ _MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": 
                   "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
 
 
+def _supported(t: DynkinType) -> DynkinType:
+    """t, if `rootdata` and `report` take its rank; checked before anything
+    is built for it."""
+    if t.rank > MAX_RANK:
+        raise InvalidType(f"type {t.name} is outside the supported ranks 1 to {MAX_RANK}")
+    return t
+
+
+def _number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than `int` reads from text
+        raise InvalidType(f"a number of {len(digits)} digits; the supported ranks "
+                          f"are 1 to {MAX_RANK}") from None
+
+
 def _type_and_token(spec: str) -> tuple[DynkinType, str]:
     """The Dynkin type and form token a group spec names; whether the type
     has that form is `groupclass.form_by_name`'s to decide."""
     text = spec.strip().lower().replace("_", "").replace(" ", "")
     m = _TYPED.match(text)
     if m:
-        return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3) or "sc"
+        return DynkinType(m.group(1).upper(), _number(m.group(2))), m.group(3) or "sc"
     m = _EXCEPTIONAL.match(text)
     if m:
         return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3)
     m = _SL_MU.match(text)
     if m:
-        return DynkinType("A", int(m.group(1)) - 1), f"mu{int(m.group(2))}"
+        return DynkinType("A", _number(m.group(1)) - 1), f"mu{_number(m.group(2))}"
     m = _MATRIX.match(text)
     if not m:
         raise UsageError(f"cannot parse group spec {spec!r}")
-    name, size = m.group(1), int(m.group(2))
+    name, size = m.group(1), _number(m.group(2))
     if name in ("sl", "psl"):
         return DynkinType("A", size - 1), _MATRIX_TOKENS[name]
     if size % 2 == 0:
@@ -99,6 +117,7 @@ def parse_group_spec(spec: str) -> GroupForm:
     SemiSpin12, E6_sc, E8_ad."""
     try:
         t, form = _type_and_token(spec)
+        _supported(t)
     except InvalidType as exc:
         raise UsageError(f"group spec {spec!r}: {exc}") from exc
     try:
@@ -328,6 +347,9 @@ def cmd_table(args) -> int:
     if args.max_rank < 2:
         # A_1 = SL_2, the smallest type, needs a bound of 2
         raise UsageError(f"--max-rank must be at least 2, got {args.max_rank}")
+    if args.max_rank > MAX_TABLE_RANK:
+        raise UsageError(f"--max-rank {args.max_rank} is outside the supported range "
+                         f"2 to {MAX_TABLE_RANK}")
     rows = moduli.classification_table(args.genus, args.max_rank)
     if args.format == "json":
         doc = {
@@ -386,7 +408,7 @@ def _halved(x: int) -> str:
 
 
 def cmd_rootdata(args) -> int:
-    t = DynkinType.parse(args.type)  # InvalidType is a usage error in `main`
+    t = _supported(DynkinType.parse(args.type))  # InvalidType is a usage error in `main`
     rd = build_root_datum(t)
     ambient_dim, doubled = ambient_simple_roots(t)
     check(has_cartan_matrix(doubled, rd.cartan),

@@ -25,7 +25,6 @@ form of A, so that no caller forms the whole inverse.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -251,7 +250,8 @@ class Subgroup:
     sum(c_i * basis_i) with c the `to_coords` image.  The whole group is
     its own structure in the ambient unit basis, so its coordinates are the
     ambient ones; a proper subgroup takes the Smith basis of
-    <generators, torsion> / torsion from `sublattice_quotient`.
+    <generators, torsion> / torsion from `sublattice_quotient`, and the
+    quotient ambient / self from the diagonal of the same Smith form.
     `from_elements` shares one instance per ambient group and element set,
     so nothing may change a subgroup once it is built.
     """
@@ -265,17 +265,22 @@ class Subgroup:
         if len(self.elements) == ambient.order:
             self.structure = ambient
             self.basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+            self._quotient = FiniteAbelianGroup(())
         else:
             torsion = _torsion_rows(d)
-            quotient, lattice = sublattice_quotient(
-                [list(g) for g in self.generators] + torsion, torsion)
+            rows = [list(g) for g in self.generators] + torsion
+            smith = smith_normal_form(rows)
+            quotient, lattice = sublattice_quotient(rows, torsion, smith)
             self.structure = quotient.group
             self.basis = tuple(_combination(ambient, lift, lattice)
                                for lift in quotient.generator_lifts)
+            # ambient/self = Z^r / <generators, torsion>, whose invariant
+            # factors are the diagonal of that Smith form
+            self._quotient = FiniteAbelianGroup(
+                tuple(smith[0][k][k] for k in range(r) if smith[0][k][k] > 1))
         self._coords = _coordinates(ambient, self.basis, self.structure.invariant_factors)
         check(len(self._coords) == self.structure.order and self._coords.keys() == self.elements,
               "subgroup coordinates do not match its elements")
-        self._quotient = None
 
     @classmethod
     def from_elements(cls, ambient: FiniteAbelianGroup, elements) -> "Subgroup":
@@ -284,13 +289,8 @@ class Subgroup:
         return _shared_subgroup(ambient, frozenset(ambient.reduce(e) for e in elements))
 
     def quotient(self) -> FiniteAbelianGroup:
-        """ambient / self, from one Smith form of the ambient's torsion
-        relations stacked on the generators, computed on the first call."""
-        if self._quotient is None:
-            d = self.ambient.invariant_factors
-            s = smith_normal_form(_torsion_rows(d) + [list(g) for g in self.generators])[0]
-            self._quotient = FiniteAbelianGroup(
-                tuple(s[k][k] for k in range(len(d)) if s[k][k] > 1))
+        """ambient / self: trivial for the whole group, and otherwise read off
+        the Smith form that built the subgroup's coordinates."""
         return self._quotient
 
     def to_coords(self, element) -> tuple[int, ...]:
@@ -402,9 +402,10 @@ class LatticeQuotient:
         table = _coordinates(self.group, [self.project(l) for l in lifts], fs)
         if len(table) != self.group.order:
             raise LatticeError("lifts do not generate independent classes")
-        other = copy.copy(self)
-        other._matrix = tuple(table[row] for row in self._matrix)
+        other = LatticeQuotient.__new__(LatticeQuotient)
+        other.rank, other.group = self.rank, self.group
         other.generator_lifts = tuple(tuple(l) for l in lifts)
+        other._matrix = tuple(table[row] for row in self._matrix)
         return other
 
 
@@ -412,14 +413,15 @@ def lattice_quotient(relations) -> LatticeQuotient:
     return LatticeQuotient(relations)
 
 
-def sublattice_quotient(rows, sub_rows) -> tuple[LatticeQuotient, IntMatrix]:
+def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, IntMatrix]:
     """L/M for the row lattices L of `rows` and M of `sub_rows`, both of
     full rank r with M inside L, returned with the basis of L in whose
-    coordinates the quotient is taken.
+    coordinates the quotient is taken.  A caller holding the Smith form of
+    `rows` passes it as `smith`.
 
     The basis is diag(s) V^-1 for the Smith form U L V = S: a vector x of L
     has coordinates (x V)_k / s_k in it."""
-    s, _, v, vinv = smith_normal_form(rows)
+    s, _, v, vinv = smith or smith_normal_form(rows)
     r = len(v)
     diag = [s[i][i] if i < len(s) else 0 for i in range(r)]
     if 0 in diag:

@@ -3,10 +3,13 @@
 A root datum is its Cartan matrix A, with cartan[i][j] = <alpha_j, alpha_i^vee>,
 and its roots as int tuples in simple-root coordinates.  In these
 coordinates the simple reflection is s_i(v) = v - (sum_j A[i][j] v_j) e_i,
-with no coroot division, and the roots are the closure of the unit vectors
-under it.  Weights and coweights are taken in fundamental-(co)weight
-coordinates, in which the simple roots are the columns of A and the simple
-coroots its rows (Bourbaki, Lie Groups and Lie Algebras VI 1.9-1.10).
+with no coroot division.  The positive roots are the closure of the unit
+vectors under it, leaving out s_i(alpha_i) = -alpha_i, and the negative
+roots and the reflections' action on them follow by the symmetry
+s_i(-beta) = -s_i(beta).  Weights and coweights are taken in
+fundamental-(co)weight coordinates, in which the simple roots are the
+columns of A and the simple coroots its rows (Bourbaki, Lie Groups and Lie
+Algebras VI 1.9-1.10).
 
 The Cartan matrix is read off the Dynkin diagram, its bonds and the squared
 lengths of the simple roots, in integers.  `bundleaut rootdata` also prints
@@ -18,14 +21,20 @@ of R^8 and G_2 the sum-zero plane of R^3.
 
 The package's cross-check helper `check` lives here too, beside `InvalidType`:
 every command loads this module, so the helper adds no module to import.
+So do the rank ceilings of the command line, `MAX_RANK` and `MAX_TABLE_RANK`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 DEFAULT_MAX_RANK = 8
+# the ranks the command line takes: `rootdata` and `report` up to MAX_RANK,
+# `table --max-rank` up to MAX_TABLE_RANK, each about 1 s in a fresh process
+MAX_RANK = 80
+MAX_TABLE_RANK = 50
 
 _FAMILIES = "ABCDEFG"
 
@@ -77,7 +86,12 @@ class DynkinType:
         s = text.strip().replace("_", "").replace(" ", "")
         if len(s) < 2 or s[0].upper() not in _FAMILIES or not s[1:].isdecimal():
             raise InvalidType(f"cannot parse Dynkin type from {text!r}")
-        return cls(s[0].upper(), int(s[1:]))
+        try:
+            rank = int(s[1:])
+        except ValueError:  # more digits than `int` reads from text
+            raise InvalidType(f"the rank of {s[0].upper()} has {len(s) - 1} digits; "
+                              f"the supported ranks are 1 to {MAX_RANK}") from None
+        return cls(s[0].upper(), rank)
 
     def __str__(self) -> str:
         return self.name
@@ -188,25 +202,38 @@ class RootDatum:
 
 @lru_cache(maxsize=None)
 def build_root_datum(t: DynkinType) -> RootDatum:
-    """The Cartan matrix and the roots, the closure of the simple roots
-    under the simple reflections, with the index of every s_i image that
-    the closure computes.
+    """The Cartan matrix and the roots, with the permutation of the root
+    indices that each simple reflection induces, built from the positive
+    roots.
+
+    s_i permutes the positive roots other than alpha_i and sends alpha_i to
+    -alpha_i (Humphreys, Reflection Groups and Coxeter Groups 1.4), so the
+    closure runs on the positive half.  Each positive root beta carries its
+    nonzero pairings p_j = <beta, alpha_j^vee>: s_i fixes beta where p_i = 0,
+    and otherwise s_i(beta) = beta - p_i alpha_i has the pairings
+    p - p_i (column i of A).  Roots sort with the negatives first, -beta in
+    the reverse order of beta, and s_i(-beta) = -s_i(beta), so each table
+    starts as the identity and takes the moves of the positive roots and of
+    their negatives.  Every entry is taken from one list of index ints, so
+    the tables hold no more int objects than there are roots.
 
     |Phi| = r h with h <= 2r for the classical types and h <= 30 for the
-    exceptional ones, so a closure past 2r^2 + 240 roots is a check failure:
-    a wrong Cartan matrix, whose real roots may be infinite, stops there."""
+    exceptional ones, so a closure past r^2 + 120 positive roots, that is
+    2r^2 + 240 roots, is a check failure: a wrong Cartan matrix, whose real
+    roots may be infinite, stops there."""
     cartan = cartan_matrix(t)
-    bound = 2 * t.rank ** 2 + 240
-    found = [_unit(t.rank, i) for i in range(t.rank)]
+    r = t.rank
+    bound = r ** 2 + 120
+    # the nonzero entries of each column of A, and of each pairing vector
+    columns = [{j: a for j, a in enumerate(column) if a} for column in zip(*cartan)]
+    found = [_unit(r, i) for i in range(r)]
+    pairings = columns[:]  # the pairings of alpha_i are column i of A
     index = {root: k for k, root in enumerate(found)}
-    images: list[list[int]] = [[] for _ in range(t.rank)]
-    # <v, alpha_i^vee> over the nonzero entries of row i only
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(r)]  # s_i: found[k] -> found[j]
     for k, root in enumerate(found):  # the list grows as it is walked
-        for i, row in enumerate(rows):
-            c = sum(a * root[j] for j, a in row)
-            if c == 0:
-                images[i].append(k)
+        p = pairings[k]
+        for i, c in p.items():
+            if k == i:  # s_i(alpha_i) = -alpha_i is set below
                 continue
             image = root[:i] + (root[i] - c,) + root[i + 1:]
             j = index.get(image)
@@ -214,17 +241,36 @@ def build_root_datum(t: DynkinType) -> RootDatum:
                 j = index[image] = len(found)
                 if j == bound:  # one comparison per new root; the message only on failure
                     check(False, f"the root closure of {t.name} holds more than "
-                                 f"2r^2 + 240 = {bound} roots")
+                                 f"2r^2 + 240 = {2 * bound} roots")
                 found.append(image)
-            images[i].append(j)
-    order = sorted(range(len(found)), key=found.__getitem__)
-    position = [0] * len(found)
-    for new, old in enumerate(order):
-        position[old] = new
+                moved = dict(p)
+                for m, a in columns[i].items():
+                    x = moved.get(m, 0) - c * a
+                    if x:
+                        moved[m] = x
+                    else:
+                        del moved[m]
+                pairings.append(moved)
+            moves[i].append((k, j))
+    half = len(found)
+    order = sorted(range(half), key=found.__getitem__)
+    ints = list(range(2 * half))
+    up = [0] * half  # the index of found[k] among the sorted roots
+    down = [0] * half  # the index of -found[k]
+    for q, k in enumerate(order):
+        up[k], down[k] = ints[half + q], ints[half - 1 - q]
+    reflections = []
+    for i, pairs in enumerate(moves):
+        table = ints[:]
+        for k, j in pairs:
+            table[up[k]], table[down[k]] = up[j], down[j]
+        table[up[i]], table[down[i]] = down[i], up[i]
+        reflections.append(tuple(table))
     return RootDatum(
-        dynkin=t, cartan=cartan, roots=tuple(found[old] for old in order),
-        reflections=tuple(tuple(position[image[old]] for old in order)
-                          for image in images))
+        dynkin=t, cartan=cartan,
+        roots=tuple(tuple(map(neg, found[k])) for k in reversed(order))
+        + tuple(found[k] for k in order),
+        reflections=tuple(reflections))
 
 
 def admissible_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:

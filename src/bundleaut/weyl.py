@@ -22,7 +22,6 @@ each height (3.20).
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, prod
 
@@ -195,8 +194,11 @@ def _coxeter_cyclotomics(t: DynkinType) -> tuple[int, dict[int, int]]:
     for p in reversed(_root_permutations(t)):
         c = [p[k] for k in c]
     h = n_roots // r
-    label, _ = _orbits(n_roots, [c])
-    lengths = sorted(Counter(label).values())
+    label, firsts = _orbits(n_roots, [c])
+    lengths = [0] * len(firsts)
+    for x in label:
+        lengths[x] += 1
+    lengths.sort()
     check(lengths == [h] * r, f"a Coxeter element of {t} has orbits of lengths "
           f"{lengths} on the roots, not {r} of length |Phi|/r = {h}")
     index = {root: k for k, root in enumerate(roots)}
@@ -237,7 +239,11 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
                  for j in range(1, d + 1) if gcd(j, d) == 1]
     check(len(exponents) == t.rank, f"{len(exponents)} exponents for rank {t.rank}")
     degrees = tuple(sorted(e + 1 for e in exponents))
-    counts = Counter(k for k in _heights(t) if k > 0).values()
+    height = _heights(t)
+    counts = [0] * (max(height) + 1)  # the number of positive roots of each height
+    for k in height:
+        if k > 0:
+            counts[k] += 1
     by_height = tuple(sorted(1 + sum(n >= j for n in counts) for j in range(1, t.rank + 1)))
     check(degrees == by_height, f"the degrees {list(degrees)} of {t} from a Coxeter "
           f"element are not {list(by_height)} from the root heights")

@@ -245,6 +245,40 @@ def test_table_max_rank_below_2_is_a_usage_error(capsys, rank):
     assert err == f"error: --max-rank must be at least 2, got {rank}\n"
 
 
+TOO_LONG = "9" * 5000  # more digits than `int` reads from text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rootdata", "--type", "A81"], "type A81 is outside the supported ranks 1 to 80"),
+    (["rootdata", "--type", "A99999999999999999999"],
+     "type A99999999999999999999 is outside the supported ranks 1 to 80"),
+    (["rootdata", "--type", "A" + TOO_LONG],
+     "the rank of A has 5000 digits; the supported ranks are 1 to 80"),
+    (["report", "--group", "D81:adjoint"],
+     "group spec 'D81:adjoint': type D81 is outside the supported ranks 1 to 80"),
+    (["report", "--group", "SL82"],
+     "group spec 'SL82': type A81 is outside the supported ranks 1 to 80"),
+    (["report", "--group", "Spin163"],
+     "group spec 'Spin163': type B81 is outside the supported ranks 1 to 80"),
+    (["report", "--group", "A99999999999999999999"],
+     "group spec 'A99999999999999999999': type A99999999999999999999 is outside "
+     "the supported ranks 1 to 80"),
+    (["report", "--group", "B" + TOO_LONG],
+     f"group spec 'B{TOO_LONG}': a number of 5000 digits; the supported ranks are 1 to 80"),
+    (["table", "--max-rank", "51"], "--max-rank 51 is outside the supported range 2 to 50"),
+    (["table", "--max-rank", "99999999999999999999"],
+     "--max-rank 99999999999999999999 is outside the supported range 2 to 50"),
+], ids=["A81", "A_huge", "A_5000_digits", "D81_adjoint", "SL82", "Spin163", "group_A_huge",
+        "group_B_5000_digits", "max_rank_51", "max_rank_huge"])
+def test_rank_past_the_ceiling_is_a_usage_error(capsys, argv, message):
+    # the ceilings are checked before anything is built for the rank, so a
+    # rank too large for an index is a message too, not an OverflowError;
+    # they are at least 30, the highest rank the numerology tests reach
+    assert (rootdata.MAX_RANK, rootdata.MAX_TABLE_RANK) == (80, 50)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_table_json_round_trips(capsys):
     code, out, _ = run(capsys, "table", "--max-rank", "3", "--format", "json")
     assert code == 0

@@ -1,10 +1,12 @@
 """Hypothesis fuzzing of the command line: any argv ends in exit 0, 1 or 2.
 
-Generated ranks stay at or below 8, since nothing yet bounds the rank a
-user may ask for and the cost grows quickly with it.  Free text is drawn
-without decimal digits for the same reason.  Every test has a fixed example
-budget and a derandomized seed, so the suite runs the same examples each
-time.
+Generated ranks are at most 8, or just above the supported ceilings
+(`rootdata.MAX_RANK` for a type or group spec, `MAX_TABLE_RANK` for
+`table --max-rank`).  Above a ceiling every command must exit 1 before it
+builds anything, so no command runs at a rank past 8.  Free text is drawn
+without decimal digits, so it names no rank either.  Every test has a fixed
+example budget and a derandomized seed, so the suite runs the same examples
+each time.
 """
 
 import contextlib
@@ -18,9 +20,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bundleaut.cli import UsageError, main, parse_delta, parse_group_spec, parse_profile
+from bundleaut.cli import (
+    UsageError,
+    _type_and_token,
+    main,
+    parse_delta,
+    parse_group_spec,
+    parse_profile,
+)
 from bundleaut.groupclass import GroupForm, enumerate_forms
 from bundleaut.moduli import table_types
+from bundleaut.rootdata import MAX_RANK as RANK_CEILING
+from bundleaut.rootdata import MAX_TABLE_RANK, DynkinType, InvalidType
 from test_cli import reference_outcome, table_outcome
 
 MAX_RANK = 8
@@ -41,7 +52,8 @@ def typed_specs(draw) -> str:
         ["", "sc", "adjoint", "ad", "so", "semispin", "mu", "mu0", "mu1", "mu2", "mu3",
          "mu4", "mu9", "x"]))
     # a rank in digits that `int` rejects (superscripts) or accepts (Arabic-Indic)
-    rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"]))
+    rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"])
+                | st.integers(RANK_CEILING + 1, RANK_CEILING + 3).map(str))
     spec = f"{family}{sep}{rank}"
     return f"{spec}:{form}" if form else spec
 
@@ -52,8 +64,10 @@ def alias_specs(draw) -> str:
         ["Spin", "SemiSpin", "SO", "PSO", "Sp", "PSp", "SL", "PSL", "SL/mu"]))
     # the matrix size m of a rank <= 8 group: SL_m has rank m - 1, the
     # orthogonal and symplectic groups rank m // 2
-    top = MAX_RANK + 1 if name.startswith(("SL", "PSL")) else 2 * MAX_RANK + 1
-    m = draw(st.integers(0, top))
+    # or of a group just above the rank ceiling
+    scale = 1 if name.startswith(("SL", "PSL")) else 2
+    m = draw(st.integers(0, scale * MAX_RANK + 1)
+             | st.integers(scale * (RANK_CEILING + 1) + 1, scale * (RANK_CEILING + 1) + 3))
     sep = draw(st.sampled_from(["", "_"]))
     if name == "SL/mu":
         return f"SL{sep}{m}/mu{sep}{draw(st.integers(0, m + 2))}"
@@ -93,7 +107,9 @@ def report_argvs(draw) -> list[str]:
 argvs = st.one_of(
     report_argvs(),
     st.builds(lambda g, r, f: ["table", f"--genus={g}", f"--max-rank={r}", f"--format={f}"],
-              genera, st.integers(-1, MAX_RANK).map(str), formats),
+              genera, (st.integers(-1, MAX_RANK) | st.integers(MAX_TABLE_RANK + 1,
+                                                               MAX_TABLE_RANK + 3)).map(str),
+              formats),
     st.builds(lambda p, f: ["delta", f"--profile={p}", f"--format={f}"], profile_texts, formats),
     st.builds(lambda t, f: ["rootdata", f"--type={t}", f"--format={f}"],
               typed_specs().map(lambda s: s.split(":")[0]) | free_text, formats),
@@ -109,6 +125,7 @@ def test_parse_group_spec_returns_an_enumerated_form_or_usage_error(spec):
     except UsageError:
         return
     assert isinstance(gf, GroupForm)
+    assert gf.dynkin.rank <= RANK_CEILING
     assert any(gf is f for f in enumerate_forms(gf.dynkin))
     # a typed spec, <TYPE><rank>[:<token>], returns a form carrying its token
     text = spec.strip().lower().replace("_", "").replace(" ", "")
@@ -149,7 +166,10 @@ def test_main_exits_0_1_or_2_without_traceback(argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     rank = drawn_max_rank(argv)
-    if rank is not None and rank < 2:
+    if rank is not None and not 2 <= rank <= MAX_TABLE_RANK:
+        assert code == 1, (argv, code, err.getvalue())
+    rank = drawn_type_rank(argv)
+    if rank is not None and rank > RANK_CEILING:
         assert code == 1, (argv, code, err.getvalue())
 
 
@@ -159,6 +179,21 @@ def drawn_max_rank(argv) -> int | None:
         if arg.startswith("--max-rank="):
             value = arg.partition("=")[2]
             return int(value) if value.lstrip("-").isdigit() else None
+    return None
+
+
+def drawn_type_rank(argv) -> int | None:
+    """The rank of the type a generated `rootdata` or `report` argv names,
+    None where it names none."""
+    for arg in argv:
+        flag, _, value = arg.partition("=")
+        try:
+            if flag == "--type":
+                return DynkinType.parse(value).rank
+            if flag == "--group":
+                return _type_and_token(value)[0].rank
+        except (InvalidType, UsageError):
+            return None
     return None
 
 

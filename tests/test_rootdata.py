@@ -1,6 +1,7 @@
 """Root-datum construction: counts, invariants, and lattice coordinates."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -9,6 +10,7 @@ from bundleaut.groupclass import type_lattices
 from bundleaut.rootdata import (
     DynkinType,
     InvalidType,
+    RootDatum,
     admissible_types,
     ambient_simple_roots,
     build_root_datum,
@@ -17,7 +19,7 @@ from bundleaut.rootdata import (
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def neg(v):
@@ -75,6 +77,31 @@ def integer_closure(cartan):
                     new.append(img)
         frontier = new
     return roots
+
+
+def full_closure_oracle(t):
+    """The root datum from the closure of all the roots, negative ones
+    included, under every simple reflection, each table entry read off the
+    closure: the construction the positive-half closure replaced."""
+    cartan = cartan_matrix(t)
+    r = t.rank
+    found = [unit(r, i) for i in range(r)]
+    index = {root: k for k, root in enumerate(found)}
+    images = [[] for _ in range(r)]
+    for k, root in enumerate(found):
+        for i in range(r):
+            image = reflect(cartan, i, root)
+            if image not in index:
+                index[image] = len(found)
+                found.append(image)
+            images[i].append(index[image])
+    order = sorted(range(len(found)), key=found.__getitem__)
+    position = [0] * len(found)
+    for new, old in enumerate(order):
+        position[old] = new
+    return RootDatum(dynkin=t, cartan=cartan, roots=tuple(found[old] for old in order),
+                     reflections=tuple(tuple(position[image[old]] for old in order)
+                                       for image in images))
 
 
 def closure_oracle(simples):
@@ -174,6 +201,37 @@ def test_root_system_invariants(t):
         for j in range(r):
             assert sum(rd.cartan[j][k] * inv[k][i] for k in range(r)) == e * (i == j)
             assert sum(rd.cartan[k][j] * inv[i][k] for k in range(r)) == e * (i == j)
+
+
+CLOSURE_TYPES = admissible_types(16) + [
+    DynkinType("D", 40), DynkinType("B", 30), DynkinType("C", 25), DynkinType("A", 50)]
+
+
+@pytest.mark.parametrize("t", CLOSURE_TYPES, ids=str)
+def test_reflection_tables_entry_by_entry(t):
+    # the closure runs on the positive roots and reads the negative half
+    # and the tables off by symmetry; every entry is checked here
+    rd = build_root_datum(t)
+    half = len(rd.roots) // 2
+    assert set(rd.roots) == integer_closure(rd.cartan)
+    assert list(rd.roots) == sorted(rd.roots)
+    assert rd.roots[:half] == tuple(neg(a) for a in reversed(rd.roots[half:]))
+    assert all(min(a) >= 0 for a in rd.roots[half:])
+    for i, table in enumerate(rd.reflections):
+        assert len(table) == len(rd.roots)
+        for k, root in enumerate(rd.roots):
+            assert rd.roots[table[k]] == reflect(rd.cartan, i, root)
+
+
+@pytest.mark.parametrize("t", CLOSURE_TYPES, ids=str)
+def test_root_datum_matches_the_full_closure(t):
+    assert build_root_datum(t) == full_closure_oracle(t)
+
+
+def test_reflection_tables_share_one_int_per_root_index():
+    # the r tables of D_20 hold 20 * 760 entries, drawn from 760 int objects
+    rd = build_root_datum(DynkinType("D", 20))
+    assert len({id(x) for table in rd.reflections for x in table}) <= len(rd.roots) == 760
 
 
 @pytest.mark.parametrize("t", admissible_types(16))
