@@ -14,7 +14,11 @@ failure (a cross-check of the program's own results failed).
 `COMMANDS` is the whole grammar: `parse_args` walks argv once against it,
 and the -h text is generated from it.  `main(argv)` may be called
 repeatedly in one process, as a library or notebook does; no call leaves
-state behind for the next.
+state behind for the next but the package's caches, which hold immutable
+values only.  `build_report` takes the form's `group` field from a cache of
+its own, and the rest that does not depend on the genus from those of
+`moduli`, and copies both into a fresh `ReportDocument`; it computes the
+Hitchin numerology and its Riemann-Roch check on every call.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 from . import groupclass, moduli, weyl
@@ -175,7 +180,8 @@ class ReportDocument:
         return {name: _fresh(value) for name, value in vars(self).items()}
 
     def to_json(self) -> str:
-        return _json_text(self.to_dict())
+        # json.dumps only reads the fields, so they need no copy first
+        return _json_text(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportDocument":
@@ -206,32 +212,40 @@ _PROVENANCE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _group_header(gf: GroupForm) -> tuple[tuple[str, object], ...]:
+    """The report's `group` field of the form, as (key, value) pairs of
+    strings and ints, for each report to copy into a dict of its own."""
+    return (
+        ("family", gf.dynkin.label),
+        ("rank", gf.dynkin.rank),
+        ("name", gf.display_name),
+        ("isogeny_kernel_order", len(gf.mu.elements)),
+        ("center_chars", gf.chars.structure.symbol()),
+        ("pi1", gf.pi1.symbol()),
+        ("out", gf.out.symbol()),
+    )
+
+
 def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
+    """The report of the component delta of gf at this genus; every dict and
+    list in it is the document's own."""
     warnings = []
     presentation = None
     delta_class = None
     actions = {}
     if genus >= moduli.MIN_GENUS_PRESENTATION:
-        pres = moduli.aut_presentation(gf, delta, genus)
-        presentation = pres.render()
-        actions = pres.action_descriptions()
-        cls = next(c for c in gf.delta_classes if tuple(delta) in c)
-        delta_class = moduli.delta_class_label(gf, cls)
+        comp = moduli.component(gf, tuple(delta))
+        presentation = comp.presentation
+        actions = dict(comp.actions)
+        delta_class = comp.delta_class
     else:
         warnings.append(
             "presentation requires genus >= 4; emitting Hitchin numerology only")
     hr = moduli.hitchin_report(gf, genus)
     return ReportDocument(
         schema="bundleaut.report/1",
-        group={
-            "family": gf.dynkin.label,
-            "rank": gf.dynkin.rank,
-            "name": gf.display_name,
-            "isogeny_kernel_order": len(gf.mu.elements),
-            "center_chars": gf.chars.structure.symbol(),
-            "pi1": gf.pi1.symbol(),
-            "out": gf.out.symbol(),
-        },
+        group=dict(_group_header(gf)),
         genus=genus,
         delta=list(delta),
         delta_class=delta_class,

@@ -7,12 +7,22 @@ character group of the center raised to the 2g-th power, the outer part is
 the stabilizer of the component label, and Aut(C) stays symbolic.  Table
 rows are the form's `delta_classes`: the component labels grouped by their
 stabilizers, as `groupclass` builds them with the form.
+
+The genus enters a report only as the multiplicity 2g of each torsion block,
+which the rendered presentation does not print, and through the Hitchin
+numerology, which is linear in g.  So what a report prints about the
+component delta is built once per (form, delta), on first use (`component`:
+the presentation rendered from Out(G, delta), the action descriptions and
+the delta-class label), and dim G, the degrees and the orbit counts once per
+type (`hitchin_constants`).  A report at a new genus does the arithmetic in g
+and the Riemann-Roch check, nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import groupclass, weyl
 from .finabel import AbelianAction
@@ -88,11 +98,18 @@ class AutPresentation:
         return render_presentation([l for l, _ in self.torsion_blocks], self.outer)
 
     def action_descriptions(self) -> dict[str, str]:
-        out = {"Aut(C)": "pull-back" if self.torsion_blocks else "trivial"}
-        for elem in self.outer.elements:
-            if not elem.is_identity:
-                out[elem.name] = _describe_action(self.group.chars_action, elem.name)
-        return out
+        return _action_descriptions(self.group, self.outer)
+
+
+def _action_descriptions(gf: GroupForm, outer: OutGroup) -> dict[str, str]:
+    """How Aut(C) and each element of Out(G, delta) other than the identity
+    act on the torsion H^1(C, Z(G)); Aut(C) pulls back line bundles."""
+    torsion = gf.chars.structure.invariant_factors
+    out = {"Aut(C)": "pull-back" if torsion else "trivial"}
+    for elem in outer.elements:
+        if not elem.is_identity:
+            out[elem.name] = _describe_action(gf.chars_action, elem.name)
+    return out
 
 
 def aut_presentation(gf: GroupForm, delta, genus: int) -> AutPresentation:
@@ -131,6 +148,29 @@ def delta_class_label(gf: GroupForm, cls: tuple) -> str:
         return f"{DELTA} {NEQ} {render_element(zero)} {IN} {sym}"
     listing = ", ".join(render_element(x) for x in sorted(elems))
     return f"{DELTA} = {listing} {IN} {sym}"
+
+
+@dataclass(frozen=True)
+class Component:
+    """What a report prints about the component delta of a form; none of it
+    depends on the genus."""
+
+    presentation: str  # H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)), rendered
+    actions: tuple[tuple[str, str], ...]  # (acting element, its description)
+    delta_class: str  # the label of the delta class that holds delta
+
+
+@lru_cache(maxsize=None)
+def component(gf: GroupForm, delta: tuple[int, ...]) -> Component:
+    """The component delta of gf, built on the first call for that pair.
+    `out_stabilizer` validates delta, and a rejected one caches nothing."""
+    outer = groupclass.out_stabilizer(gf, delta)
+    cls = next(c for c in gf.delta_classes if delta in c)
+    return Component(
+        presentation=render_presentation(gf.chars.structure.invariant_factors, outer),
+        actions=tuple(_action_descriptions(gf, outer).items()),
+        delta_class=delta_class_label(gf, cls),
+    )
 
 
 @dataclass(frozen=True)
@@ -202,17 +242,23 @@ def riemann_roch_basis_dim(degrees, rank: int, genus: int) -> int:
     return sum(degrees) * (2 * genus - 2) + rank * (1 - genus)
 
 
+@lru_cache(maxsize=None)
+def hitchin_constants(t: DynkinType) -> tuple[int, tuple[int, ...], int, int]:
+    """dim G = r + |Phi|, the invariant degrees and the orbit counts m, n of
+    the type: all of a Hitchin report that does not depend on the genus."""
+    rd = build_root_datum(t)
+    m, n = weyl.discriminant_orbit_counts(t)
+    return rd.rank + len(rd.roots), weyl.invariant_degrees(t), m, n
+
+
 def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
     if genus < 2:
         raise GenusOutOfRange(f"Hitchin numerology requires genus >= 2, got {genus}")
-    rd = build_root_datum(gf.dynkin)
-    degrees = weyl.invariant_degrees(gf.dynkin)
-    dim_group = rd.rank + len(rd.roots)
+    dim_group, degrees, m, n = hitchin_constants(gf.dynkin)
     dim_center = 0  # almost-simple throughout
     closed_form = dim_group * (genus - 1) + dim_center
-    via_rr = riemann_roch_basis_dim(degrees, rd.rank, genus)
+    via_rr = riemann_roch_basis_dim(degrees, gf.dynkin.rank, genus)
     check(via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)")
-    m, n = weyl.discriminant_orbit_counts(gf.dynkin)
     return HitchinReport(
         group=gf.display_name,
         genus=genus,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
+from operator import mul, neg
 
 DEFAULT_MAX_RANK = 8
 # the ranks the command line takes: `rootdata` and `report` up to MAX_RANK,
@@ -109,7 +109,7 @@ def _minus(u, v) -> tuple[int, ...]:
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def ambient_simple_roots(t: DynkinType) -> tuple[int, tuple[tuple[int, ...], ...]]:

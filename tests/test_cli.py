@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bundleaut
-from bundleaut import cli, finabel, groupclass, rootdata, weyl
+from bundleaut import cli, finabel, groupclass, moduli, rootdata, weyl
 from bundleaut.cli import (
     ReportDocument,
     UsageError,
@@ -212,6 +212,91 @@ def test_report_to_dict_is_asdict_for_every_label():
                     _scribble(d)
                     assert doc == before
     assert labels == 143
+
+
+def reference_report(gf, delta, genus):
+    """`build_report` as it was before the genus-free parts were cached:
+    every part computed afresh on each call."""
+    warnings = []
+    presentation = None
+    delta_class = None
+    actions = {}
+    if genus >= moduli.MIN_GENUS_PRESENTATION:
+        pres = moduli.aut_presentation(gf, delta, genus)
+        presentation = pres.render()
+        actions = pres.action_descriptions()
+        cls = next(c for c in gf.delta_classes if tuple(delta) in c)
+        delta_class = moduli.delta_class_label(gf, cls)
+    else:
+        warnings.append(
+            "presentation requires genus >= 4; emitting Hitchin numerology only")
+    hr = moduli.hitchin_report(gf, genus)
+    return ReportDocument(
+        schema="bundleaut.report/1",
+        group={
+            "family": gf.dynkin.label,
+            "rank": gf.dynkin.rank,
+            "name": gf.display_name,
+            "isogeny_kernel_order": len(gf.mu.elements),
+            "center_chars": gf.chars.structure.symbol(),
+            "pi1": gf.pi1.symbol(),
+            "out": gf.out.symbol(),
+        },
+        genus=genus,
+        delta=list(delta),
+        delta_class=delta_class,
+        presentation=presentation,
+        actions=actions,
+        hitchin=hr.as_dict(),
+        provenance=dict(cli._PROVENANCE),
+        warnings=warnings,
+    )
+
+
+def rendered(doc, json_text):
+    """The report in every format, colored text included."""
+    return (json_text, cli.render_report_text(doc, False), cli.render_report_text(doc, True),
+            cli.render_report_latex(doc))
+
+
+REPORT_LABELS = [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t)
+                 for cls in gf.delta_classes for delta in cls]
+
+
+def test_cached_report_matches_the_reference(fresh_caches):
+    # genus by genus, so that each label is built cold once and then read
+    # from the caches at the other genera; the reference's json goes through
+    # the deep copy of `to_dict`, as `to_json` did before
+    assert len(REPORT_LABELS) == 143
+    for genus in (2, 3, 4, 7, 10):
+        for gf, delta in REPORT_LABELS:
+            ref = reference_report(gf, delta, genus)
+            doc = build_report(gf, delta, genus)
+            assert doc == ref
+            assert rendered(doc, doc.to_json()) == rendered(ref, cli._json_text(ref.to_dict()))
+            assert ReportDocument.from_json(doc.to_json()) == doc
+
+
+def test_report_shares_no_container_with_a_cache(fresh_caches):
+    # every dict and list of a returned document is scribbled on, the
+    # hitchin weights among them; the next report of the label is unchanged
+    for genus in (2, 4, 7):
+        for gf, delta in REPORT_LABELS:
+            doc = build_report(gf, delta, genus)
+            for field in ("group", "actions", "hitchin", "delta", "warnings", "provenance"):
+                _scribble(getattr(doc, field))
+            assert build_report(gf, delta, genus).to_json() == reference_report(
+                gf, delta, genus).to_json()
+
+
+def test_components_are_built_on_first_use(fresh_caches, capsys):
+    # a cold report builds the one component it prints; the table reads none
+    classification_table(4, 8)
+    assert moduli.component.cache_info().currsize == 0
+    assert run(capsys, "report", "--group", "PSO8", "--delta", "0,1")[0] == 0
+    assert moduli.component.cache_info().currsize == 1
+    assert run(capsys, "report", "--group", "PSO8", "--delta", "0,1", "--genus", "9")[0] == 0
+    assert moduli.component.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_report_latex(capsys):
@@ -655,6 +740,41 @@ def test_failed_check_exits_3_under_optimize():
     assert proc.stdout == ""
     assert proc.stderr == ("internal consistency failure: "
                            "Riemann-Roch sum disagrees with dim G(g-1)\n")
+
+
+# Out(PSL_3) = Z/2 swaps the labels 1 and 2 of pi_1 = Z/3, one delta class,
+# and fixes neither; this replacement for `groupclass.out_stabilizer`, given
+# as source so that it runs in process and under `python -O` alike, makes
+# Out(G, 2) all of Out(G), so the class would print two presentations
+UNEVEN_STABILIZER = ("lambda gf, delta, stabilizer=groupclass.out_stabilizer: "
+                     "gf.out if (gf.display_name, tuple(delta)) == ('PSL_3', (2,)) "
+                     "else stabilizer(gf, delta)")
+NOT_CONSTANT = "internal consistency failure: presentation not constant on a class\n"
+
+
+def test_presentation_not_constant_on_a_class_exits_3(capsys, monkeypatch, fresh_caches):
+    monkeypatch.setattr(groupclass, "out_stabilizer", eval(UNEVEN_STABILIZER))
+    assert run(capsys, "table") == (3, "", NOT_CONSTANT)
+
+
+def test_presentation_check_exits_3_under_optimize():
+    script = ("import sys\n"
+              "from bundleaut import cli, groupclass\n"
+              f"groupclass.out_stabilizer = {UNEVEN_STABILIZER}\n"
+              "sys.exit(cli.main(['table']))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NOT_CONSTANT)
+
+
+def test_riemann_roch_check_runs_on_a_warm_report(capsys, monkeypatch, fresh_caches):
+    # the caches hold everything of A2's report but the numerology in the
+    # genus, so a report at a new genus still runs the check
+    assert run(capsys, "report", "--group", "A2", "--genus", "4")[0] == 0
+    monkeypatch.setattr(moduli, "riemann_roch_basis_dim", lambda *args: -1)
+    code, out, err = run(capsys, "report", "--group", "A2", "--genus", "6")
+    assert (code, out) == (3, "")
+    assert err == ("internal consistency failure: "
+                   "Riemann-Roch sum disagrees with dim G(g-1)\n")
 
 
 # Coxeter elements of A2 for the degree checks, as permutations of its six
