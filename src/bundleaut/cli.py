@@ -11,14 +11,19 @@ before the output was written), 2 mathematical inconsistency in the input
 (e.g. a parity violation in a delta profile), 3 internal consistency
 failure (a cross-check of the program's own results failed).
 
-`COMMANDS` is the whole grammar: `parse_args` walks argv once against it,
-and the -h text is generated from it.  `main(argv)` may be called
-repeatedly in one process, as a library or notebook does; no call leaves
-state behind for the next but the package's caches, which hold immutable
-values only.  `build_report` takes the form's `group` field from a cache of
-its own, and the rest that does not depend on the genus from those of
-`moduli`, and copies both into a fresh `ReportDocument`; it computes the
-Hitchin numerology and its Riemann-Roch check on every call.
+`COMMANDS` is the whole grammar: `parse_args` walks argv once against the
+per-command tables derived from it at import, and the -h text is generated
+from it.  `main(argv)` may be called repeatedly in one process, as a library
+or notebook does; no call leaves state behind for the next but the
+package's caches, which hold immutable values only.  This module's own
+caches are `parse_group_spec`, by the spec text (a rejected spec is not
+cached), `_latexify`, by its input text, and `_group_header`, the form's
+`group` field.  `build_report` copies that field, and the rest that does
+not depend on the genus from the caches of `moduli`, into a fresh
+`ReportDocument`; it computes the Hitchin numerology and its Riemann-Roch
+check on every call.  JSON is written by `_json_text`, an encoder for the
+values the package emits whose text is that of `json.dumps` with sorted
+keys and a two-space indent.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps
 from types import SimpleNamespace
 
 from . import groupclass, moduli, weyl
@@ -62,13 +68,15 @@ class UsageError(ValueError):
 # group-spec grammar
 
 
-_TYPED = re.compile(r"^([a-g])(\d+)(?::(.+))?$")
-_EXCEPTIONAL = re.compile(r"^([efg])(\d)(sc|ad|adjoint)$")
-_SL_MU = re.compile(r"^sl(\d+)/?mu(\d+)$")
+# numbers are ASCII digits: `\d` and `int` would take any decimal digit, and
+# `int` the underscore between digit groups too
+_TYPED = re.compile(r"^([a-g])([0-9]+)(?::(.+))?$")
+_EXCEPTIONAL = re.compile(r"^([efg])([0-9])(sc|ad|adjoint)$")
+_SL_MU = re.compile(r"^sl([0-9]+)/?mu([0-9]+)$")
 # a matrix-group alias is a name and a size m: SL_m is of type A_{m-1},
 # Sp_m of type C_{m/2}, an orthogonal group of type D_{m/2}, and Spin_m and
 # SO_m of type B_{(m-1)/2} for odd m
-_MATRIX = re.compile(r"^(spin|semispin|pso|so|psl|sl|psp|sp)(\d+)$")
+_MATRIX = re.compile(r"^(spin|semispin|pso|so|psl|sl|psp|sp)([0-9]+)$")
 _MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": "so",
                   "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
 
@@ -116,10 +124,12 @@ def _type_and_token(spec: str) -> tuple[DynkinType, str]:
     raise UsageError(f"group spec {spec!r}: no {name} group in odd dimension {size}")
 
 
+@lru_cache(maxsize=1024)
 def parse_group_spec(spec: str) -> GroupForm:
     """`<TYPE><rank>:<form>` with form a token of `groupclass.form_by_name`
     (`ad` abbreviates `adjoint`), or an alias such as Spin8, PSL4, Sp6, SO10,
-    SemiSpin12, E6_sc, E8_ad."""
+    SemiSpin12, E6_sc, E8_ad.  Memoized by the spec text; a rejected spec
+    raises and is not cached."""
     try:
         t, form = _type_and_token(spec)
         _supported(t)
@@ -133,6 +143,9 @@ def parse_group_spec(spec: str) -> GroupForm:
             f"group spec {spec!r}: {exc} (forms of {t.label}: {names})") from exc
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
     pi1 = gf.pi1
     if text is None:
@@ -142,6 +155,10 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
         coords = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse delta {text!r}: {exc}") from exc
+    for p in parts:  # `int` also takes any decimal digit, and `_` between digits
+        if not _INTEGER.fullmatch(p.strip()):
+            raise UsageError(f"cannot parse delta {text!r}: {p!r} is not an integer "
+                             "in the digits 0-9")
     if pi1.is_trivial and coords in ((), (0,)):
         return ()
     try:
@@ -155,10 +172,40 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
 # report document
 
 
-def _json_text(doc: dict) -> str:
+def _json_text(value, newline: str = "\n") -> str:
     """The one JSON format of every command: sorted keys, two-space indent,
-    non-ASCII characters kept."""
-    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
+    non-ASCII characters kept.  The text is that of `json.dumps(value,
+    ensure_ascii=False, indent=2, sort_keys=True)`, which with an indent
+    runs the stdlib's pure-Python encoder (CPython 3.11); this one reads
+    only what the package emits: dicts with str keys, lists, tuples, str,
+    int, True, False and None.  Any other value, a float or a subclass of int or str included,
+    and any key that is not a str raise TypeError.  `newline` is the line
+    break and indent before a nested value."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())])
+            + newline + "}")
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner) for v in value])
+                + newline + "]")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 @dataclass
@@ -180,7 +227,7 @@ class ReportDocument:
         return {name: _fresh(value) for name, value in vars(self).items()}
 
     def to_json(self) -> str:
-        # json.dumps only reads the fields, so they need no copy first
+        # the encoder only reads the fields, so they need no copy first
         return _json_text(vars(self))
 
     @classmethod
@@ -303,7 +350,10 @@ _LATEX_MAP = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _latexify(text: str) -> str:
+    """text in LaTeX; memoized, as its inputs are the finitely many group
+    symbols, class labels and presentations."""
     text = re.sub(r"Z/(\d+)Z", r"\\mathbb{Z}/\1\\mathbb{Z}", text)
     for src, dst in _LATEX_MAP:
         text = text.replace(src, dst)
@@ -529,6 +579,19 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
+# what `parse_args` reads of each command's entry in `COMMANDS`, built once:
+# the flags it takes, -h among them, each option and its field by flag, the
+# field defaults and the required flags
+_GRAMMARS = {
+    command: SimpleNamespace(
+        func=func,
+        flags=(*_HELP, *(o.flag for o in options)),
+        by_flag={o.flag: o for o in options},
+        dests={o.flag: o.dest for o in options},
+        defaults={o.dest: o.default for o in options},
+        required=tuple(o.flag for o in options if o.required))
+    for command, (func, _, options) in COMMANDS.items()
+}
 _VALUE = "value"  # a token read as a value or a stray word, never as an option
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -633,17 +696,15 @@ def parse_args(argv) -> SimpleNamespace:
             return SimpleNamespace(command=None, func=_show_help)
     else:
         raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
-    if command not in COMMANDS:
+    grammar = _GRAMMARS.get(command)
+    if grammar is None:
         raise UsageError(f"invalid command: {command!r} (choose from {', '.join(COMMANDS)})")
-    func, _, options = COMMANDS[command]
-    by_flag = {o.flag: o for o in options}
     rest = argv[i + 1:]
     # every token up to a `--` is read before any is used, so an ambiguous
     # prefix is an error whatever precedes it
     cut = rest.index("--") if "--" in rest else len(rest)
-    flags = (*_HELP, *by_flag)
-    kinds = [_classify(token, flags) for token in rest[:cut]]
-    values = {o.dest: o.default for o in options}
+    kinds = [_classify(token, grammar.flags) for token in rest[:cut]]
+    values = dict(grammar.defaults)
     seen = set()
     j = 0
     while j < cut:
@@ -659,17 +720,16 @@ def parse_args(argv) -> SimpleNamespace:
                     raise UsageError(f"argument {flag}: expected one argument")
                 j += 1
                 attached = rest[j]
-            option = by_flag[flag]
-            values[option.dest] = _convert(option, attached)
+            values[grammar.dests[flag]] = _convert(grammar.by_flag[flag], attached)
             seen.add(flag)
         j += 1
     unknown.extend(rest[cut:])  # no subcommand takes a word, so `--` and all after it are strays
-    missing = [o.flag for o in options if o.required and o.flag not in seen]
+    missing = [flag for flag in grammar.required if flag not in seen]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(command=command, func=func, **values)
+    return SimpleNamespace(command=command, func=grammar.func, **values)
 
 
 def main(argv=None) -> int:

@@ -84,7 +84,9 @@ class DynkinType:
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
         s = text.strip().replace("_", "").replace(" ", "")
-        if len(s) < 2 or s[0].upper() not in _FAMILIES or not s[1:].isdecimal():
+        # the rank in ASCII digits: `isdecimal` alone takes any decimal digit
+        if len(s) < 2 or s[0].upper() not in _FAMILIES or not (
+                s[1:].isascii() and s[1:].isdecimal()):
             raise InvalidType(f"cannot parse Dynkin type from {text!r}")
         try:
             rank = int(s[1:])

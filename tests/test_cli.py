@@ -99,6 +99,8 @@ def test_parse_delta():
     assert parse_delta(None, gf) == (0, 0)
     assert parse_delta("1,0", gf) == (1, 0)
     assert parse_delta("(1,1)", gf) == (1, 1)
+    assert parse_delta(" ( +1, 0 ) ", gf) == (1, 0)  # parts are signed integers
+    assert parse_delta("-0,+1", gf) == (0, 1)
     with pytest.raises(UsageError):
         parse_delta("2,0", gf)
     sc = parse_group_spec("E8")
@@ -265,15 +267,16 @@ REPORT_LABELS = [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t
 
 def test_cached_report_matches_the_reference(fresh_caches):
     # genus by genus, so that each label is built cold once and then read
-    # from the caches at the other genera; the reference's json goes through
-    # the deep copy of `to_dict`, as `to_json` did before
+    # from the caches at the other genera; the reference's json is the
+    # stdlib encoder's text of the deep copy `to_dict` makes
     assert len(REPORT_LABELS) == 143
     for genus in (2, 3, 4, 7, 10):
         for gf, delta in REPORT_LABELS:
             ref = reference_report(gf, delta, genus)
             doc = build_report(gf, delta, genus)
             assert doc == ref
-            assert rendered(doc, doc.to_json()) == rendered(ref, cli._json_text(ref.to_dict()))
+            ref_json = json.dumps(ref.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
+            assert rendered(doc, doc.to_json()) == rendered(ref, ref_json)
             assert ReportDocument.from_json(doc.to_json()) == doc
 
 
@@ -478,6 +481,36 @@ def test_rootdata_non_decimal_rank_is_a_usage_error(name):
     assert "Traceback" not in proc.stderr
 
 
+# `int` and `\d` read any Unicode decimal digit, and `int` an underscore
+# between digit groups; the numbers of a group spec, a Dynkin type and a
+# delta label are read in the ASCII digits 0-9 only
+NON_ASCII_NUMBERS = [
+    (["report", "--group", "E٨"], "cannot parse group spec 'E٨'"),
+    (["report", "--group", "A٣:mu2"], "cannot parse group spec 'A٣:mu2'"),
+    (["report", "--group", "E٨_ad"], "cannot parse group spec 'E٨_ad'"),
+    (["report", "--group", "SL٤"], "cannot parse group spec 'SL٤'"),
+    (["report", "--group", "SL4/mu٢"], "cannot parse group spec 'SL4/mu٢'"),
+    (["report", "--group", "Spin١٠"], "cannot parse group spec 'Spin١٠'"),
+    (["report", "--group", "A3:mu٢"],
+     "group spec 'A3:mu٢': no form 'mu٢' of type A_3 (forms of A_3: SL_4, SL_4/mu_2, PSL_4)"),
+    (["rootdata", "--type", "A٣"], "cannot parse Dynkin type from 'A٣'"),
+    (["rootdata", "--type", "E_٨"], "cannot parse Dynkin type from 'E_٨'"),
+    (["report", "--group", "A3:mu2", "--delta", "1_1"],
+     "cannot parse delta '1_1': '1_1' is not an integer in the digits 0-9"),
+    (["report", "--group", "A3:mu2", "--delta", "١"],
+     "cannot parse delta '١': '١' is not an integer in the digits 0-9"),
+    (["report", "--group", "D4:adjoint", "--delta", "(1, ٠)"],
+     "cannot parse delta '(1, ٠)': ' ٠' is not an integer in the digits 0-9"),
+    (["report", "--group", "D4:adjoint", "--delta", "1,x"],
+     "cannot parse delta '1,x': invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NON_ASCII_NUMBERS, ids=lambda v: repr(v)[:40])
+def test_numbers_are_read_in_ascii_digits(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("table", "--format", "json"),  # fills the pipe: print itself fails
     ("rootdata", "--type", "A1"),   # fits the buffer: the flush fails
@@ -645,6 +678,7 @@ EDGE_ARGVS = [
     (["report", "--group="], "ok", None),
     (["table", "--genus", " +5 "], "ok", None),  # int() decides what a number is
     (["table", "--genus", "٣"], "ok", None),
+    (["table", "--genus", "1_0"], "ok", None),
     (["delta", "--profile", "4:0,3:1"], "ok", None),
     (["report"], "error", "--group"),
     (["rootdata", "--format", "json"], "error", "--type"),
@@ -948,6 +982,64 @@ def test_cartan_checks_exit_3_under_optimize(fault):
     module, attr, value, argv, message = CARTAN_FAULTS[fault]
     script = ("import sys\n"
               "from bundleaut import cli, rootdata\n"
+              f"{module}.{attr} = {value}\n"
+              f"sys.exit(cli.main({argv!r}))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal consistency failure: {message}\n"
+
+
+# Faults for the checks on Out(G) and on subgroups, in the same form as
+# CARTAN_FAULTS.  Each replacement wraps the function it replaces, taken as
+# a default argument when the replacement is made.
+GROUP_FAULTS = {
+    # an automorphism search that also keeps the 3-cycle of the nodes of A3,
+    # which is no automorphism of its diagram: Out(SL_4) would have order 3
+    "out_order": ("groupclass", "_cartan_automorphisms",
+                  "lambda cartan, search=groupclass._cartan_automorphisms: "
+                  "search(cartan) + [(1, 2, 0)]",
+                  ["report", "--group", "A3"], "unexpected outer group order 3"),
+    # Hom(Z(SO_8), G_m) made the class of omega_3 in P/Q = (Z/2Z)^2 instead of
+    # omega_1 = omega_3 + omega_4: its quotient is still dual to pi_1 = Z/2Z,
+    # but the swap of nodes 3 and 4, which Out(SO_8) holds, moves it
+    "out_preserves": ("groupclass", "_annihilator",
+                      "lambda lat, mu, annihilator=groupclass._annihilator: "
+                      "finabel.Subgroup.from_elements(lat.chars.group, [(0, 0), (1, 0)]) "
+                      "if len(mu.elements) == 2 else annihilator(lat, mu)",
+                      ["report", "--group", "SO8"],
+                      "outer element (3 4) does not preserve the subgroup"),
+    # a basis of the sublattice twice too long: in Z/4Z the element 2 of the
+    # subgroup {0, 2} gets the coordinates of 0
+    "subgroup_coordinates": ("finabel", "sublattice_quotient",
+                             "lambda rows, sub_rows, smith=None, "
+                             "quotient=finabel.sublattice_quotient: "
+                             "(lambda q, basis: (q, [[2 * a for a in row] for row in basis]))"
+                             "(*quotient(rows, sub_rows, smith))",
+                             ["report", "--group", "A3:mu2"],
+                             "subgroup coordinates do not match its elements"),
+    # a pairing that is not bilinear, zero at the class 3 of P/Q = Z/4Z: the
+    # annihilator of mu_2 = {0, 2} would be {0, 2, 3}, which is no subgroup
+    "generators_span": ("groupclass", "pairing",
+                        "lambda lat, a, z, pairing=groupclass.pairing: "
+                        "0 if tuple(a) == (3,) else pairing(lat, a, z)",
+                        ["report", "--group", "PSL4"],
+                        "generators do not span the given elements"),
+}
+
+
+@pytest.mark.parametrize("fault", GROUP_FAULTS)
+def test_group_checks_exit_3(capsys, monkeypatch, fresh_caches, fault):
+    module, attr, value, argv, message = GROUP_FAULTS[fault]
+    monkeypatch.setattr({"finabel": finabel, "groupclass": groupclass}[module], attr,
+                        eval(value))
+    assert run(capsys, *argv) == (3, "", f"internal consistency failure: {message}\n")
+
+
+@pytest.mark.parametrize("fault", GROUP_FAULTS)
+def test_group_checks_exit_3_under_optimize(fault):
+    module, attr, value, argv, message = GROUP_FAULTS[fault]
+    script = ("import sys\n"
+              "from bundleaut import cli, finabel, groupclass\n"
               f"{module}.{attr} = {value}\n"
               f"sys.exit(cli.main({argv!r}))\n")
     proc = run_process("-O", "-c", script)

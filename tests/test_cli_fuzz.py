@@ -51,7 +51,8 @@ def typed_specs(draw) -> str:
     form = draw(st.sampled_from(
         ["", "sc", "adjoint", "ad", "so", "semispin", "mu", "mu0", "mu1", "mu2", "mu3",
          "mu4", "mu9", "x"]))
-    # a rank in digits that `int` rejects (superscripts) or accepts (Arabic-Indic)
+    # a rank in digits other than 0-9, which the parsers reject: superscripts,
+    # which `int` rejects too, and Arabic-Indic digits, which it reads
     rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"])
                 | st.integers(RANK_CEILING + 1, RANK_CEILING + 3).map(str))
     spec = f"{family}{sep}{rank}"
