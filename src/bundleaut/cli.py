@@ -21,9 +21,12 @@ cached), `_latexify`, by its input text, and `_group_header`, the form's
 `group` field.  `build_report` copies that field, and the rest that does
 not depend on the genus from the caches of `moduli`, into a fresh
 `ReportDocument`; it computes the Hitchin numerology and its Riemann-Roch
-check on every call.  JSON is written by `_json_text`, an encoder for the
-values the package emits whose text is that of `json.dumps` with sorted
-keys and a two-space indent.
+check on every call.  `table` prints the rows of
+`moduli.classification_table`, which reads the same `moduli.component`
+records as `report`.  Every number of a group spec, a delta label or a
+profile is read in the ASCII digits 0-9.  JSON is written by `_json_text`,
+an encoder for the values the package emits whose text is that of
+`json.dumps` with sorted keys and a two-space indent.
 """
 
 from __future__ import annotations
@@ -221,30 +224,13 @@ class ReportDocument:
     provenance: dict
     warnings: list
 
-    def to_dict(self) -> dict:
-        """`dataclasses.asdict` for these JSON-valued fields: every dict and
-        list is a fresh copy, and the str, int and None leaves are shared."""
-        return {name: _fresh(value) for name, value in vars(self).items()}
-
     def to_json(self) -> str:
         # the encoder only reads the fields, so they need no copy first
         return _json_text(vars(self))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ReportDocument":
-        return cls(**d)
-
-    @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        return cls.from_dict(json.loads(text))
-
-
-def _fresh(value):
-    if isinstance(value, dict):
-        return {k: _fresh(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_fresh(v) for v in value]
-    return value
+        return cls(**json.loads(text))
 
 
 _PROVENANCE = {
@@ -430,7 +416,7 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-_PROFILE_RE = re.compile(r"^(\d+):(\d+)$")
+_PROFILE_RE = re.compile(r"^([0-9]+):([0-9]+)$")  # ASCII digits, as in a group spec
 
 
 def parse_profile(text: str) -> list[tuple[int, int]]:

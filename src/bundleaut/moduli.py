@@ -4,18 +4,22 @@ Hitchin-base numerology, and the local delta-invariant calculator.
 The automorphism group of a moduli component is assembled as
 H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)): the torsion part comes from the
 character group of the center raised to the 2g-th power, the outer part is
-the stabilizer of the component label, and Aut(C) stays symbolic.  Table
-rows are the form's `delta_classes`: the component labels grouped by their
-stabilizers, as `groupclass` builds them with the form.
+the stabilizer of the component label, and Aut(C) stays symbolic.
 
-The genus enters a report only as the multiplicity 2g of each torsion block,
-which the rendered presentation does not print, and through the Hitchin
-numerology, which is linear in g.  So what a report prints about the
-component delta is built once per (form, delta), on first use (`component`:
-the presentation rendered from Out(G, delta), the action descriptions and
-the delta-class label), and dim G, the degrees and the orbit counts once per
-type (`hitchin_constants`).  A report at a new genus does the arithmetic in g
-and the Riemann-Roch check, nothing else.
+The genus enters only as the multiplicity 2g of each torsion block, which
+the rendered presentation does not print, and through the Hitchin
+numerology, which is linear in g.  So what is printed about the component
+delta is built once per (form, delta), on first use (`component`: the
+presentation rendered from Out(G, delta), the action descriptions and the
+delta-class label), and dim G, the degrees and the orbit counts once per
+type (`hitchin_constants`).  A report at a new genus does the arithmetic in
+g and the Riemann-Roch check, nothing else.
+
+`component` is the one route to a presentation and a class label, for the
+table and the report alike.  A table row is one of the form's
+`delta_classes` (the component labels grouped by their stabilizers, as
+`groupclass` builds them with the form), read from the components of its
+labels.
 """
 
 from __future__ import annotations
@@ -84,23 +88,6 @@ def _describe_action(action: AbelianAction, name: str) -> str:
     return f"matrix [{rows}]"
 
 
-@dataclass(frozen=True)
-class AutPresentation:
-    """H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)) in structured form."""
-
-    group: GroupForm
-    genus: int
-    delta: tuple[int, ...]
-    torsion_blocks: tuple[tuple[int, int], ...]  # (l, multiplicity 2g)
-    outer: OutGroup  # acts on Hom(Z(G), G_m) through group.chars_action
-
-    def render(self) -> str:
-        return render_presentation([l for l, _ in self.torsion_blocks], self.outer)
-
-    def action_descriptions(self) -> dict[str, str]:
-        return _action_descriptions(self.group, self.outer)
-
-
 def _action_descriptions(gf: GroupForm, outer: OutGroup) -> dict[str, str]:
     """How Aut(C) and each element of Out(G, delta) other than the identity
     act on the torsion H^1(C, Z(G)); Aut(C) pulls back line bundles."""
@@ -110,20 +97,6 @@ def _action_descriptions(gf: GroupForm, outer: OutGroup) -> dict[str, str]:
         if not elem.is_identity:
             out[elem.name] = _describe_action(gf.chars_action, elem.name)
     return out
-
-
-def aut_presentation(gf: GroupForm, delta, genus: int) -> AutPresentation:
-    if genus < MIN_GENUS_PRESENTATION:
-        raise GenusOutOfRange(
-            f"the presentation holds for genus >= {MIN_GENUS_PRESENTATION}, got {genus}")
-    delta = groupclass.validate_delta(gf, delta)
-    return AutPresentation(
-        group=gf,
-        genus=genus,
-        delta=delta,
-        torsion_blocks=tuple((l, 2 * genus) for l in gf.chars.structure.invariant_factors),
-        outer=groupclass.out_stabilizer(gf, delta),
-    )
 
 
 def delta_class_label(gf: GroupForm, cls: tuple) -> str:
@@ -152,8 +125,8 @@ def delta_class_label(gf: GroupForm, cls: tuple) -> str:
 
 @dataclass(frozen=True)
 class Component:
-    """What a report prints about the component delta of a form; none of it
-    depends on the genus."""
+    """What the table and a report print about the component delta of a
+    form; none of it depends on the genus."""
 
     presentation: str  # H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)), rendered
     actions: tuple[tuple[str, str], ...]  # (acting element, its description)
@@ -199,7 +172,8 @@ def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
 
 
 def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[TableRow]:
-    """One row per (form, delta-class), in classification order."""
+    """One row per (form, delta-class), in classification order, read from
+    the `component` of each label in the class."""
     if genus < MIN_GENUS_PRESENTATION:
         raise GenusOutOfRange(
             f"the table requires genus >= {MIN_GENUS_PRESENTATION}, got {genus}")
@@ -207,13 +181,14 @@ def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[T
     for t in table_types(max_rank):
         for gf in groupclass.enumerate_forms(t):
             for cls in gf.delta_classes:
-                rendered = {aut_presentation(gf, d, genus).render() for d in cls}
-                check(len(rendered) == 1, "presentation not constant on a class")
+                comps = [component(gf, d) for d in cls]
+                check(len({c.presentation for c in comps}) == 1,
+                      "presentation not constant on a class")
                 rows.append(TableRow(
                     family=t.label,
                     group=gf.display_name,
-                    delta_class=delta_class_label(gf, cls),
-                    presentation=rendered.pop(),
+                    delta_class=comps[0].delta_class,
+                    presentation=comps[0].presentation,
                     delta_values=cls,
                 ))
     return rows
@@ -287,7 +262,3 @@ def delta_local(point) -> int:
             f"profile point {point}: deg - drop = {deg - drop} is negative")
     return (deg - drop) // 2
 
-
-def delta_total(profile) -> int:
-    """Sum of the local invariants; zero exactly on transversal profiles."""
-    return sum(delta_local(p) for p in profile)

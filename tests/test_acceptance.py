@@ -5,6 +5,9 @@ lines.  Criteria with stated runtime budgets are timed with a monotonic
 clock inside the test.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from pathlib import Path
@@ -12,7 +15,7 @@ from pathlib import Path
 from bundleaut import cli
 from bundleaut.finabel import FiniteAbelianGroup, enumerate_subgroups
 from bundleaut.groupclass import form_by_name
-from bundleaut.moduli import delta_local, delta_total, riemann_roch_basis_dim
+from bundleaut.moduli import delta_local, riemann_roch_basis_dim
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import invariant_degrees, weyl_order
 
@@ -25,6 +28,18 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tables" / "corollary_b.golden
 
 def _norm(line: str) -> str:
     return " ".join(line.split())
+
+
+def delta_total(profile) -> int:
+    """The `total` of `delta --profile ... --format json`.  The command takes
+    no empty profile, whose total, the sum over no points, is 0."""
+    if not profile:
+        return 0
+    text = ",".join(f"{deg}:{drop}" for deg, drop in profile)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["delta", "--profile", text, "--format", "json"]) == 0
+    return json.loads(out.getvalue())["total"]
 
 
 def test_criterion_1_classification_table(capsys):

@@ -28,6 +28,7 @@ from bundleaut.moduli import classification_table, table_types
 from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 
 from test_acceptance import GOLDEN, _norm
+from test_moduli import reference_actions, reference_presentation
 
 
 def run(capsys, *argv):
@@ -197,9 +198,9 @@ def _scribble(value):
         value.append("scribbled")
 
 
-def test_report_to_dict_is_asdict_for_every_label():
-    # to_dict copies the containers itself instead of calling asdict; the
-    # result must be the same, and as independent of the document
+def test_report_json_is_asdict_for_every_label():
+    # the json of a report holds its fields as `dataclasses.asdict` copies
+    # them, which share no container with the document
     labels = 0
     for t in table_types(8):
         for gf in enumerate_forms(t):
@@ -208,8 +209,8 @@ def test_report_to_dict_is_asdict_for_every_label():
                     labels += 1
                     doc = build_report(gf, delta, 4)
                     assert ReportDocument.from_json(doc.to_json()) == doc
-                    d = doc.to_dict()
-                    assert d == dataclasses.asdict(doc)
+                    d = dataclasses.asdict(doc)
+                    assert json.loads(doc.to_json()) == d
                     before = copy.deepcopy(doc)
                     _scribble(d)
                     assert doc == before
@@ -224,9 +225,8 @@ def reference_report(gf, delta, genus):
     delta_class = None
     actions = {}
     if genus >= moduli.MIN_GENUS_PRESENTATION:
-        pres = moduli.aut_presentation(gf, delta, genus)
-        presentation = pres.render()
-        actions = pres.action_descriptions()
+        presentation = reference_presentation(gf, tuple(delta))
+        actions = reference_actions(gf, tuple(delta))
         cls = next(c for c in gf.delta_classes if tuple(delta) in c)
         delta_class = moduli.delta_class_label(gf, cls)
     else:
@@ -268,14 +268,14 @@ REPORT_LABELS = [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t
 def test_cached_report_matches_the_reference(fresh_caches):
     # genus by genus, so that each label is built cold once and then read
     # from the caches at the other genera; the reference's json is the
-    # stdlib encoder's text of the deep copy `to_dict` makes
+    # stdlib encoder's text of the deep copy `dataclasses.asdict` makes
     assert len(REPORT_LABELS) == 143
     for genus in (2, 3, 4, 7, 10):
         for gf, delta in REPORT_LABELS:
             ref = reference_report(gf, delta, genus)
             doc = build_report(gf, delta, genus)
             assert doc == ref
-            ref_json = json.dumps(ref.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
+            ref_json = json.dumps(dataclasses.asdict(ref), ensure_ascii=False, indent=2, sort_keys=True)
             assert rendered(doc, doc.to_json()) == rendered(ref, ref_json)
             assert ReportDocument.from_json(doc.to_json()) == doc
 
@@ -293,13 +293,21 @@ def test_report_shares_no_container_with_a_cache(fresh_caches):
 
 
 def test_components_are_built_on_first_use(fresh_caches, capsys):
-    # a cold report builds the one component it prints; the table reads none
-    classification_table(4, 8)
-    assert moduli.component.cache_info().currsize == 0
+    # a cold report builds the one component it prints, at any genus
     assert run(capsys, "report", "--group", "PSO8", "--delta", "0,1")[0] == 0
     assert moduli.component.cache_info().currsize == 1
     assert run(capsys, "report", "--group", "PSO8", "--delta", "0,1", "--genus", "9")[0] == 0
     assert moduli.component.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # a cold table builds the component of each of the 143 labels once, and
+    # a report of any of them then reads it
+    moduli.component.cache_clear()
+    classification_table(4, 8)
+    info = moduli.component.cache_info()
+    assert (info.currsize, info.misses) == (143, 143)
+    for gf, delta in REPORT_LABELS:
+        build_report(gf, delta, 4)
+    after = moduli.component.cache_info()
+    assert (after.misses, after.hits - info.hits) == (143, 143)
 
 
 def test_report_latex(capsys):
@@ -482,8 +490,8 @@ def test_rootdata_non_decimal_rank_is_a_usage_error(name):
 
 
 # `int` and `\d` read any Unicode decimal digit, and `int` an underscore
-# between digit groups; the numbers of a group spec, a Dynkin type and a
-# delta label are read in the ASCII digits 0-9 only
+# between digit groups; the numbers of a group spec, a Dynkin type, a delta
+# label and a delta profile are read in the ASCII digits 0-9 only
 NON_ASCII_NUMBERS = [
     (["report", "--group", "E٨"], "cannot parse group spec 'E٨'"),
     (["report", "--group", "A٣:mu2"], "cannot parse group spec 'A٣:mu2'"),
@@ -503,6 +511,8 @@ NON_ASCII_NUMBERS = [
      "cannot parse delta '(1, ٠)': ' ٠' is not an integer in the digits 0-9"),
     (["report", "--group", "D4:adjoint", "--delta", "1,x"],
      "cannot parse delta '1,x': invalid literal for int() with base 10: 'x'"),
+    (["delta", "--profile", "٤:٠,3:1"], "profile entry '٤:٠' does not match <deg>:<drop>"),
+    (["delta", "--profile", "4:0,3:١"], "profile entry '3:١' does not match <deg>:<drop>"),
 ]
 
 
@@ -859,6 +869,23 @@ def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch, fresh_caches):
                    "Coxeter element are not [2, 4] from the root heights\n")
 
 
+# (h, multiplicity of each cyclotomic) that no Coxeter element of A2 has,
+# for the checks `invariant_degrees` makes of `_coxeter_cyclotomics`
+CYCLOTOMIC_FAULTS = [
+    ((3, {1: 0, 3: -1}), "characteristic polynomial is not a product of cyclotomics"),
+    ((3, {1: 1, 3: 1}), "a Coxeter element fixes no nonzero vector"),
+    ((3, {1: 0, 3: 2}), "4 exponents for rank 2"),
+]
+CYCLOTOMIC_IDS = ["not_cyclotomic", "fixed_vector", "exponent_count"]
+
+
+@pytest.mark.parametrize("cyclotomics,message", CYCLOTOMIC_FAULTS, ids=CYCLOTOMIC_IDS)
+def test_cyclotomic_checks_exit_3(capsys, monkeypatch, fresh_caches, cyclotomics, message):
+    code, out, err = degrees_exit(capsys, monkeypatch, "_coxeter_cyclotomics",
+                                  lambda t: cyclotomics)
+    assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
+
+
 @pytest.mark.parametrize("patch,message", [
     (f"weyl._root_permutations = lambda t: ({ONE_ORBIT}, tuple(range(6)))",
      "a Coxeter element of A2 has orbits of lengths [6] on the roots, "
@@ -869,7 +896,9 @@ def test_degree_routes_disagreeing_exits_3(capsys, monkeypatch, fresh_caches):
      "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
     ("weyl.invariant_degrees = lambda t: (2, 4)",
      "|W| = 6 is not the product of the degrees [2, 4]"),
-], ids=["orbit", "routes", "traces", "order"])
+    *((f"weyl._coxeter_cyclotomics = lambda t: {c}", message)
+      for c, message in CYCLOTOMIC_FAULTS),
+], ids=["orbit", "routes", "traces", "order", *CYCLOTOMIC_IDS])
 def test_degree_checks_exit_3_under_optimize(patch, message):
     script = ("import sys\n"
               "from bundleaut import cli, weyl\n"

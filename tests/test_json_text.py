@@ -55,7 +55,8 @@ def test_json_text_is_the_stdlib_text(value):
 
 
 @pytest.mark.parametrize("value", [1.5, float("nan"), {1: "a"}, {"a": {None: 1}}, {1, 2},
-                                   b"bytes", [object()]], ids=repr)
+                                   b"bytes", pytest.param([object()], id="[object()]")],
+                         ids=repr)
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)

@@ -5,26 +5,40 @@ import sys
 
 import pytest
 
-from bundleaut import finabel
-from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name
+from bundleaut import cli, finabel
+from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name, out_stabilizer
 from bundleaut.moduli import (
     GenusOutOfRange,
     InconsistentProfile,
-    aut_presentation,
+    TableRow,
+    _action_descriptions,
     classification_table,
+    component,
     delta_class_label,
     delta_local,
-    delta_total,
     hitchin_report,
+    render_presentation,
     riemann_roch_basis_dim,
     table_types,
 )
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import invariant_degrees
 
+from test_acceptance import delta_total
+
 
 def by_name(tname, form):
     return form_by_name(DynkinType.parse(tname), form)
+
+
+def reference_presentation(gf, delta):
+    """The presentation of the component delta, rendered afresh from
+    Out(G, delta), as `moduli.component` renders it once and caches it."""
+    return render_presentation(gf.chars.structure.invariant_factors, out_stabilizer(gf, delta))
+
+
+def reference_actions(gf, delta):
+    return _action_descriptions(gf, out_stabilizer(gf, delta))
 
 
 @pytest.mark.parametrize("tname,form,delta,expected", [
@@ -41,41 +55,44 @@ def by_name(tname, form):
     ("C3", "adjoint", (1,), "Aut(C)"),
 ])
 def test_presentation_rendering(tname, form, delta, expected):
-    pres = aut_presentation(by_name(tname, form), delta, genus=5)
-    assert pres.render() == expected
+    gf = by_name(tname, form)
+    assert reference_presentation(gf, delta) == expected
+    assert component(gf, delta).presentation == expected
 
 
 def test_presentation_requires_genus_four():
+    # the genus bound is the table's and the report's; a component has no genus
     gf = by_name("A1", "sc")
     with pytest.raises(GenusOutOfRange):
-        aut_presentation(gf, (), genus=3)
+        classification_table(genus=3)
+    assert cli.build_report(gf, (), 3).presentation is None
     with pytest.raises(InvalidDegree):
-        aut_presentation(by_name("E6", "adjoint"), (3,), genus=5)
+        out_stabilizer(by_name("E6", "adjoint"), (3,))
+    with pytest.raises(InvalidDegree):
+        component(by_name("E6", "adjoint"), (3,))
 
 
 def test_torsion_group_and_blocks():
-    pres = aut_presentation(by_name("D5", "sc"), (), genus=4)
-    assert pres.torsion_blocks == ((4, 8),)
-    pres = aut_presentation(by_name("E8", "sc"), (), genus=4)
-    assert pres.torsion_blocks == ()
+    # one torsion block Pic(C)[l] per invariant factor l of Hom(Z(G), G_m)
+    assert by_name("D5", "sc").chars.structure.invariant_factors == (4,)
+    assert by_name("E8", "sc").chars.structure.invariant_factors == ()
+    assert component(by_name("D5", "sc"), ()).presentation.startswith("Pic(C)[4] ⋊ ")
+    assert "Pic" not in component(by_name("E8", "sc"), ()).presentation
 
 
 def test_torsion_part_independent_of_delta():
     gf = by_name("D6", "adjoint")
-    blocks = {aut_presentation(gf, d, 5).torsion_blocks
-              for d in [(0, 0), (1, 0), (0, 1), (1, 1)]}
-    assert len(blocks) == 1
-    zero_pres = aut_presentation(gf, (0, 0), 5)
-    assert zero_pres.outer.symbol() == gf.out.symbol()
+    torsion = {reference_presentation(gf, d).rpartition("⋊")[0]
+               for d in [(0, 0), (1, 0), (0, 1), (1, 1)]}
+    assert len(torsion) == 1
+    assert out_stabilizer(gf, (0, 0)).symbol() == gf.out.symbol()
 
 
 def test_spin_action_description():
-    pres = aut_presentation(by_name("D6", "sc"), (), genus=4)
-    descriptions = pres.action_descriptions()
+    descriptions = reference_actions(by_name("D6", "sc"), ())
     swap = next(v for k, v in descriptions.items() if k not in ("e", "Aut(C)"))
     assert swap == "permutation of the torsion factors"
-    pres = aut_presentation(by_name("D5", "sc"), (), genus=4)
-    dual = next(v for k, v in pres.action_descriptions().items()
+    dual = next(v for k, v in reference_actions(by_name("D5", "sc"), ()).items()
                 if k not in ("e", "Aut(C)"))
     assert dual == "dualization L -> L^{-1}"
 
@@ -208,7 +225,9 @@ def test_delta_local_rejects_inconsistent(point):
 
 
 def test_delta_total():
-    assert delta_total([]) == 0
+    # the empty profile is not a command line: `delta --profile ""` exits 1
+    with pytest.raises(cli.UsageError, match="profile entry '' does not match"):
+        cli.parse_profile("")
     assert delta_total([(1, 1)] * 12) == 0
     assert delta_total([(2, 0)] + [(1, 1)] * 5) == 1
     assert delta_total([(3, 1), (1, 1)]) == 1
@@ -249,8 +268,26 @@ def test_presentation_constant_on_classes():
     for t in admissible_types(5):
         for gf in enumerate_forms(t):
             for cls in gf.delta_classes:
-                rendered = {aut_presentation(gf, d, 4).render() for d in cls}
+                rendered = {reference_presentation(gf, d) for d in cls}
                 assert len(rendered) == 1
+
+
+def test_table_matches_the_reference_route_past_the_digest():
+    # the digest and the golden table stop at rank 8; each row to rank 16
+    # is checked against its presentations rendered afresh per delta, and
+    # its class labelled by `delta_class_label`
+    expected = []
+    for t in table_types(16):
+        for gf in enumerate_forms(t):
+            for cls in gf.delta_classes:
+                rendered = {reference_presentation(gf, d) for d in cls}
+                assert len(rendered) == 1
+                expected.append(TableRow(family=t.label, group=gf.display_name,
+                                         delta_class=delta_class_label(gf, cls),
+                                         presentation=rendered.pop(), delta_values=cls))
+    rows = classification_table(4, 16)
+    assert len(rows) > len(classification_table(4, 8))
+    assert rows == expected
 
 
 def test_cold_table_builds_each_group_result_once(monkeypatch, fresh_caches):
