@@ -468,8 +468,7 @@ def cmd_rootdata(args) -> int:
     # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
     # roots, which are the columns of A there
     weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
-    m, n = weyl.discriminant_orbit_counts(t)
-    ordered = weyl.ordered_root_pair_orbit_count(t)
+    m, n, ordered = weyl.orbit_counts(t)
     order = weyl.weyl_order(t)
     if args.format == "json":
         doc = {

@@ -222,7 +222,7 @@ def hitchin_constants(t: DynkinType) -> tuple[int, tuple[int, ...], int, int]:
     """dim G = r + |Phi|, the invariant degrees and the orbit counts m, n of
     the type: all of a Hitchin report that does not depend on the genus."""
     rd = build_root_datum(t)
-    m, n = weyl.discriminant_orbit_counts(t)
+    m, n, _ = weyl.orbit_counts(t)
     return rd.rank + len(rd.roots), weyl.invariant_degrees(t), m, n
 
 

@@ -1,21 +1,23 @@
 """Weyl-group counts: the orbit counts, the group order, invariant degrees.
 
 Everything works from the integer Cartan matrix, and every per-type result
-is cached on the DynkinType.  Orbit computations act through simple-reflection
-generators only, as the permutations of the root indices that the root
-closure records, so the breadth-first searches run on small integers and keep
-only the orbit numbers.  Each W-orbit of roots holds exactly one dominant
-root, read off the permutations and the root heights.  Orbits on ordered root
-pairs and on pairs of hyperplanes are counted through the stabilizers of the
-dominant roots and their hyperplanes, without forming any pairs.  The group
-order is r! times the product of the coefficients of the highest root times
-the connection index |P/Q|, one more than the number of those coefficients
-equal to 1; the group is never enumerated.
+is cached on the DynkinType.  Nothing searches an orbit.  Each orbit count
+is a count of roots in a closed chamber, read off the pairings of the roots
+with the simple coroots that the root closure records: a reflection group
+has one root of each of its orbits on the roots in its closed chamber
+(Humphreys, Reflection Groups and Coxeter Groups 1.12).  The W-orbits of
+roots are counted by the dominant roots, the orbits on ordered root pairs
+and on pairs of hyperplanes through the stabilizers of the dominant roots
+and of their hyperplanes, acting on one root at a time through the
+permutations of the root indices that the simple reflections induce.  The
+group order is r! times the product of the coefficients of the highest root
+times the connection index |P/Q|, one more than the number of those
+coefficients equal to 1; the group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
 multiplicity of each cyclotomic factor in the characteristic polynomial of a
-Coxeter element c, itself a permutation of the roots whose powers give the
-traces, by Moebius inversion of tr(c^k) over the divisors of the order h of c
-(Humphreys, Reflection Groups and Coxeter Groups 3.19), with no polynomial
+Coxeter element c, itself a permutation of the roots whose cycles give h and
+whose powers give the traces, by Moebius inversion of tr(c^k) over the
+divisors of the order h of c (Humphreys 3.19), with no polynomial
 arithmetic, and as the dual partition of the numbers of positive roots of
 each height (3.20).
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from .rootdata import DynkinType, _unit, build_root_datum, check
+from .rootdata import DynkinType, _diagram, _unit, build_root_datum, check
 
 
 @lru_cache(maxsize=None)
@@ -34,139 +36,112 @@ def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return build_root_datum(t).reflections
 
 
-def _orbits(n_items: int, perms) -> tuple[list[int], list[int]]:
-    """The orbits on range(n_items) of the group the perms generate: the
-    orbit number of each item, and the first item of each orbit."""
-    label = [-1] * n_items
-    firsts: list[int] = []
-    for start in range(n_items):
-        if label[start] >= 0:
-            continue
-        label[start] = len(firsts)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in perms:
-                    y = p[x]
-                    if label[y] < 0:
-                        label[y] = label[start]
-                        nxt.append(y)
-            frontier = nxt
-        firsts.append(start)
-    return label, firsts
-
-
 def _heights(t: DynkinType) -> list[int]:
     """The height of each root, the sum of its simple-root coordinates."""
     return [sum(root) for root in build_root_datum(t).roots]
 
 
-def _dominant_roots(t: DynkinType, height: list[int]):
-    """Each dominant root theta, as its index, with the indices i of the
-    simple reflections that fix it.
-
-    s_i(theta) = theta - <theta, alpha_i^vee> alpha_i, so theta is dominant,
-    <theta, alpha_i^vee> >= 0 for all i, iff no s_i raises its height, and
-    s_i fixes it iff the pairing is 0.  Dominant roots are positive.  Every
-    W-orbit of roots meets the closed dominant chamber exactly once, and
-    Stab_W(theta) is the standard parabolic generated by those s_i
-    (Humphreys 1.12)."""
-    perms = _root_permutations(t)
-    for k in range(len(height) // 2, len(height)):
-        if all(height[p[k]] <= height[k] for p in perms):
-            yield k, [i for i, p in enumerate(perms) if p[k] == k]
-
-
 @lru_cache(maxsize=None)
-def discriminant_orbit_counts(t: DynkinType) -> tuple[int, int]:
-    """(m, n): the W-orbits on roots, one per dominant root, and on
-    unordered pairs of distinct hyperplanes, n = 0 in rank 1.
+def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
+    """(m, n, ordered): the W-orbits on the roots, on unordered pairs of
+    distinct hyperplanes (n = 0 in rank 1) and on ordered pairs of roots,
+    each a count of roots in a closed chamber.
+
+    A reflection group W' with simple system S' has one root of each of its
+    orbits on Phi in the closed chamber <., alpha^vee> >= 0, alpha in S'
+    (Humphreys 1.12), reached by applying the reflections of S' while they
+    raise the root.  So m is the number of dominant roots theta, those whose
+    pairings with the simple coroots are all >= 0; every root is W-conjugate
+    to a simple root, and the roots of one length form one orbit, so m is
+    also the number of root lengths, which is checked.  Stab_W(theta) is the
+    parabolic W_J, J = {j : <theta, alpha_j^vee> = 0}, so the orbits on
+    ordered pairs, which each hold one pair (theta, beta), number the roots
+    in the closed chamber of W_J, summed over theta.
 
     Each W-orbit of hyperplanes holds the hyperplane H_theta of one dominant
-    root theta, and Stab_W(H_theta) = W_J x <s_theta>, W_J the parabolic
-    fixing theta (Bourbaki V 3.3).  Its orbits on the other hyperplanes,
-    summed over theta, are the O orbits on ordered pairs.  The swap of the
-    two entries acts on these orbits; F of them are swap-stable, so
-    n = (O + F) / 2.
+    root, and Stab_W(H_theta) = W' = W_J x <s_theta>, with simple system
+    J + {theta}, as theta is orthogonal to the alpha_j (Bourbaki V 3.3).  A
+    root reaches its W'-chamber by climbing in W_J and then applying s_theta
+    once if its pairing with theta^vee is negative; s_theta commutes with
+    W_J.  Both are taken through a word w lowering theta to a simple root
+    alpha_i: <gamma, theta^vee> = <w gamma, alpha_i^vee> and
+    s_theta = w^-1 s_i w.  The W'-orbits on hyperplanes are the classes
+    {beta, chamber root of -beta} of the chamber roots beta, and those other
+    than {theta}, summed over theta, are the O orbits on ordered pairs of
+    distinct hyperplanes.  Swapping the two entries acts on these orbits; F
+    of them are swap-stable, so n = (O + F) / 2.  The class of H_beta is
+    swap-stable when a word u raising the positive root of +-beta to its
+    dominant root ends at theta, as u sends (H_beta, H_theta) to
+    (H_theta, H_{u theta}), and the chamber root of u theta is in the class.
     """
-    perms = _root_permutations(t)
-    height = _heights(t)
-    n_roots = len(height)
-    dominant = list(_dominant_roots(t, height))
-    m = len(dominant)
-    root_label, root_orbits = _orbits(n_roots, perms)
-    check(len(root_orbits) == m and len({root_label[k] for k, _ in dominant}) == m,
-          f"{len(root_orbits)} W-orbits of roots do not hold one each of the "
-          f"{m} dominant roots")
-    # the hyperplane {a, -a} is numbered by its positive root a; roots are
-    # sorted, so the negative ones come first, in the reverse order
-    half = n_roots // 2
-    plane = [half - 1 - k if k < half else k - half for k in range(n_roots)]
-    plane_perms = [[plane[k] for k in p[half:]] for p in perms]
+    rd = build_root_datum(t)
+    perms, pairings, roots = rd.reflections, rd.pairings, rd.roots
+    n_roots = len(roots)
+    half = n_roots // 2  # roots[half + q] is the positive root of pairings[q]
 
-    def steps(k: int, sign: int):
-        """The simple reflections that move root k up (sign 1) or down
-        (sign -1) in height."""
-        return [i for i, p in enumerate(perms) if sign * (height[p[k]] - height[k]) > 0]
+    def signed(k: int) -> tuple[dict[int, int], int]:
+        """The pairings of root k as those of a positive root and a sign:
+        roots sort with -beta in the reverse order of beta."""
+        return (pairings[k - half], 1) if k >= half else (pairings[half - 1 - k], -1)
 
-    def climb(k: int) -> tuple[int, list[int]]:
-        # a positive root rises to the dominant root of its orbit
+    def raising(k: int, among) -> int | None:
+        """An i in `among` whose s_i raises root k, if there is one."""
+        p, sign = signed(k)
+        return next((i for i, c in p.items() if sign * c < 0 and i in among), None)
+
+    def climb(k: int, among) -> tuple[int, list[int]]:
+        # root k raised by the s_i, i in `among`, to their chamber, with the
+        # word applied
         word = []
-        while up := steps(k, 1):
-            word.append(up[0])
-            k = perms[up[0]][k]
+        while (i := raising(k, among)) is not None:
+            word.append(i)
+            k = perms[i][k]
         return k, word
 
-    ordered = swap_stable = 0
-    for theta, fixing in dominant:
-        # s_theta = w^-1 s_i w, for a word w lowering theta to alpha_i
-        k, w = theta, list(range(half))
-        while height[k] > 1:
-            i = steps(k, -1)[0]
+    def apply(word, k: int) -> int:
+        for j in word:
+            k = perms[j][k]
+        return k
+
+    dominant = [half + q for q, p in enumerate(pairings) if min(p.values()) > 0]
+    m = len(dominant)
+    lengths = len(set(_diagram(t)[0]))
+    check(m == lengths, f"{t} has {m} dominant roots, not one for each of its "
+          f"{lengths} root lengths")
+    simple = range(t.rank)
+    ordered = pair_orbits = swap_stable = 0
+    for theta in dominant:
+        fixing = {j for j in simple if j not in pairings[theta - half]}
+        chamber = [k for k in range(n_roots) if raising(k, fixing) is None]
+        ordered += len(chamber)
+        k, w = theta, []
+        while sum(roots[k]) > 1:
+            i = next(i for i, c in pairings[k - half].items() if c > 0)
+            w.append(i)
             k = perms[i][k]
-            w = [plane_perms[i][x] for x in w]
-        i = steps(k, -1)[0]
-        w_inverse = [0] * half
-        for x, y in enumerate(w):
-            w_inverse[y] = x
-        s_theta = [w_inverse[plane_perms[i][y]] for y in w]
-        h_theta = theta - half
-        check(s_theta[h_theta] == h_theta, f"s_theta moves the hyperplane of theta in {t}")
-        label, firsts = _orbits(half, [plane_perms[i] for i in fixing] + [s_theta])
-        ordered += len(firsts) - 1
-        for beta in firsts:
-            if beta == h_theta:
-                continue
-            top, u = climb(beta + half)
-            if top != theta:
-                continue
-            # (H_theta, H_beta) swapped and moved by u is (H_theta, u H_theta)
-            image = h_theta
-            for i in u:
-                image = plane_perms[i][image]
-            swap_stable += label[image] == label[beta]
-    check((ordered + swap_stable) % 2 == 0,
-          f"O + F = {ordered} + {swap_stable} is odd for {t}")
-    return m, (ordered + swap_stable) // 2
+        i = roots[k].index(1)
 
+        def theta_pairing(k: int) -> int:
+            p, sign = signed(apply(w, k))
+            return sign * p.get(i, 0)
 
-def ordered_root_pair_orbit_count(t: DynkinType) -> int:
-    """Number of W-orbits on Phi x Phi under the diagonal action.
+        def chamber_root(k: int) -> int:
+            k = climb(k, fixing)[0]
+            if theta_pairing(k) >= 0:
+                return k
+            return apply(reversed(w), perms[i][apply(w, k)])  # s_theta(k)
 
-    Reported alongside the distinct-hyperplane-pair count; the two differ
-    because each hyperplane carries two roots and the diagonal contributes
-    orbits of its own.
-
-    Every orbit of pairs has a representative (theta, beta) with theta the
-    one dominant root of its W-orbit, unique up to Stab_W(theta) acting on
-    beta, so the count is a sum of parabolic orbit counts on Phi, one per
-    dominant root.
-    """
-    perms = _root_permutations(t)
-    height = _heights(t)
-    return sum(len(_orbits(len(height), [perms[i] for i in fixing])[1])
-               for _, fixing in _dominant_roots(t, height))
+        classes = {frozenset((k, chamber_root(n_roots - 1 - k)))
+                   for k in chamber if theta_pairing(k) >= 0}
+        pair_orbits += len(classes) - 1  # all but the class {theta} of H_theta
+        for cls in classes:
+            beta = next(iter(cls))
+            top, u = climb(max(beta, n_roots - 1 - beta), simple)  # the positive one of +-beta
+            if top == theta and theta not in cls:
+                swap_stable += chamber_root(apply(u, theta)) in cls
+    check((pair_orbits + swap_stable) % 2 == 0,
+          f"O + F = {pair_orbits} + {swap_stable} is odd for {t}")
+    return m, (pair_orbits + swap_stable) // 2, ordered
 
 
 def _divisors(n: int) -> list[int]:
@@ -194,10 +169,14 @@ def _coxeter_cyclotomics(t: DynkinType) -> tuple[int, dict[int, int]]:
     for p in reversed(_root_permutations(t)):
         c = [p[k] for k in c]
     h = n_roots // r
-    label, firsts = _orbits(n_roots, [c])
-    lengths = [0] * len(firsts)
-    for x in label:
-        lengths[x] += 1
+    lengths, seen = [], [False] * n_roots
+    for start in range(n_roots):  # the cycles of c
+        k, length = start, 0
+        while not seen[k]:
+            seen[k] = True
+            k, length = c[k], length + 1
+        if length:
+            lengths.append(length)
     lengths.sort()
     check(lengths == [h] * r, f"a Coxeter element of {t} has orbits of lengths "
           f"{lengths} on the roots, not {r} of length |Phi|/r = {h}")

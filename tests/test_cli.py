@@ -921,18 +921,57 @@ def test_weyl_order_off_the_degree_product_exits_3(capsys, monkeypatch, fresh_ca
                    "|W| = 6 is not the product of the degrees [2, 4]\n")
 
 
+def with_pairings(name, root, pairings):
+    """A patch of `weyl.build_root_datum`, as source: the root datum of the
+    type with the pairings of one positive root replaced."""
+    return (f"lambda t, rd=weyl.build_root_datum(DynkinType.parse({name!r})): "
+            "dataclasses.replace(rd, pairings=tuple("
+            f"{pairings!r} if root == {root!r} else p "
+            "for root, p in zip(rd.roots[len(rd.roots) // 2:], rd.pairings)))")
+
+
+# the checks of `weyl.orbit_counts`: B3 with the pairings {0: 2, 1: -1} of
+# alpha_1 made nonnegative has a third dominant root; A2 with those of
+# alpha_2 made {0: -1, 1: -1} has -theta in place of theta in the chamber of
+# Stab(H_theta), so the class of H_theta itself counts as a swap-stable
+# orbit, F = 2 against O = 1
+ORBIT_COUNT_FAULTS = [
+    ("B3", (1, 0, 0), {0: 2, 1: 1},
+     "B3 has 3 dominant roots, not one for each of its 2 root lengths"),
+    ("A2", (0, 1), {0: -1, 1: -1}, "O + F = 1 + 2 is odd for A2"),
+]
+ORBIT_COUNT_IDS = ["dominant_roots", "pair_parity"]
+
+
+def orbit_count_exit(capsys, monkeypatch, fault):
+    """`rootdata` of the fault's type with its pairings patched, and the
+    exit the fault's check should give; the callers request `fresh_caches`."""
+    name, root, pairings, message = fault
+    monkeypatch.setattr(weyl, "build_root_datum", eval(with_pairings(name, root, pairings)))
+    return (run(capsys, "rootdata", "--type", name),
+            (3, "", f"internal consistency failure: {message}\n"))
+
+
 def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch, fresh_caches):
-    # without s_3 the reflections of B3 split the roots into 5 orbits, and
-    # the orbit count is checked against the dominant roots; the degrees,
-    # whose Coxeter element would fail first, are cached before the patch
-    weyl.invariant_degrees(DynkinType("B", 3))
-    permutations = weyl._root_permutations
-    monkeypatch.setattr(weyl, "_root_permutations", lambda t: permutations(t)[:-1])
-    code, out, err = run(capsys, "rootdata", "--type", "B3")
-    assert code == 3
-    assert out == ""
-    assert err == ("internal consistency failure: 5 W-orbits of roots do not "
-                   "hold one each of the 3 dominant roots\n")
+    got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[0])
+    assert got == expected
+
+
+def test_hyperplane_pair_orbits_of_odd_parity_exit_3(capsys, monkeypatch, fresh_caches):
+    got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[1])
+    assert got == expected
+
+
+@pytest.mark.parametrize("name,root,pairings,message", ORBIT_COUNT_FAULTS, ids=ORBIT_COUNT_IDS)
+def test_orbit_count_checks_exit_3_under_optimize(name, root, pairings, message):
+    script = ("import dataclasses, sys\n"
+              "from bundleaut import cli, weyl\n"
+              "from bundleaut.rootdata import DynkinType\n"
+              f"weyl.build_root_datum = {with_pairings(name, root, pairings)}\n"
+              f"sys.exit(cli.main(['rootdata', '--type', {name!r}]))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"internal consistency failure: {message}\n")
 
 
 def test_non_invertible_actor_exits_3(capsys, monkeypatch, fresh_caches):

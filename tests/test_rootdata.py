@@ -82,7 +82,8 @@ def integer_closure(cartan):
 def full_closure_oracle(t):
     """The root datum from the closure of all the roots, negative ones
     included, under every simple reflection, each table entry read off the
-    closure: the construction the positive-half closure replaced."""
+    closure, and the pairings of each positive root beta the nonzero entries
+    of A beta: the construction the positive-half closure replaced."""
     cartan = cartan_matrix(t)
     r = t.rank
     found = [unit(r, i) for i in range(r)]
@@ -99,9 +100,13 @@ def full_closure_oracle(t):
     position = [0] * len(found)
     for new, old in enumerate(order):
         position[old] = new
-    return RootDatum(dynkin=t, cartan=cartan, roots=tuple(found[old] for old in order),
+    roots = tuple(found[old] for old in order)
+    pairings = tuple({i: c for i, c in enumerate(pair_with_simple_coroots(cartan, root)) if c}
+                     for root in roots[len(roots) // 2:])
+    return RootDatum(dynkin=t, cartan=cartan, roots=roots,
                      reflections=tuple(tuple(position[image[old]] for old in order)
-                                       for image in images))
+                                       for image in images),
+                     pairings=pairings)
 
 
 def closure_oracle(simples):

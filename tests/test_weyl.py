@@ -8,13 +8,12 @@ import pytest
 from bundleaut.finabel import lattice_quotient
 from bundleaut.groupclass import enumerate_forms
 from bundleaut.moduli import hitchin_report
-from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
+from bundleaut.rootdata import MAX_RANK, DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import (
     _coxeter_cyclotomics,
     _root_permutations,
-    discriminant_orbit_counts,
     invariant_degrees,
-    ordered_root_pair_orbit_count,
+    orbit_counts,
     weyl_order,
 )
 
@@ -167,24 +166,24 @@ def degrees_oracle(t):
 def test_orbits_on_roots(name, orbits):
     t = DynkinType.parse(name)
     rd = build_root_datum(t)
-    assert discriminant_orbit_counts(t)[0] == orbits
+    assert orbit_counts(t)[0] == orbits
     assert len(root_orbits(t)) == orbits
     assert sorted(x for orbit in root_orbits(t) for x in orbit) == sorted(rd.roots)
 
 
 @pytest.mark.parametrize("t", admissible_types(8))
 def test_orbit_count_by_laced_type(t):
-    m = discriminant_orbit_counts(t)[0]
+    m = orbit_counts(t)[0]
     assert m == (1 if t.family in "ADE" else 2)
 
 
 def test_pair_orbits_a2():
-    assert discriminant_orbit_counts(DynkinType.parse("A2"))[1] == 1
+    assert orbit_counts(DynkinType.parse("A2"))[1] == 1
 
 
 def test_pair_orbits_a1_empty():
     # one root orbit, and a single hyperplane leaves no pair
-    assert discriminant_orbit_counts(DynkinType.parse("A1")) == (1, 0)
+    assert orbit_counts(DynkinType.parse("A1"))[:2] == (1, 0)
 
 
 def brute_force_pair_orbits(t):
@@ -221,7 +220,7 @@ def test_pair_orbits_against_full_group(name):
     t = DynkinType.parse(name)
     expected, group_order = brute_force_pair_orbits(t)
     assert weyl_order(t) == group_order
-    assert discriminant_orbit_counts(t)[1] == expected
+    assert orbit_counts(t)[1] == expected
     assert len(hyperplane_pair_orbits_oracle(t)) == expected
 
 
@@ -230,11 +229,11 @@ def test_pair_orbits_against_oracle(t):
     orbits = hyperplane_pair_orbits_oracle(t)
     half = len(build_root_datum(t).roots) // 2
     assert sum(len(orbit) for orbit in orbits) == half * (half - 1) // 2
-    assert discriminant_orbit_counts(t)[1] == len(orbits)
+    assert orbit_counts(t)[1] == len(orbits)
 
 
 def family_counts(t):
-    """(m, n) of the classical families, derived by hand.
+    """(m, n, ordered) of the classical families, derived by hand.
 
     Take the roots in the usual coordinates: e_i - e_j for A_r, and
     +-e_i +- e_j (long in B, short in C) with +-e_i (B) or +-2e_i (C) for
@@ -253,15 +252,36 @@ def family_counts(t):
     The lower bounds on r make every class nonempty.  In D_r they also
     leave an index outside two disjoint sets, whose sign change evens out
     the parity; D_4 has none, and its disjoint class splits in two.
+
+    An ordered pair of roots (a, b) is classified the same way, by the
+    lengths, by which indices the supports share, and by the signs of b at
+    the shared ones, since the stabilizer of a moves the rest freely:
+    - A_r, r >= 3, a = e_1 - e_2: b = a, b = -a; b shares one index of a,
+      which is its first or its second index in a and its first or its
+      second in b: 4; or b is disjoint from a.  7 orbits.
+    - D_r, r >= 5, a = e_1 - e_2, whose stabilizer holds the swap
+      e_1 -> -e_2, e_2 -> -e_1: b = a, b = -a, b = +-(e_1 + e_2) (1 orbit, by
+      that swap), b shares one index with <a, b^vee> = 1 or -1 (1 orbit
+      each), or b is disjoint from a (1 orbit, as a sign change at a fifth
+      index evens out the parity).  6 orbits.
+    - B_r, r >= 4, summed over the two dominant roots: a = e_1 + e_2 has
+      b = a, -a, +-(e_1 - e_2) (1 orbit, by the swap of e_1 and e_2), a
+      long b sharing one index with the sign of a or against it, or disjoint
+      (needing a fourth index), and b = e_1 or e_2, -e_1 or -e_2, or
+      +-e_k, k >= 3: 9 orbits.  a = e_1 has b = e_1, -e_1, +-e_k, and the
+      long b = e_1 +- e_k, -e_1 +- e_k or +-e_k +- e_l, k, l >= 2: 6 orbits.
+      15 in all.  C_r has the same W and the same supports and signs, its
+      long and short roots swapped: 15.
     """
-    return {"A": (1, 2), "B": (2, 6), "C": (2, 6), "D": (1, 3)}[t.family]
+    return {"A": (1, 2, 7), "B": (2, 6, 15), "C": (2, 6, 15), "D": (1, 3, 6)}[t.family]
 
 
-@pytest.mark.parametrize("t", [DynkinType(family, rank) for rank in (*range(5, 13), 16, 20)
+@pytest.mark.parametrize("t", [DynkinType(family, rank)
+                               for rank in (*range(5, 13), 16, 20, 30, 50, MAX_RANK)
                                for family in "ABCD"])
 def test_classical_family_counts(t):
-    # the oracle above reaches ranks 5-12 (5-11 for A); 16 and 20 are past it
-    assert discriminant_orbit_counts(t) == family_counts(t)
+    # the oracles above reach ranks 5-12 (5-11 for A); 16 to MAX_RANK are past them
+    assert orbit_counts(t) == family_counts(t)
 
 
 def family_degrees(t):
@@ -303,14 +323,14 @@ def test_pair_orbit_golden_values():
     # golden-by-oracle: frozen from the brute force above
     golden = {"B2": 3, "G2": 4, "A3": 2}
     for name, n in golden.items():
-        assert discriminant_orbit_counts(DynkinType.parse(name))[1] == n
+        assert orbit_counts(DynkinType.parse(name))[1] == n
 
 
 def test_ordered_pair_count_differs_from_hyperplane_pairs():
     t = DynkinType.parse("A2")
     # 1 orbit of distinct-hyperplane pairs, but 6 orbits on Phi x Phi
-    assert discriminant_orbit_counts(t)[1] == 1
-    assert ordered_root_pair_orbit_count(t) == 6
+    assert orbit_counts(t)[1] == 1
+    assert orbit_counts(t)[2] == 6
 
 
 def ordered_pair_orbits_oracle(t):
@@ -326,7 +346,7 @@ def ordered_pair_orbits_oracle(t):
 
 @pytest.mark.parametrize("t", admissible_types(12))
 def test_ordered_pair_count_against_all_pairs(t):
-    assert ordered_root_pair_orbit_count(t) == ordered_pair_orbits_oracle(t)
+    assert orbit_counts(t)[2] == ordered_pair_orbits_oracle(t)
 
 
 @pytest.mark.parametrize("t", admissible_types(12))
@@ -336,7 +356,7 @@ def test_one_dominant_root_per_root_orbit(t):
     rd = build_root_datum(t)
     dominant = [theta for theta in rd.roots
                 if all(c >= 0 for c in mat_vec(rd.cartan, theta))]
-    assert len(dominant) == len(root_orbits(t)) == discriminant_orbit_counts(t)[0]
+    assert len(dominant) == len(root_orbits(t)) == orbit_counts(t)[0]
     for orbit in root_orbits(t):
         assert len(set(orbit) & set(dominant)) == 1
 
