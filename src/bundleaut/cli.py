@@ -18,15 +18,16 @@ or notebook does; no call leaves state behind for the next but the
 package's caches, which hold immutable values only.  This module's own
 caches are `parse_group_spec`, by the spec text (a rejected spec is not
 cached), `_latexify`, by its input text, and `_group_header`, the form's
-`group` field.  `build_report` copies that field, and the rest that does
-not depend on the genus from the caches of `moduli`, into a fresh
-`ReportDocument`; it computes the Hitchin numerology and its Riemann-Roch
-check on every call.  `table` prints the rows of
-`moduli.classification_table`, which reads the same `moduli.component`
-records as `report`.  Every number of a group spec, a delta label or a
-profile is read in the ASCII digits 0-9.  JSON is written by `_json_text`,
-an encoder for the values the package emits whose text is that of
-`json.dumps` with sorted keys and a two-space indent.
+`group` field.  `build_report` copies that field, and the parts of
+`moduli.component` that do not depend on the genus, into a fresh
+`ReportDocument`, whose `hitchin` field is the dict `moduli.hitchin_report`
+returns: the Hitchin numerology, computed with its Riemann-Roch check on
+every call.  `table` prints the row dicts `moduli.classification_table`
+returns, read from the same `moduli.component` records as `report`.  Every
+number of a group spec, a delta label or a profile is read in the ASCII
+digits 0-9.  JSON is written by `_json_text`, an encoder for the values the
+package emits whose text is that of `json.dumps` with sorted keys and a
+two-space indent.
 """
 
 from __future__ import annotations
@@ -275,7 +276,6 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
     else:
         warnings.append(
             "presentation requires genus >= 4; emitting Hitchin numerology only")
-    hr = moduli.hitchin_report(gf, genus)
     return ReportDocument(
         schema="bundleaut.report/1",
         group=dict(_group_header(gf)),
@@ -284,7 +284,7 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
         delta_class=delta_class,
         presentation=presentation,
         actions=actions,
-        hitchin=hr.as_dict(),
+        hitchin=moduli.hitchin_report(gf, genus),
         provenance=dict(_PROVENANCE),
         warnings=warnings,
     )
@@ -378,18 +378,19 @@ def cmd_report(args) -> int:
 
 
 def table_lines(rows) -> list[str]:
-    return [f"{r.family} | {r.group} | {r.delta_class} | {r.presentation}"
+    return [f"{r['family']} | {r['group']} | {r['delta_class']} | {r['presentation']}"
             for r in rows]
 
 
 def render_table_latex(rows) -> str:
     lines = []
     for r in rows:
-        family = r.family.replace("_", "_{") + "}" if "_" in r.family else r.family
-        group = r.group.replace("_", r"\_")
+        family, group = r["family"], r["group"].replace("_", r"\_")
+        if "_" in family:
+            family = family.replace("_", "_{") + "}"
         lines.append(
-            f"${family}$ & {group} & ${_latexify(r.delta_class)}$ & "
-            f"${_latexify(r.presentation)}$ \\\\")
+            f"${family}$ & {group} & ${_latexify(r['delta_class'])}$ & "
+            f"${_latexify(r['presentation'])}$ \\\\")
     return "\n".join(lines)
 
 
@@ -406,7 +407,7 @@ def cmd_table(args) -> int:
             "schema": "bundleaut.table/1",
             "genus": args.genus,
             "max_rank": args.max_rank,
-            "rows": [r.as_dict() for r in rows],
+            "rows": rows,
         }
         print(_json_text(doc))
     elif args.format == "latex":

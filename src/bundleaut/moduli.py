@@ -11,15 +11,17 @@ the rendered presentation does not print, and through the Hitchin
 numerology, which is linear in g.  So what is printed about the component
 delta is built once per (form, delta), on first use (`component`: the
 presentation rendered from Out(G, delta), the action descriptions and the
-delta-class label), and dim G, the degrees and the orbit counts once per
-type (`hitchin_constants`).  A report at a new genus does the arithmetic in
-g and the Riemann-Roch check, nothing else.
+delta-class label).  dim G, the degrees and the orbit counts are read from
+the per-type caches of `rootdata` and `weyl`, so a report at a new genus
+does the arithmetic in g and the Riemann-Roch check, nothing else.
 
 `component` is the one route to a presentation and a class label, for the
 table and the report alike.  A table row is one of the form's
 `delta_classes` (the component labels grouped by their stabilizers, as
 `groupclass` builds them with the form), read from the components of its
-labels.
+labels.  `classification_table` and `hitchin_report` return the JSON
+documents the command line prints, the table's rows and the report's
+`hitchin` field, as dicts and lists of the caller's own.
 """
 
 from __future__ import annotations
@@ -146,18 +148,6 @@ def component(gf: GroupForm, delta: tuple[int, ...]) -> Component:
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
-    family: str
-    group: str
-    delta_class: str
-    presentation: str
-    delta_values: tuple[tuple[int, ...], ...]
-
-    def as_dict(self) -> dict:
-        return {**vars(self), "delta_values": [list(d) for d in self.delta_values]}
-
-
 def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
     """Classification-table order: A, B, C, then D_4, even D, odd D, then
     the exceptional types."""
@@ -171,9 +161,10 @@ def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
     return ordered
 
 
-def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[TableRow]:
+def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
     """One row per (form, delta-class), in classification order, read from
-    the `component` of each label in the class."""
+    the `component` of each label in the class: the rows of `table --format
+    json`, each a dict of the caller's own."""
     if genus < MIN_GENUS_PRESENTATION:
         raise GenusOutOfRange(
             f"the table requires genus >= {MIN_GENUS_PRESENTATION}, got {genus}")
@@ -184,32 +175,14 @@ def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[T
                 comps = [component(gf, d) for d in cls]
                 check(len({c.presentation for c in comps}) == 1,
                       "presentation not constant on a class")
-                rows.append(TableRow(
-                    family=t.label,
-                    group=gf.display_name,
-                    delta_class=comps[0].delta_class,
-                    presentation=comps[0].presentation,
-                    delta_values=cls,
-                ))
+                rows.append({
+                    "family": t.label,
+                    "group": gf.display_name,
+                    "delta_class": comps[0].delta_class,
+                    "presentation": comps[0].presentation,
+                    "delta_values": [list(d) for d in cls],
+                })
     return rows
-
-
-@dataclass(frozen=True)
-class HitchinReport:
-    group: str
-    genus: int
-    dim_group: int
-    dim_center: int
-    dim_basis: int
-    weights: tuple[int, ...]
-    coxeter_number: int
-    fiber_dim: int
-    higgs_stack_dim: int
-    m_ab_components: int
-    n_extra_components: int
-
-    def as_dict(self) -> dict:
-        return {**vars(self), "weights": list(self.weights)}
 
 
 def riemann_roch_basis_dim(degrees, rank: int, genus: int) -> int:
@@ -217,36 +190,35 @@ def riemann_roch_basis_dim(degrees, rank: int, genus: int) -> int:
     return sum(degrees) * (2 * genus - 2) + rank * (1 - genus)
 
 
-@lru_cache(maxsize=None)
-def hitchin_constants(t: DynkinType) -> tuple[int, tuple[int, ...], int, int]:
-    """dim G = r + |Phi|, the invariant degrees and the orbit counts m, n of
-    the type: all of a Hitchin report that does not depend on the genus."""
-    rd = build_root_datum(t)
-    m, n, _ = weyl.orbit_counts(t)
-    return rd.rank + len(rd.roots), weyl.invariant_degrees(t), m, n
-
-
-def hitchin_report(gf: GroupForm, genus: int) -> HitchinReport:
+def hitchin_report(gf: GroupForm, genus: int) -> dict:
+    """The report's `hitchin` field, a dict of the caller's own: dim G =
+    r + |Phi|, the degrees and the orbit counts m, n are read from the
+    per-type caches of `rootdata` and `weyl`, and the rest is arithmetic in
+    the genus, with the Riemann-Roch check."""
     if genus < 2:
         raise GenusOutOfRange(f"Hitchin numerology requires genus >= 2, got {genus}")
-    dim_group, degrees, m, n = hitchin_constants(gf.dynkin)
+    t = gf.dynkin
+    rd = build_root_datum(t)
+    dim_group = rd.rank + len(rd.roots)
+    m, n, _ = weyl.orbit_counts(t)
+    degrees = weyl.invariant_degrees(t)
     dim_center = 0  # almost-simple throughout
     closed_form = dim_group * (genus - 1) + dim_center
-    via_rr = riemann_roch_basis_dim(degrees, gf.dynkin.rank, genus)
+    via_rr = riemann_roch_basis_dim(degrees, t.rank, genus)
     check(via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)")
-    return HitchinReport(
-        group=gf.display_name,
-        genus=genus,
-        dim_group=dim_group,
-        dim_center=dim_center,
-        dim_basis=closed_form,
-        weights=degrees,
-        coxeter_number=degrees[-1],
-        fiber_dim=dim_group * (genus - 1),
-        higgs_stack_dim=2 * dim_group * (genus - 1) + dim_center,
-        m_ab_components=m,
-        n_extra_components=n,
-    )
+    return {
+        "group": gf.display_name,
+        "genus": genus,
+        "dim_group": dim_group,
+        "dim_center": dim_center,
+        "dim_basis": closed_form,
+        "weights": list(degrees),
+        "coxeter_number": degrees[-1],
+        "fiber_dim": dim_group * (genus - 1),
+        "higgs_stack_dim": 2 * dim_group * (genus - 1) + dim_center,
+        "m_ab_components": m,
+        "n_extra_components": n,
+    }
 
 
 def delta_local(point) -> int:

@@ -32,10 +32,8 @@ from operator import mul, neg
 
 DEFAULT_MAX_RANK = 8
 # the ranks the command line takes: `rootdata` and `report` up to MAX_RANK,
-# `table --max-rank` up to MAX_TABLE_RANK.  At the ceilings, in a fresh
-# process (Python 3.11, 2-vCPU x86): `rootdata --type B80` or D80 about
-# 0.4 s, `report --group B80` 0.4-0.5 s and `table --max-rank 50` 1.0-1.3 s,
-# each with a peak RSS under 40 MB
+# `table --max-rank` up to MAX_TABLE_RANK; the README states the cost of a
+# command at each ceiling
 MAX_RANK = 80
 MAX_TABLE_RANK = 50
 

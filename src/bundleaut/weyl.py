@@ -30,9 +30,9 @@ from math import factorial, gcd, prod
 from .rootdata import DynkinType, _diagram, _unit, build_root_datum, check
 
 
-@lru_cache(maxsize=None)
 def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """For each simple reflection, the permutation it induces on the roots."""
+    """For each simple reflection, the permutation it induces on the roots;
+    a seam of its own, so that a test can replace the Coxeter element."""
     return build_root_datum(t).reflections
 
 
@@ -91,9 +91,12 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
 
     def climb(k: int, among) -> tuple[int, list[int]]:
         # root k raised by the s_i, i in `among`, to their chamber, with the
-        # word applied
+        # word applied; each step raises the height, which lies in
+        # [1 - h, h - 1], so a climb longer than |Phi| = r h steps is a fault
         word = []
         while (i := raising(k, among)) is not None:
+            check(len(word) < n_roots, f"a climb to a chamber in the roots of {t} "
+                  f"takes more than |Phi| = {n_roots} steps")
             word.append(i)
             k = perms[i][k]
         return k, word
@@ -115,10 +118,14 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
         chamber = [k for k in range(n_roots) if raising(k, fixing) is None]
         ordered += len(chamber)
         k, w = theta, []
-        while sum(roots[k]) > 1:
-            i = next(i for i, c in pairings[k - half].items() if c > 0)
+        while sum(roots[k]) > 1 and len(w) < n_roots:
+            i = next((i for i, c in pairings[k - half].items() if c > 0), None)
+            if i is None:
+                break
             w.append(i)
             k = perms[i][k]
+        check(sum(roots[k]) == 1, f"the pairings of {t} lower the dominant root "
+              f"{list(roots[theta])} to no simple root in |Phi| = {n_roots} steps")
         i = roots[k].index(1)
 
         def theta_pairing(k: int) -> int:

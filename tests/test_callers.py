@@ -1,11 +1,15 @@
 """Code with no caller is deleted: every public top-level function and class
 of a package module is referenced somewhere in `src/` outside its own
 definition.  A name that only tests or the benchmark use is code kept for
-them, and belongs in the tests or is deleted.
+them, and belongs in the tests or is deleted.  The package's caches are
+listed here by name, so that adding or removing one is a visible change.
 """
 
 import ast
 from pathlib import Path
+
+import bundleaut.cli  # loads every module that holds a cache
+from conftest import package_caches
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bundleaut"
 
@@ -36,3 +40,24 @@ def test_every_public_definition_has_a_caller():
             if node.name not in own | elsewhere:
                 unused.append(f"{module}: {node.name}")
     assert unused == []
+
+
+CACHES = [
+    "bundleaut.cli._group_header",
+    "bundleaut.cli._latexify",
+    "bundleaut.cli.parse_group_spec",
+    "bundleaut.finabel._shared_subgroup",
+    "bundleaut.finabel.enumerate_subgroups",
+    "bundleaut.groupclass.enumerate_forms",
+    "bundleaut.groupclass.type_lattices",
+    "bundleaut.moduli.component",
+    "bundleaut.rootdata.build_root_datum",
+    "bundleaut.weyl.invariant_degrees",
+    "bundleaut.weyl.orbit_counts",
+    "bundleaut.weyl.weyl_order",
+]
+
+
+def test_the_package_caches_are_these():
+    names = sorted(f"{c.__module__}.{c.__qualname__}" for c in package_caches())
+    assert names == CACHES

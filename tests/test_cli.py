@@ -232,7 +232,6 @@ def reference_report(gf, delta, genus):
     else:
         warnings.append(
             "presentation requires genus >= 4; emitting Hitchin numerology only")
-    hr = moduli.hitchin_report(gf, genus)
     return ReportDocument(
         schema="bundleaut.report/1",
         group={
@@ -249,7 +248,7 @@ def reference_report(gf, delta, genus):
         delta_class=delta_class,
         presentation=presentation,
         actions=actions,
-        hitchin=hr.as_dict(),
+        hitchin=moduli.hitchin_report(gf, genus),
         provenance=dict(cli._PROVENANCE),
         warnings=warnings,
     )
@@ -282,7 +281,8 @@ def test_cached_report_matches_the_reference(fresh_caches):
 
 def test_report_shares_no_container_with_a_cache(fresh_caches):
     # every dict and list of a returned document is scribbled on, the
-    # hitchin weights among them; the next report of the label is unchanged
+    # hitchin weights among them; the next report of the label is unchanged.
+    # So are the numerology and the table rows that `moduli` hands out
     for genus in (2, 4, 7):
         for gf, delta in REPORT_LABELS:
             doc = build_report(gf, delta, genus)
@@ -290,6 +290,14 @@ def test_report_shares_no_container_with_a_cache(fresh_caches):
                 _scribble(getattr(doc, field))
             assert build_report(gf, delta, genus).to_json() == reference_report(
                 gf, delta, genus).to_json()
+            numerology = moduli.hitchin_report(gf, genus)
+            before = copy.deepcopy(numerology)
+            _scribble(numerology)
+            assert moduli.hitchin_report(gf, genus) == before
+    rows = classification_table(4, 8)
+    before = copy.deepcopy(rows)
+    _scribble(rows)
+    assert classification_table(4, 8) == before
 
 
 def test_components_are_built_on_first_use(fresh_caches, capsys):
@@ -380,7 +388,7 @@ def test_table_json_round_trips(capsys):
     assert code == 0
     doc = json.loads(out)
     rows = classification_table(genus=doc["genus"], max_rank=3)
-    assert [r.as_dict() for r in rows] == doc["rows"]
+    assert rows == doc["rows"]
 
 
 def test_table_latex(capsys):
@@ -934,13 +942,21 @@ def with_pairings(name, root, pairings):
 # alpha_1 made nonnegative has a third dominant root; A2 with those of
 # alpha_2 made {0: -1, 1: -1} has -theta in place of theta in the chamber of
 # Stab(H_theta), so the class of H_theta itself counts as a swap-stable
-# orbit, F = 2 against O = 1
+# orbit, F = 2 against O = 1.  The walks are bounded by |Phi| steps: G2 with
+# the pairings {0: -1, 1: 1} of a1 + a2 made {0: -1} leaves the lowering of
+# the dominant root 2a1 + a2 stuck at a1 + a2, which no pairing lowers, and
+# with those {0: 3, 1: -1} of 3a1 + a2 made {0: -1, 1: -1} a climb goes back
+# and forth between 3a1 + a2 and a2 by s_1
 ORBIT_COUNT_FAULTS = [
     ("B3", (1, 0, 0), {0: 2, 1: 1},
      "B3 has 3 dominant roots, not one for each of its 2 root lengths"),
     ("A2", (0, 1), {0: -1, 1: -1}, "O + F = 1 + 2 is odd for A2"),
+    ("G2", (1, 1), {0: -1},
+     "the pairings of G2 lower the dominant root [2, 1] to no simple root in |Phi| = 12 steps"),
+    ("G2", (3, 1), {0: -1, 1: -1},
+     "a climb to a chamber in the roots of G2 takes more than |Phi| = 12 steps"),
 ]
-ORBIT_COUNT_IDS = ["dominant_roots", "pair_parity"]
+ORBIT_COUNT_IDS = ["dominant_roots", "pair_parity", "stuck_lowering", "endless_climb"]
 
 
 def orbit_count_exit(capsys, monkeypatch, fault):
@@ -959,6 +975,14 @@ def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch, fresh_ca
 
 def test_hyperplane_pair_orbits_of_odd_parity_exit_3(capsys, monkeypatch, fresh_caches):
     got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[1])
+    assert got == expected
+
+
+@pytest.mark.parametrize("fault", ORBIT_COUNT_FAULTS[2:], ids=ORBIT_COUNT_IDS[2:])
+def test_walks_off_the_reflections_exit_3(capsys, monkeypatch, fresh_caches, fault):
+    # pairings that disagree with the reflections end a walk in a check, not
+    # in StopIteration or an endless loop
+    got, expected = orbit_count_exit(capsys, monkeypatch, fault)
     assert got == expected
 
 

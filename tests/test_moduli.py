@@ -10,7 +10,6 @@ from bundleaut.groupclass import InvalidDegree, enumerate_forms, form_by_name, o
 from bundleaut.moduli import (
     GenusOutOfRange,
     InconsistentProfile,
-    TableRow,
     _action_descriptions,
     classification_table,
     component,
@@ -137,7 +136,7 @@ def test_table_types_order_and_bounds():
 
 def test_classification_table_rows():
     rows = classification_table(genus=4, max_rank=4)
-    index = {(r.group, r.delta_class): r.presentation for r in rows}
+    index = {(r["group"], r["delta_class"]): r["presentation"] for r in rows}
     assert index[("SL_2", "δ ∈ {0}")] == "Pic(C)[2] ⋊ Aut(C)"
     assert index[("PSL_2", "δ ∈ Z/2Z")] == "Aut(C)"
     assert index[("PSO_8", "δ = (0,0) ∈ (Z/2Z)^2")] == "S_3 × Aut(C)"
@@ -153,7 +152,7 @@ def test_table_requires_genus_four():
 
 def test_table_rank_bound_is_configurable():
     rows = classification_table(genus=4, max_rank=9)
-    groups = {r.group for r in rows}
+    groups = {r["group"] for r in rows}
     assert "SL_9" in groups and "SL_9/mu_3" in groups and "Spin_19" in groups
     assert len(rows) > 83
 
@@ -168,22 +167,22 @@ def test_render_presentation_mixed_torsion():
 
 def test_hitchin_report_examples():
     hr = hitchin_report(by_name("A1", "sc"), genus=4)
-    assert hr.dim_basis == 9  # h^0(omega^2) = 3g - 3
-    assert hr.weights == (2,)
-    assert hr.coxeter_number == 2
-    assert hr.m_ab_components == 1
-    assert hr.n_extra_components == 0
+    assert hr["dim_basis"] == 9  # h^0(omega^2) = 3g - 3
+    assert hr["weights"] == [2]
+    assert hr["coxeter_number"] == 2
+    assert hr["m_ab_components"] == 1
+    assert hr["n_extra_components"] == 0
 
     hr = hitchin_report(by_name("G2", "sc"), genus=4)
-    assert hr.dim_basis == 42
-    assert hr.weights == (2, 6)
-    assert hr.m_ab_components == 2
+    assert hr["dim_basis"] == 42
+    assert hr["weights"] == [2, 6]
+    assert hr["m_ab_components"] == 2
 
     hr = hitchin_report(by_name("E6", "sc"), genus=5)
-    assert hr.m_ab_components == 1
-    assert hr.dim_basis == 78 * 4
-    assert hr.fiber_dim == 78 * 4
-    assert hr.higgs_stack_dim == 2 * 78 * 4
+    assert hr["m_ab_components"] == 1
+    assert hr["dim_basis"] == 78 * 4
+    assert hr["fiber_dim"] == 78 * 4
+    assert hr["higgs_stack_dim"] == 2 * 78 * 4
 
 
 def test_hitchin_report_requires_genus_two():
@@ -282,9 +281,10 @@ def test_table_matches_the_reference_route_past_the_digest():
             for cls in gf.delta_classes:
                 rendered = {reference_presentation(gf, d) for d in cls}
                 assert len(rendered) == 1
-                expected.append(TableRow(family=t.label, group=gf.display_name,
-                                         delta_class=delta_class_label(gf, cls),
-                                         presentation=rendered.pop(), delta_values=cls))
+                expected.append({"family": t.label, "group": gf.display_name,
+                                 "delta_class": delta_class_label(gf, cls),
+                                 "presentation": rendered.pop(),
+                                 "delta_values": [list(d) for d in cls]})
     rows = classification_table(4, 16)
     assert len(rows) > len(classification_table(4, 8))
     assert rows == expected
