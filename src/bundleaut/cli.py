@@ -17,8 +17,9 @@ from it.  `main(argv)` may be called repeatedly in one process, as a library
 or notebook does; no call leaves state behind for the next but the
 package's caches, which hold immutable values only.  This module's own
 caches are `parse_group_spec`, by the spec text (a rejected spec is not
-cached), `_latexify`, by its input text, and `_group_header`, the form's
-`group` field.  `build_report` copies that field, and the parts of
+cached), `_latexify`, by its input text, `_group_header`, the form's
+`group` field, and `_dict_text`, the JSON text of a dict of str and int
+values by its contents.  `build_report` copies the `group` field, and the parts of
 `moduli.component` that do not depend on the genus, into a fresh
 `ReportDocument`, whose `hitchin` field is the dict `moduli.hitchin_report`
 returns: the Hitchin numerology, computed with its Riemann-Roch check on
@@ -147,20 +148,18 @@ def parse_group_spec(spec: str) -> GroupForm:
             f"group spec {spec!r}: {exc} (forms of {t.label}: {names})") from exc
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
     pi1 = gf.pi1
     if text is None:
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
     try:
-        coords = tuple(int(p) for p in parts)
+        coords = tuple(map(int, parts))
     except ValueError as exc:
         raise UsageError(f"cannot parse delta {text!r}: {exc}") from exc
     for p in parts:  # `int` also takes any decimal digit, and `_` between digits
-        if not _INTEGER.fullmatch(p.strip()):
+        digits = p.strip().lstrip("+-")  # one sign at most, as `int` took p
+        if not (digits.isascii() and digits.isdecimal()):
             raise UsageError(f"cannot parse delta {text!r}: {p!r} is not an integer "
                              "in the digits 0-9")
     if pi1.is_trivial and coords in ((), (0,)):
@@ -174,6 +173,9 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # report document
+
+
+_SCALARS = frozenset((str, int))  # values of these types are equal just when their texts are
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -193,16 +195,15 @@ def _json_text(value, newline: str = "\n") -> str:
     if kind is dict:
         if not value:
             return "{}"
-        inner = newline + "  "
-        return ("{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())])
-            + newline + "}")
+        flat = _SCALARS.issuperset(map(type, value.values()))
+        return (_dict_text if flat else _dict_text.__wrapped__)(newline, *value.items())
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_json_text(v, inner) for v in value])
-                + newline + "]")
+        return ("[" + inner + ("," + inner).join(
+            [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner)
+             for v in value]) + newline + "]")
     if value is None:
         return "null"
     if value is True:
@@ -210,6 +211,19 @@ def _json_text(value, newline: str = "\n") -> str:
     if value is False:
         return "false"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=1024)
+def _dict_text(newline: str, *items) -> str:
+    """A non-empty dict's text from its (key, value) pairs.  Memoized for a
+    dict of str and int values alone, such as a report's `group`, `actions`
+    and `provenance`, whose pairs key no other text: an edited dict is a new
+    key.  Bounded, as the points of `delta` profiles are such dicts too."""
+    inner = newline + "  "
+    return ("{" + inner + ("," + inner).join(
+        [f"{_quote(k)}: " + (_quote(v) if type(v) is str else repr(v) if type(v) is int
+                             else _json_text(v, inner)) for k, v in sorted(items)])
+        + newline + "}")
 
 
 @dataclass
@@ -670,7 +684,7 @@ def parse_args(argv) -> SimpleNamespace:
     argv = list(argv)
     unknown = []
     for i, token in enumerate(argv):
-        kind = _classify(token, _HELP)
+        kind = _VALUE if token[:1] != "-" else _classify(token, _HELP)
         if kind in (_VALUE, "--"):
             command = token
             break
@@ -687,30 +701,30 @@ def parse_args(argv) -> SimpleNamespace:
         raise UsageError(f"invalid command: {command!r} (choose from {', '.join(COMMANDS)})")
     rest = argv[i + 1:]
     # every token up to a `--` is read before any is used, so an ambiguous
-    # prefix is an error whatever precedes it
+    # prefix is an error whatever precedes it; `_classify` reads the tokens
+    # that are neither an option's exact flag nor a value
     cut = rest.index("--") if "--" in rest else len(rest)
-    kinds = [_classify(token, grammar.flags) for token in rest[:cut]]
+    options = grammar.by_flag
+    kinds = [(token, None) if token in options else _VALUE if token[:1] != "-"
+             else _classify(token, grammar.flags) for token in rest[:cut]]
     values = dict(grammar.defaults)
-    seen = set()
-    j = 0
-    while j < cut:
-        flag, attached = (None, None) if kinds[j] == _VALUE else kinds[j]
+    tokens = zip(kinds, rest)  # up to the `--`
+    for kind, token in tokens:
+        flag, attached = (None, None) if kind is _VALUE else kind
         if flag is None:
-            unknown.append(rest[j])
+            unknown.append(token)
         elif flag in _HELP:
             _check_help(flag, attached)
             return SimpleNamespace(command=command, func=_show_help)
         else:
             if attached is None:
-                if j + 1 == cut or kinds[j + 1] != _VALUE:
+                kind, attached = next(tokens, (None, None))
+                if kind is not _VALUE:
                     raise UsageError(f"argument {flag}: expected one argument")
-                j += 1
-                attached = rest[j]
-            values[grammar.dests[flag]] = _convert(grammar.by_flag[flag], attached)
-            seen.add(flag)
-        j += 1
+            values[grammar.dests[flag]] = _convert(options[flag], attached)
     unknown.extend(rest[cut:])  # no subcommand takes a word, so `--` and all after it are strays
-    missing = [flag for flag in grammar.required if flag not in seen]
+    # a required option has no default, and a value given is never None
+    missing = [flag for flag in grammar.required if values[grammar.dests[flag]] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:

@@ -449,7 +449,7 @@ class AbelianAction:
     def __post_init__(self):
         for name in self.actors:
             images = {self.apply(name, x) for x in self.group.elements()}
-            check(len(images) == self.group.order, f"actor {name!r} is not invertible")
+            check(len(images) == self.group.order, lambda: f"actor {name!r} is not invertible")
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.actors)

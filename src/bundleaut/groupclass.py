@@ -31,8 +31,8 @@ through the pairing, must have the invariant factors of mu
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 
 from .finabel import (
     AbelianAction,
@@ -55,7 +55,7 @@ class OutElement:
     name: str
     node_permutation: tuple[int, ...]
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.node_permutation))
 
@@ -89,7 +89,7 @@ class OutGroup:
 
 def _make_out_group(elements) -> OutGroup:
     elements = sorted(elements, key=lambda e: (not e.is_identity, e.node_permutation))
-    check(len(elements) in _SYMBOLS, f"unexpected outer group order {len(elements)}")
+    check(len(elements) in _SYMBOLS, lambda: f"unexpected outer group order {len(elements)}")
     return OutGroup(elements=tuple(elements))
 
 
@@ -276,7 +276,7 @@ def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> Abel
         for b in sub.basis:
             image = _image(quotient, elem, b)
             check(image in sub.elements,
-                  f"outer element {elem.name} does not preserve the subgroup")
+                  lambda: f"outer element {elem.name} does not preserve the subgroup")
             cols.append(sub.to_coords(image))
         actors[elem.name] = tuple(tuple(col[i] for col in cols) for i in range(k))
     return AbelianAction(group=sub.structure, actors=actors)
@@ -309,7 +309,9 @@ def _delta_classes(pi1: FiniteAbelianGroup, action: AbelianAction) -> tuple[tupl
 class GroupForm:
     """The group G = G^sc/mu and its invariants, built once by
     `enumerate_forms`.  Equality and hashing see (dynkin, mu, display_name)
-    only."""
+    only; the hash is taken once, at construction, as the caches keyed by a
+    form (`moduli.component`, the `cli` ones) hash it on every lookup.  A
+    form rebuilt after a cache clear is equal to the old one, hash and all."""
 
     dynkin: DynkinType
     mu: Subgroup
@@ -321,6 +323,16 @@ class GroupForm:
     pi1_action: AbelianAction = field(compare=False)  # Out(G) on pi_1(G)
     chars_action: AbelianAction = field(compare=False)  # Out(G) on Hom(Z(G), G_m)
     delta_classes: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dynkin, self.mu, self.display_name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a pickle rebuilds the form, and so its hash, as `DynkinType` does
+        return GroupForm, tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         return self.display_name
@@ -335,7 +347,7 @@ def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | No
     # the pairing is perfect, so (P/Q)/mu^perp = Hom(mu, Q/Z) is isomorphic to mu
     dual = chars.quotient()
     check(pi1 == dual,
-          f"pi_1({display_name}) = {pi1.symbol()} is not (P/Q)/Hom(Z(G), G_m) = "
+          lambda: f"pi_1({display_name}) = {pi1.symbol()} is not (P/Q)/Hom(Z(G), G_m) = "
           f"{dual.symbol()}, its dual")
     out = _make_out_group(
         elem for elem in lat.out_elements

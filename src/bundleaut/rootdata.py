@@ -45,10 +45,12 @@ class ConsistencyError(RuntimeError):
     The CLI exits with code 3."""
 
 
-def check(cond: bool, msg: str) -> None:
-    """The package's cross-checks; unlike `assert`, kept under `python -O`."""
+def check(cond: bool, msg) -> None:
+    """The package's cross-checks; unlike `assert`, kept under `python -O`.
+    `msg` is the message, or a function returning it where formatting it
+    costs more than the test: it is called only when the check fails."""
     if not cond:
-        raise ConsistencyError(msg)
+        raise ConsistencyError(msg() if callable(msg) else msg)
 
 
 class InvalidType(ValueError):
@@ -57,6 +59,10 @@ class InvalidType(ValueError):
 
 @dataclass(frozen=True, order=True)
 class DynkinType:
+    """A family letter and a rank, checked admissible at construction.
+    Equality and order are those of (family, rank), and so is the hash,
+    which is taken once here: every per-type cache is keyed by the type."""
+
     family: str
     rank: int
 
@@ -73,6 +79,14 @@ class DynkinType:
         )
         if not ok:
             raise InvalidType(f"inadmissible Dynkin type {fam}{n}")
+        object.__setattr__(self, "_hash", hash((fam, n)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a pickle rebuilds the type, and so its hash: that of a str differs between processes
+        return DynkinType, (self.family, self.rank)
 
     @property
     def name(self) -> str:

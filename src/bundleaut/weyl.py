@@ -95,7 +95,7 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
         # [1 - h, h - 1], so a climb longer than |Phi| = r h steps is a fault
         word = []
         while (i := raising(k, among)) is not None:
-            check(len(word) < n_roots, f"a climb to a chamber in the roots of {t} "
+            check(len(word) < n_roots, lambda: f"a climb to a chamber in the roots of {t} "
                   f"takes more than |Phi| = {n_roots} steps")
             word.append(i)
             k = perms[i][k]
@@ -197,12 +197,12 @@ def _coxeter_cyclotomics(t: DynkinType) -> tuple[int, dict[int, int]]:
     b: dict[int, int] = {}
     for d in divisors:
         rest = traces[d] - sum(e * b[e] for e in b if d % e == 0)
-        check(rest % d == 0, f"the traces of a Coxeter element of {t} give "
+        check(rest % d == 0, lambda: f"the traces of a Coxeter element of {t} give "
               f"x^{d} - 1 the multiplicity {rest}/{d}, not an integer")
         b[d] = rest // d
     for k in range(1, h + 1):
         expected = sum(d * b[d] for d in divisors if k % d == 0)
-        check(traces[k] == expected, f"a Coxeter element of {t} has tr(c^{k}) = "
+        check(traces[k] == expected, lambda: f"a Coxeter element of {t} has tr(c^{k}) = "
               f"{traces[k]}, not {expected} as c^{h} = 1 requires")
     return h, {e: sum(b[d] for d in divisors if d % e == 0) for e in divisors}
 

@@ -43,6 +43,7 @@ def test_every_public_definition_has_a_caller():
 
 
 CACHES = [
+    "bundleaut.cli._dict_text",
     "bundleaut.cli._group_header",
     "bundleaut.cli._latexify",
     "bundleaut.cli.parse_group_spec",

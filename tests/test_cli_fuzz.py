@@ -1,4 +1,6 @@
-"""Hypothesis fuzzing of the command line: any argv ends in exit 0, 1 or 2.
+"""Hypothesis fuzzing of the command line: any argv ends in exit 0, 1 or 2,
+and `parse_args` and `parse_delta` return the namespace, the label or the
+error message of the parsers they replaced (`reference_parsers.py`).
 
 Generated ranks are at most 8, or just above the supported ceilings
 (`rootdata.MAX_RANK` for a type or group spec, `MAX_TABLE_RANK` for
@@ -24,6 +26,7 @@ from bundleaut.cli import (
     UsageError,
     _type_and_token,
     main,
+    parse_args,
     parse_delta,
     parse_group_spec,
     parse_profile,
@@ -32,6 +35,7 @@ from bundleaut.groupclass import GroupForm, enumerate_forms
 from bundleaut.moduli import table_types
 from bundleaut.rootdata import MAX_RANK as RANK_CEILING
 from bundleaut.rootdata import MAX_TABLE_RANK, DynkinType, InvalidType
+import reference_parsers
 from test_cli import reference_outcome, table_outcome
 
 MAX_RANK = 8
@@ -229,3 +233,37 @@ def test_option_table_accepts_and_rejects_as_argparse_did(argv):
     # value no handler can read; the table keeps the text (test_cli.py)
     assume(not any(token.startswith("--") and token.endswith("=--") for token in argv))
     assert table_outcome(argv) == reference_outcome(argv), argv
+
+
+def outcome(parse, *args) -> tuple:
+    """("ok", the fields of the namespace or the label) or ("error", the
+    message) of one parse."""
+    try:
+        result = parse(*args)
+    except UsageError as exc:
+        return ("error", str(exc))
+    return ("ok", vars(result) if hasattr(result, "__dict__") else result)
+
+
+@budget(600)
+@given(reshaped_argvs())
+@example(["-h", "report"])
+@example(["--hel", "report"])
+@example(["-x", "report", "--group", "A1", "-h"])
+@example(["report", "--group", "A1", "--", "--genus", "5"])
+@example(["report", "--gro", "A1", "--help=x"])
+@example(["table", "--genus", "-3", "--max-rank=-1", "--format"])
+def test_parse_args_matches_the_reference_parser(argv):
+    assert outcome(parse_args, argv) == outcome(reference_parsers.parse_args, argv), argv
+
+
+@budget(300)
+@given(st.sampled_from(FORMS), st.none() | delta_texts)
+@example(FORMS[0], "1_0")
+@example(FORMS[0], "٣")
+@example(FORMS[0], " +1 , -0 ")
+@example(FORMS[0], "\u20031")
+@example(FORMS[0], "+-1")
+@example(FORMS[0], "(1,,2)")
+def test_parse_delta_matches_the_reference_parser(gf, text):
+    assert outcome(parse_delta, text, gf) == outcome(reference_parsers.parse_delta, text, gf)

@@ -1,9 +1,15 @@
 """Centers, fundamental groups, outer actions: the classification data."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from conftest import package_caches
 
+import bundleaut
+from bundleaut import moduli
 from bundleaut.finabel import sublattice_quotient
 from bundleaut.groupclass import (
     InvalidDegree,
@@ -360,3 +366,60 @@ def test_cartan_automorphisms_need_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert perms == [tuple(range(n)), tuple(reversed(range(n)))]
+
+
+def test_hashes_taken_once_keep_value_semantics(fresh_caches):
+    # a type and a form hash once, at construction, as their compared fields
+    # do; a form rebuilt after the caches are cleared is equal to the old
+    # one, with the same hash, so a cache keyed by either finds it
+    types = admissible_types(16)
+    forms = [gf for t in moduli.table_types(16) for gf in enumerate_forms(t)]
+    for t in types:
+        assert hash(t) == hash((t.family, t.rank))
+    for gf in forms:
+        assert hash(gf) == hash((gf.dynkin, gf.mu, gf.display_name))
+    for cache in package_caches():
+        cache.cache_clear()
+    rebuilt = [gf for t in moduli.table_types(16) for gf in enumerate_forms(t)]
+    assert all(new is not old for new, old in zip(rebuilt, forms))
+    assert rebuilt == forms
+    assert [hash(gf) for gf in rebuilt] == [hash(gf) for gf in forms]
+    again = [DynkinType(t.family, t.rank) for t in types]
+    assert again == types and [hash(t) for t in again] == [hash(t) for t in types]
+    assert {gf: gf.display_name for gf in forms} == {gf: gf.display_name for gf in rebuilt}
+
+
+DUMP_FORMS = """
+import pickle, sys
+from bundleaut.groupclass import enumerate_forms
+from bundleaut.rootdata import DynkinType
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(enumerate_forms(DynkinType("D", 4)), f)
+"""
+
+LOAD_FORMS = """
+import pickle, sys
+from bundleaut.groupclass import enumerate_forms
+from bundleaut.rootdata import DynkinType
+with open(sys.argv[1], "rb") as f:
+    loaded = pickle.load(f)
+built = enumerate_forms(DynkinType("D", 4))
+assert loaded == built and all(a is not b for a, b in zip(loaded, built))
+assert [hash(gf) for gf in loaded] == [hash(gf) for gf in built]
+assert [hash(gf.dynkin) for gf in loaded] == [hash(("D", 4))] * len(built)
+assert [{gf: gf.display_name for gf in built}[gf] for gf in loaded] == [
+    gf.display_name for gf in built]
+"""
+
+
+def test_a_pickled_form_takes_the_hash_of_the_process_that_loads_it(tmp_path):
+    # a str hashes differently under another PYTHONHASHSEED, so a pickle of
+    # a type or a form carries no hash, and the loading process takes its own
+    src = str(Path(bundleaut.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed, script in (("1", DUMP_FORMS), ("2", LOAD_FORMS)):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "forms.pickle")],
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr

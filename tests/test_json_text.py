@@ -7,6 +7,7 @@ every command that prints JSON.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundleaut import cli, groupclass
-from bundleaut.cli import main
+from bundleaut.cli import build_report, main, parse_group_spec
 from bundleaut.groupclass import enumerate_forms
 from bundleaut.moduli import table_types
 
@@ -50,6 +51,7 @@ values = st.recursive(
 @example([])
 @example(())
 @example({"": [[], {}, ()], "a": {"b": [None, True, False, -1, 10 ** 3999]}})
+@example([{"a": 1, "b": "x"}, {"a": True, "b": "x"}, {"b": "x", "a": 1}, [{"a": 1}]])
 def test_json_text_is_the_stdlib_text(value):
     assert cli._json_text(value) == dumps(value)
 
@@ -60,6 +62,41 @@ def test_json_text_is_the_stdlib_text(value):
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+class Text(str):
+    pass
+
+
+EDITS = {
+    "a changed value": lambda block, key: block.update({key: "edited"}),
+    "an added key": lambda block, key: block.update({"added": 0}),
+    "a list put in": lambda block, key: block.update({key: [block[key], None]}),
+    "a bool for an equal int": lambda block, key: block.update({"rank": True}),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_edited_fixed_blocks_are_encoded_as_edited(edit):
+    # `group`, `actions` and `provenance` are encoded once per contents, so
+    # a caller's edit to them must show in the text, and must not change
+    # the next report; PSL_2 has rank 1, which `True` equals
+    gf = parse_group_spec("PSL2")
+    fresh = build_report(gf, (1,), 4).to_json()
+    doc = build_report(gf, (1,), 4)
+    for block in (doc.group, doc.actions, doc.provenance):
+        EDITS[edit](block, min(block))
+    assert doc.to_json() == dumps(dataclasses.asdict(doc))
+    assert build_report(gf, (1,), 4).to_json() == fresh
+
+
+def test_a_str_subclass_in_a_fixed_block_is_rejected():
+    gf = parse_group_spec("PSL2")
+    build_report(gf, (1,), 4).to_json()
+    doc = build_report(gf, (1,), 4)
+    doc.group["name"] = Text(doc.group["name"])
+    with pytest.raises(TypeError):
+        doc.to_json()
 
 
 def run(argv) -> str:
