@@ -386,12 +386,6 @@ class LatticeQuotient:
         return tuple(sum(a * row[j] for a, row in zip(x, self._matrix) if a) % f
                      for j, f in enumerate(fs))
 
-    def lift(self, coords) -> tuple[int, ...]:
-        result = [0] * self.rank
-        for c, g in zip(coords, self.generator_lifts):
-            result = [a + c * b for a, b in zip(result, g)]
-        return tuple(result)
-
     def with_basis(self, lifts) -> "LatticeQuotient":
         """Re-coordinatize the quotient on the classes of the given lifts."""
         fs = self.group.invariant_factors

@@ -9,24 +9,24 @@ fundamental-coweight coordinates Q^vee by its rows, and one Smith form
 U A V = S gives both quotients and the perfect pairing between them: for
 each of the at most two generator lifts w of P/Q, e A^-1 w = V diag(e/d_k)
 (U w) (e = d_r, `finabel.scaled_solve`) is paired with the lifts of
-P^vee/Q^vee, once per type.  Outer automorphisms are the
-Cartan-matrix-preserving node permutations, which permute the weight and
-coweight coordinates directly, and everything downstream (Out(G), actions
-on pi_1 and on the character group, stabilizers of a component label) is
-derived from those permutations acting on lattice classes.
+P^vee/Q^vee, once per type.  Out(G^sc), the node permutations preserving A,
+acts once per type on each quotient (`chars_action`, `center_action`: the
+class of a permuted generator lift) and is checked to preserve the pairing.
+Every Out action downstream is its restriction: Out(G) is the stabilizer of
+mu, acting on pi_1(G) = mu and on Hom(Z(G), G_m) = mu^perp.
 
 Two caches hold what depends on the Dynkin type: `type_lattices`, and
 `enumerate_forms`, the only constructor of `GroupForm`, whose records carry
 each form's invariants, computed and cross-checked once per form.  What
 depends only on the abstract centre, its subgroups, their coordinates and
 quotients, comes from `finabel` as built, shared by the types with the same
-centre (a whole group is already in its unit basis).  One function,
-`_names`, gives a form its display name and the spec tokens that select it
-('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name` looks a
-token up among the records.  pi_1(G) = mu is cross-checked by duality: the
-pairing is perfect, so (P/Q)/mu^perp, with mu^perp = Hom(Z(G), G_m) found
-through the pairing, must have the invariant factors of mu
-(`Subgroup.quotient`, one Smith form of at most two columns per subgroup).
+centre (a whole group is already in its unit basis).  `_names` gives a form
+its display name and the spec tokens that select it ('sc', 'adjoint', 'so',
+'semispin', 'mu<k>'), and `form_by_name` looks a token up among the records.
+pi_1(G) = mu is cross-checked by duality: the pairing is perfect, so
+(P/Q)/mu^perp, with mu^perp found through the pairing, must have the
+invariant factors of mu (`Subgroup.quotient`, one Smith form of at most two
+columns per subgroup).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .finabel import (
     FiniteAbelianGroup,
     LatticeQuotient,
     Subgroup,
+    closure,
     enumerate_subgroups,
     scaled_solve,
     smith_normal_form,
@@ -166,6 +167,15 @@ class TypeLattices:
     exponent: int  # e, the last invariant factor of A, so e A^-1 is integral
     pairings: tuple[tuple[int, ...], ...]  # [a][b] = e <chars gen a, center gen b> mod e
     out_elements: tuple[OutElement, ...]  # Out(G^sc), the Cartan automorphisms
+    chars_action: AbelianAction  # Out(G^sc) on P/Q
+    center_action: AbelianAction  # Out(G^sc) on P^vee/Q^vee
+
+
+def _sc_action(quotient: LatticeQuotient, outs) -> AbelianAction:
+    """Out(G^sc) on a (co)weight quotient: column j is the class of sigma(lift j)."""
+    return AbelianAction(group=quotient.group, actors={
+        elem.name: tuple(zip(*(quotient.project(elem.apply(g)) for g in quotient.generator_lifts)))
+        for elem in outs})
 
 
 @lru_cache(maxsize=None)
@@ -189,31 +199,41 @@ def type_lattices(t: DynkinType) -> TypeLattices:
     images, e = scaled_solve(smith, chars.generator_lifts)
     pairings = tuple(tuple(sum(x * y for x, y in zip(z, nw)) % e
                            for z in center.generator_lifts) for nw in images)
-    outs = tuple(OutElement(name=_cycle_name(perm), node_permutation=perm)
-                 for perm in _cartan_automorphisms(cartan))
-    return TypeLattices(cartan=cartan, chars=chars, center=center, exponent=e,
-                        pairings=pairings, out_elements=outs)
+    # the order of Out(G^sc) is checked before its actions are built from it
+    outs = _make_out_group(OutElement(name=_cycle_name(perm), node_permutation=perm)
+                           for perm in _cartan_automorphisms(cartan)).elements
+    lat = TypeLattices(cartan=cartan, chars=chars, center=center, exponent=e,
+                       pairings=pairings, out_elements=outs, chars_action=_sc_action(chars, outs),
+                       center_action=_sc_action(center, outs))
+    # the pairing is bilinear, so Out(G^sc) preserves it if it does on the
+    # generators; sa[a] and sz[z], matrix columns, are the images of generators
+    for name in lat.chars_action.names():
+        sa, sz = (list(zip(*act.matrix(name))) for act in (lat.chars_action, lat.center_action))
+        check(all(_pair(pairings, e, sa[a], sz[z]) == p
+                  for a, row in enumerate(pairings) for z, p in enumerate(row)),
+              lambda: f"outer element {name} does not preserve the pairing")
+    return lat
+
+
+def _pair(pairings, e: int, char_coords, center_coords) -> int:
+    """e times the pairing of two classes, from the generators' table `pairings`."""
+    value = sum(a * z * p
+                for a, row in zip(char_coords, pairings) if a
+                for z, p in zip(center_coords, row) if z)
+    return value % e
 
 
 def pairing(lat: TypeLattices, char_coords, center_coords) -> int:
     """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z, bilinear on the
     generators' pairings, as e times its value: an integer mod e."""
-    value = sum(a * z * p
-                for a, row in zip(char_coords, lat.pairings) if a
-                for z, p in zip(center_coords, row) if z)
-    return value % lat.exponent
-
-
-def _image(quotient: LatticeQuotient, elem: OutElement, coords) -> tuple[int, ...]:
-    """The class of elem applied to a lift of the class `coords`."""
-    return quotient.project(elem.apply(quotient.lift(coords)))
+    return _pair(lat.pairings, lat.exponent, char_coords, center_coords)
 
 
 def _so_subgroup(lat: TypeLattices) -> Subgroup:
-    # kernel of the vector representation: generated by the class of
+    # kernel of the vector representation: the closure of the class of
     # omega_1^vee (eps_1 in the usual coordinates)
-    omega1 = _unit(len(lat.cartan), 0)
-    return Subgroup(lat.center.group, [lat.center.project(omega1)])
+    omega1 = lat.center.project(_unit(len(lat.cartan), 0))
+    return Subgroup.from_elements(lat.center.group, closure(lat.center.group, [omega1]))
 
 
 def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozenset[str]]:
@@ -266,19 +286,18 @@ def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
     return Subgroup.from_elements(lat.chars.group, ann)
 
 
-def _out_action(out: OutGroup, sub: Subgroup, quotient: LatticeQuotient) -> AbelianAction:
-    """The action of Out(G) on a subgroup of `quotient`'s group; column j of
-    each matrix holds the coordinates of the image of basis element j."""
-    k = len(sub.structure.invariant_factors)
+def _out_action(out: OutGroup, sub: Subgroup, action: AbelianAction) -> AbelianAction:
+    """Out(G) on a subgroup, restricting the type's `action` of Out(G^sc);
+    column j of each matrix holds the coordinates of the image of basis element j."""
     actors = {}
     for elem in out.elements:
         cols = []
         for b in sub.basis:
-            image = _image(quotient, elem, b)
+            image = action.apply(elem.name, b)
             check(image in sub.elements,
                   lambda: f"outer element {elem.name} does not preserve the subgroup")
             cols.append(sub.to_coords(image))
-        actors[elem.name] = tuple(tuple(col[i] for col in cols) for i in range(k))
+        actors[elem.name] = tuple(zip(*cols))
     return AbelianAction(group=sub.structure, actors=actors)
 
 
@@ -351,12 +370,12 @@ def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | No
           f"{dual.symbol()}, its dual")
     out = _make_out_group(
         elem for elem in lat.out_elements
-        if {_image(lat.center, elem, x) for x in mu.elements} == mu.elements)
-    pi1_action = _out_action(out, mu, lat.center)
+        if {lat.center_action.apply(elem.name, x) for x in mu.elements} == mu.elements)
+    pi1_action = _out_action(out, mu, lat.center_action)
     return GroupForm(
         dynkin=t, mu=mu, display_name=display_name, tokens=tokens,
         chars=chars, pi1=pi1, out=out, pi1_action=pi1_action,
-        chars_action=_out_action(out, chars, lat.chars),
+        chars_action=_out_action(out, chars, lat.chars_action),
         delta_classes=_delta_classes(pi1, pi1_action))
 
 
@@ -378,7 +397,7 @@ def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
         sub = remaining.pop(key)
         orbit = [sub]
         for elem in lat.out_elements:
-            image = frozenset(_image(lat.center, elem, x) for x in sub.elements)
+            image = frozenset(lat.center_action.apply(elem.name, x) for x in sub.elements)
             ikey = (len(image), tuple(sorted(image)))
             if ikey in remaining:
                 orbit.append(remaining.pop(ikey))

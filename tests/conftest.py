@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 `fresh_caches` clears every `lru_cache` of the package before and after a
 test.  A test that patches a helper to make a check fail requests it, so
@@ -11,6 +11,17 @@ added later is covered without a change here.
 import sys
 
 import pytest
+
+
+def lift(quotient, coords) -> tuple[int, ...]:
+    """A vector of Z^r in the class `coords` of a `finabel.LatticeQuotient`:
+    sum c_j * generator_lifts[j].  The package acts on classes through the
+    matrices of `type_lattices`; lifting a class, permuting its nodes and
+    projecting back is the reference route the tests compare them with."""
+    result = [0] * quotient.rank
+    for c, g in zip(coords, quotient.generator_lifts):
+        result = [a + c * b for a, b in zip(result, g)]
+    return tuple(result)
 
 
 def package_caches() -> list:

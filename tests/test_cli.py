@@ -1116,6 +1116,15 @@ GROUP_FAULTS = {
                         "0 if tuple(a) == (3,) else pairing(lat, a, z)",
                         ["report", "--group", "PSL4"],
                         "generators do not span the given elements"),
+    # Out(Spin_16) acting trivially on P/Q while it still swaps the two spin
+    # classes of the centre: the swap (7 8) would then carry the pairing of
+    # omega_7 with omega_8^vee, 1/2, onto that of omega_7 with omega_7^vee, 0
+    "out_pairing": ("groupclass", "TypeLattices",
+                    "lambda cls=groupclass.TypeLattices, **f: cls(**{**f, 'chars_action': "
+                    "finabel.AbelianAction(f['chars_action'].group, dict.fromkeys("
+                    "f['chars_action'].actors, f['chars_action'].matrix('e')))})",
+                    ["report", "--group", "D8"],
+                    "outer element (7 8) does not preserve the pairing"),
 }
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import lift
 
 from bundleaut.finabel import (
     FiniteAbelianGroup,
@@ -213,10 +214,10 @@ def test_column_quotient_reads_the_row_smith_form():
         for col in zip(*m):
             assert q.project(col) == q.group.zero()
         k = len(q.group.invariant_factors)
-        for i, lift in enumerate(q.generator_lifts):
-            assert q.project(lift) == tuple(int(j == i) for j in range(k))
+        for i, gen in enumerate(q.generator_lifts):
+            assert q.project(gen) == tuple(int(j == i) for j in range(k))
         for coords in q.group.elements():
-            assert q.project(q.lift(coords)) == coords
+            assert q.project(lift(q, coords)) == coords
 
 
 def coset_order(group, sub, x):
@@ -288,7 +289,7 @@ def test_lattice_quotient_index_matches_determinant():
 def test_projection_is_additive_and_lifts_invert():
     q = lattice_quotient(root_relations(DynkinType("D", 6)))
     for coords in q.group.elements():
-        assert q.project(q.lift(coords)) == coords
+        assert q.project(lift(q, coords)) == coords
     a = unit(6, 2)
     b = unit(6, 5)
     a_plus_b = tuple(x + y for x, y in zip(a, b))

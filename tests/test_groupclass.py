@@ -6,11 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import package_caches
+from conftest import lift, package_caches
 
 import bundleaut
 from bundleaut import moduli
-from bundleaut.finabel import sublattice_quotient
+from bundleaut.finabel import Subgroup, enumerate_subgroups, sublattice_quotient
 from bundleaut.groupclass import (
     InvalidDegree,
     _cartan_automorphisms,
@@ -241,22 +241,74 @@ def test_invalid_delta_rejected():
         out_stabilizer(gf, (0,))
 
 
+def test_so_subgroup_is_the_shared_instance():
+    # every subgroup of a centre is the one instance `Subgroup.from_elements`
+    # keeps for its element set, the SO kernel included
+    for n in range(4, 17):
+        mu = by_name(f"D{n}", "so").mu
+        assert mu is Subgroup.from_elements(mu.ambient, mu.elements)
+        assert mu in enumerate_subgroups(mu.ambient)
+        assert len(mu.elements) == 2
+
+
 def test_semispin_out_is_trivial_for_large_even_rank():
     for tname in ["D6", "D8"]:
         assert by_name(tname, "semispin").out.symbol() == "1"
 
 
 def test_pairing_is_out_equivariant():
-    # consistency of the dual-side action with the character-side action
-    for tname in ["A3", "D5", "D6", "E6"]:
-        t = T(tname)
+    # consistency of the dual-side action with the character-side action, on
+    # every pair of elements; `type_lattices` checks the generators only
+    for t in admissible_types(16):
         lat = type_lattices(t)
-        for elem in lat.out_elements:
+        for name in lat.chars_action.names():
             for a in lat.chars.group.elements():
+                ia = lat.chars_action.apply(name, a)
                 for b in lat.center.group.elements():
-                    ia = lat.chars.project(elem.apply(lat.chars.lift(a)))
-                    ib = lat.center.project(elem.apply(lat.center.lift(b)))
-                    assert pairing(lat, ia, ib) == pairing(lat, a, b)
+                    ib = lat.center_action.apply(name, b)
+                    assert pairing(lat, ia, ib) == pairing(lat, a, b), (t, name)
+
+
+# the types of the table up to rank 16, and the largest of the A and D
+# families, whose centres are the largest (Z/80Z) and have both shapes
+SC_ACTION_TYPES = admissible_types(16) + [T("A79"), T("D79"), T("D80")]
+
+
+def lifted_image(quotient, elem, x):
+    """The class of sigma(lift(x)): the per-element route that the
+    type-level actions replace."""
+    return quotient.project(elem.apply(lift(quotient, x)))
+
+
+def sides(lat):
+    return [(lat.chars, lat.chars_action), (lat.center, lat.center_action)]
+
+
+@pytest.mark.parametrize("t", SC_ACTION_TYPES, ids=lambda t: t.label)
+def test_sc_actions_are_the_lifted_permutations(t):
+    lat = type_lattices(t)
+    for quotient, action in sides(lat):
+        assert action.names() == tuple(elem.name for elem in lat.out_elements)
+        for elem in lat.out_elements:
+            for x in quotient.group.elements():
+                assert action.apply(elem.name, x) == lifted_image(quotient, elem, x)
+
+
+@pytest.mark.parametrize("t", SC_ACTION_TYPES, ids=lambda t: t.label)
+def test_sc_actions_identity_and_composition(t):
+    # D4's S_3 is not commutative, so the order of composition is tested too
+    lat = type_lattices(t)
+    by_perm = {elem.node_permutation: elem.name for elem in lat.out_elements}
+    identity = next(elem.name for elem in lat.out_elements if elem.is_identity)
+    for quotient, action in sides(lat):
+        elements = list(quotient.group.elements())
+        assert all(action.apply(identity, x) == x for x in elements)
+        for s in lat.out_elements:
+            for u in lat.out_elements:
+                # s.apply(u.apply(v)) moves coordinate i to s(u(i))
+                st = by_perm[tuple(s.node_permutation[i] for i in u.node_permutation)]
+                for x in elements:
+                    assert action.apply(s.name, action.apply(u.name, x)) == action.apply(st, x)
 
 
 def test_char_action_matches_table_rows():
@@ -295,7 +347,7 @@ def pi1_lattice_quotient(lat, mu):
     of the Cartan matrix and X_* is spanned by them and lifts of mu: the
     rank-r route that building a form ran before it checked pi_1 by duality."""
     coroots = lat.cartan
-    rows = [list(c) for c in coroots] + [list(lat.center.lift(g)) for g in mu.generators]
+    rows = [list(c) for c in coroots] + [list(lift(lat.center, g)) for g in mu.generators]
     return sublattice_quotient(rows, coroots)[0].group
 
 
