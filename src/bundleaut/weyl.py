@@ -1,18 +1,20 @@
 """Weyl-group counts: the orbit counts, the group order, invariant degrees.
 
 Everything works from the integer Cartan matrix, and every per-type result
-is cached on the DynkinType.  Nothing searches an orbit.  Each orbit count
-is a count of roots in a closed chamber, read off the pairings of the roots
-with the simple coroots that the root closure records: a reflection group
-has one root of each of its orbits on the roots in its closed chamber
-(Humphreys, Reflection Groups and Coxeter Groups 1.12).  The W-orbits of
-roots are counted by the dominant roots, the orbits on ordered root pairs
-and on pairs of hyperplanes through the stabilizers of the dominant roots
-and of their hyperplanes, acting on one root at a time through the
-permutations of the root indices that the simple reflections induce.  The
-group order is r! times the product of the coefficients of the highest root
-times the connection index |P/Q|, one more than the number of those
-coefficients equal to 1; the group is never enumerated.
+is cached on the DynkinType.  No W-orbit is searched.  The orbit counts on
+the roots and on the ordered root pairs are counts of roots in a closed
+chamber, read off the pairings of the roots with the simple coroots that
+the root closure records: a reflection group has one root of each of its
+orbits on the roots in its closed chamber (Humphreys, Reflection Groups and
+Coxeter Groups 1.12).  The W-orbits of roots are counted by the dominant
+roots, the orbits on ordered root pairs through the stabilizers of the
+dominant roots, acting on one root at a time through the permutations of
+the root indices that the simple reflections induce.  The orbits on pairs
+of hyperplanes are the orbits of the order-8 group of swaps and sign
+changes on those ordered-pair representatives.  The group order is r!
+times the product of the coefficients of the highest root times the
+connection index |P/Q|, one more than the number of those coefficients
+equal to 1; the group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
 multiplicity of each cyclotomic factor in the characteristic polynomial of a
 Coxeter element c, itself a permutation of the roots whose cycles give h and
@@ -24,6 +26,7 @@ each height (3.20).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial, gcd, prod
 
@@ -44,49 +47,48 @@ def _heights(t: DynkinType) -> list[int]:
 @lru_cache(maxsize=None)
 def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
     """(m, n, ordered): the W-orbits on the roots, on unordered pairs of
-    distinct hyperplanes (n = 0 in rank 1) and on ordered pairs of roots,
-    each a count of roots in a closed chamber.
+    distinct hyperplanes (n = 0 in rank 1) and on ordered pairs of roots.
 
     A reflection group W' with simple system S' has one root of each of its
     orbits on Phi in the closed chamber <., alpha^vee> >= 0, alpha in S'
     (Humphreys 1.12), reached by applying the reflections of S' while they
     raise the root.  So m is the number of dominant roots theta, those whose
-    pairings with the simple coroots are all >= 0; every root is W-conjugate
-    to a simple root, and the roots of one length form one orbit, so m is
-    also the number of root lengths, which is checked.  Stab_W(theta) is the
-    parabolic W_J, J = {j : <theta, alpha_j^vee> = 0}, so the orbits on
-    ordered pairs, which each hold one pair (theta, beta), number the roots
-    in the closed chamber of W_J, summed over theta.
-
-    Each W-orbit of hyperplanes holds the hyperplane H_theta of one dominant
-    root, and Stab_W(H_theta) = W' = W_J x <s_theta>, with simple system
-    J + {theta}, as theta is orthogonal to the alpha_j (Bourbaki V 3.3).  A
-    root reaches its W'-chamber by climbing in W_J and then applying s_theta
-    once if its pairing with theta^vee is negative; s_theta commutes with
-    W_J.  Both are taken through a word w lowering theta to a simple root
-    alpha_i: <gamma, theta^vee> = <w gamma, alpha_i^vee> and
-    s_theta = w^-1 s_i w.  The W'-orbits on hyperplanes are the classes
-    {beta, chamber root of -beta} of the chamber roots beta, and those other
-    than {theta}, summed over theta, are the O orbits on ordered pairs of
-    distinct hyperplanes.  Swapping the two entries acts on these orbits; F
-    of them are swap-stable, so n = (O + F) / 2.  The class of H_beta is
-    swap-stable when a word u raising the positive root of +-beta to its
-    dominant root ends at theta, as u sends (H_beta, H_theta) to
-    (H_theta, H_{u theta}), and the chamber root of u theta is in the class.
+    pairings with the simple coroots are all >= 0, and also the number of
+    root lengths, which is checked.  Stab_W(theta) is the parabolic W_J,
+    J = {j : <theta, alpha_j^vee> = 0}, so each orbit on ordered pairs holds
+    one representative (theta, beta), beta in the closed chamber of W_J.
+    `canonical` reaches it: it climbs the first root to theta, applies the
+    same word to the second and climbs that in W_J.  The unordered pairs of
+    distinct hyperplanes are the ordered pairs (a, b), b != +-a, up to the
+    order-8 group that the swap (a, b) -> (b, a) and the sign change
+    (a, b) -> (-a, b) generate, which commutes with W; so n is the number of
+    its orbits on the representatives with beta != +-theta, found by a walk
+    that applies the two generators.  Each generator is checked to send a
+    representative to a representative that it sends back, each climb to a
+    dominant root to end at one, and the pairings of each simple root to be
+    its column of the Cartan matrix.
     """
     rd = build_root_datum(t)
     perms, pairings, roots = rd.reflections, rd.pairings, rd.roots
     n_roots = len(roots)
     half = n_roots // 2  # roots[half + q] is the positive root of pairings[q]
-
-    def signed(k: int) -> tuple[dict[int, int], int]:
-        """The pairings of root k as those of a positive root and a sign:
-        roots sort with -beta in the reverse order of beta."""
-        return (pairings[k - half], 1) if k >= half else (pairings[half - 1 - k], -1)
+    check(all(pairings), lambda: f"a positive root of {t} pairs to zero with every simple coroot")
+    dominant = [half + q for q, p in enumerate(pairings) if min(p.values()) > 0]
+    m = len(dominant)
+    lengths = len(set(_diagram(t)[0]))
+    check(m == lengths, f"{t} has {m} dominant roots, not one for each of its "
+          f"{lengths} root lengths")
+    for i, column in enumerate(zip(*rd.cartan)):  # the simple roots, found by bisection
+        alpha = _unit(t.rank, i)
+        check(pairings[bisect_left(roots, alpha, half) - half]
+              == {j: a for j, a in enumerate(column) if a},
+              lambda: f"the pairings of the simple root {list(alpha)} of {t} are not its "
+              "column of the Cartan matrix")
 
     def raising(k: int, among) -> int | None:
-        """An i in `among` whose s_i raises root k, if there is one."""
-        p, sign = signed(k)
+        """An i in `among` whose s_i raises root k, if there is one: roots
+        sort with -beta in the reverse order of beta."""
+        p, sign = (pairings[k - half], 1) if k >= half else (pairings[half - 1 - k], -1)
         return next((i for i, c in p.items() if sign * c < 0 and i in among), None)
 
     def climb(k: int, among) -> tuple[int, list[int]]:
@@ -101,54 +103,42 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
             k = perms[i][k]
         return k, word
 
-    def apply(word, k: int) -> int:
-        for j in word:
-            k = perms[j][k]
-        return k
-
-    dominant = [half + q for q, p in enumerate(pairings) if min(p.values()) > 0]
-    m = len(dominant)
-    lengths = len(set(_diagram(t)[0]))
-    check(m == lengths, f"{t} has {m} dominant roots, not one for each of its "
-          f"{lengths} root lengths")
     simple = range(t.rank)
-    ordered = pair_orbits = swap_stable = 0
-    for theta in dominant:
-        fixing = {j for j in simple if j not in pairings[theta - half]}
-        chamber = [k for k in range(n_roots) if raising(k, fixing) is None]
-        ordered += len(chamber)
-        k, w = theta, []
-        while sum(roots[k]) > 1 and len(w) < n_roots:
-            i = next((i for i, c in pairings[k - half].items() if c > 0), None)
-            if i is None:
-                break
-            w.append(i)
-            k = perms[i][k]
-        check(sum(roots[k]) == 1, f"the pairings of {t} lower the dominant root "
-              f"{list(roots[theta])} to no simple root in |Phi| = {n_roots} steps")
-        i = roots[k].index(1)
+    # J for each dominant root theta: the s_j that fix it, as <theta, alpha_j^vee> = 0
+    fixing = {theta: {j for j in simple if j not in pairings[theta - half]} for theta in dominant}
+    tops = {}  # the climb of each first root to its dominant root
 
-        def theta_pairing(k: int) -> int:
-            p, sign = signed(apply(w, k))
-            return sign * p.get(i, 0)
+    def canonical(a: int, b: int) -> tuple[int, int]:
+        """The representative (theta, beta) of the W-orbit of the pair (a, b)."""
+        if a not in tops:
+            tops[a] = climb(a, simple)
+            check(tops[a][0] in fixing, lambda: f"a climb in the roots of {t} stops off "
+                  "its dominant roots")
+        theta, word = tops[a]
+        for i in word:
+            b = perms[i][b]
+        return theta, climb(b, fixing[theta])[0]
 
-        def chamber_root(k: int) -> int:
-            k = climb(k, fixing)[0]
-            if theta_pairing(k) >= 0:
-                return k
-            return apply(reversed(w), perms[i][apply(w, k)])  # s_theta(k)
-
-        classes = {frozenset((k, chamber_root(n_roots - 1 - k)))
-                   for k in chamber if theta_pairing(k) >= 0}
-        pair_orbits += len(classes) - 1  # all but the class {theta} of H_theta
-        for cls in classes:
-            beta = next(iter(cls))
-            top, u = climb(max(beta, n_roots - 1 - beta), simple)  # the positive one of +-beta
-            if top == theta and theta not in cls:
-                swap_stable += chamber_root(apply(u, theta)) in cls
-    check((pair_orbits + swap_stable) % 2 == 0,
-          f"O + F = {pair_orbits} + {swap_stable} is odd for {t}")
-    return m, (pair_orbits + swap_stable) // 2, ordered
+    ordered = {(theta, beta) for theta in dominant for beta in range(n_roots)
+                if raising(beta, fixing[theta]) is None}
+    representatives = {(theta, beta) for theta, beta in ordered
+                       if beta != theta and beta != n_roots - 1 - theta}
+    # the swap and the sign change, as roots[n_roots - 1 - a] = -roots[a]
+    moves = (lambda a, b: canonical(b, a), lambda a, b: canonical(n_roots - 1 - a, b))
+    unseen, n = set(representatives), 0
+    while unseen:
+        n += 1
+        orbit = [unseen.pop()]
+        for pair in orbit:  # the list grows as it is walked
+            for move in moves:
+                image = move(*pair)
+                check(image in representatives and move(*image) == pair,
+                      lambda: f"a swap or sign change of a pair of roots of {t} is not an "
+                      "involution on the ordered-pair representatives")
+                if image in unseen:
+                    unseen.remove(image)
+                    orbit.append(image)
+    return m, n, len(ordered)
 
 
 def _divisors(n: int) -> list[int]:

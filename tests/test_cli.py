@@ -938,25 +938,35 @@ def with_pairings(name, root, pairings):
             "for root, p in zip(rd.roots[len(rd.roots) // 2:], rd.pairings)))")
 
 
-# the checks of `weyl.orbit_counts`: B3 with the pairings {0: 2, 1: -1} of
-# alpha_1 made nonnegative has a third dominant root; A2 with those of
-# alpha_2 made {0: -1, 1: -1} has -theta in place of theta in the chamber of
-# Stab(H_theta), so the class of H_theta itself counts as a swap-stable
-# orbit, F = 2 against O = 1.  The walks are bounded by |Phi| steps: G2 with
-# the pairings {0: -1, 1: 1} of a1 + a2 made {0: -1} leaves the lowering of
-# the dominant root 2a1 + a2 stuck at a1 + a2, which no pairing lowers, and
-# with those {0: 3, 1: -1} of 3a1 + a2 made {0: -1, 1: -1} a climb goes back
-# and forth between 3a1 + a2 and a2 by s_1
+# the checks of `weyl.orbit_counts`, in the order they run.  A positive root
+# with no nonzero pairing is a check, not a ValueError from `min`: G2 with
+# the pairings {0: 1} of 2a1 + a2 dropped.  B3 with the pairings {0: 2, 1: -1}
+# of alpha_1 made nonnegative has a third dominant root.  A2 with those of
+# alpha_2 made {0: -1, 1: -1} has a simple root off its column of the Cartan
+# matrix.  Every climb to a dominant root must end at one: G2 with the
+# pairings {0: -1, 1: 1} of a1 + a2 made {0: -1} leaves a climb stuck at
+# -(a1 + a2), and G2 with those {0: 3, 1: -1} of 3a1 + a2 made
+# {0: -1, 1: -1} one at -(3a1 + a2).  The climbs are bounded by |Phi|
+# steps: A3 with the pairings {0: -1, 1: 1, 2: 1} of a2 + a3 made
+# {0: -1, 1: -3, 2: 1} reaches the bound.  The swap and the sign change
+# must send each ordered-pair representative to one that they send back:
+# A2 with the pairings {0: 1, 1: 1} of theta made {1: 1} has one that sends
+# the pair (theta, -alpha_2) to one, (theta, alpha_1), that it does not send back
 ORBIT_COUNT_FAULTS = [
+    ("G2", (2, 1), {}, "a positive root of G2 pairs to zero with every simple coroot"),
     ("B3", (1, 0, 0), {0: 2, 1: 1},
      "B3 has 3 dominant roots, not one for each of its 2 root lengths"),
-    ("A2", (0, 1), {0: -1, 1: -1}, "O + F = 1 + 2 is odd for A2"),
-    ("G2", (1, 1), {0: -1},
-     "the pairings of G2 lower the dominant root [2, 1] to no simple root in |Phi| = 12 steps"),
-    ("G2", (3, 1), {0: -1, 1: -1},
-     "a climb to a chamber in the roots of G2 takes more than |Phi| = 12 steps"),
+    ("A2", (0, 1), {0: -1, 1: -1},
+     "the pairings of the simple root [0, 1] of A2 are not its column of the Cartan matrix"),
+    ("G2", (1, 1), {0: -1}, "a climb in the roots of G2 stops off its dominant roots"),
+    ("G2", (3, 1), {0: -1, 1: -1}, "a climb in the roots of G2 stops off its dominant roots"),
+    ("A3", (0, 1, 1), {0: -1, 1: -3, 2: 1},
+     "a climb to a chamber in the roots of A3 takes more than |Phi| = 12 steps"),
+    ("A2", (1, 1), {1: 1}, "a swap or sign change of a pair of roots of A2 is not an "
+     "involution on the ordered-pair representatives"),
 ]
-ORBIT_COUNT_IDS = ["dominant_roots", "pair_parity", "stuck_lowering", "endless_climb"]
+ORBIT_COUNT_IDS = ["zero_pairings", "dominant_roots", "simple_root_column", "stuck_climb",
+                   "endless_climb", "climb_bound", "pair_involution"]
 
 
 def orbit_count_exit(capsys, monkeypatch, fault):
@@ -968,21 +978,32 @@ def orbit_count_exit(capsys, monkeypatch, fault):
             (3, "", f"internal consistency failure: {message}\n"))
 
 
-def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch, fresh_caches):
+def test_root_pairing_to_zero_exits_3(capsys, monkeypatch, fresh_caches):
     got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[0])
     assert got == expected
 
 
-def test_hyperplane_pair_orbits_of_odd_parity_exit_3(capsys, monkeypatch, fresh_caches):
+def test_root_orbits_off_the_dominant_roots_exit_3(capsys, monkeypatch, fresh_caches):
     got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[1])
     assert got == expected
 
 
-@pytest.mark.parametrize("fault", ORBIT_COUNT_FAULTS[2:], ids=ORBIT_COUNT_IDS[2:])
+def test_simple_root_off_its_cartan_column_exits_3(capsys, monkeypatch, fresh_caches):
+    got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[2])
+    assert got == expected
+
+
+@pytest.mark.parametrize("fault", ORBIT_COUNT_FAULTS[3:6], ids=ORBIT_COUNT_IDS[3:6])
 def test_walks_off_the_reflections_exit_3(capsys, monkeypatch, fresh_caches, fault):
     # pairings that disagree with the reflections end a walk in a check, not
     # in StopIteration or an endless loop
     got, expected = orbit_count_exit(capsys, monkeypatch, fault)
+    assert got == expected
+
+
+def test_hyperplane_pair_moves_off_the_representatives_exit_3(capsys, monkeypatch,
+                                                              fresh_caches):
+    got, expected = orbit_count_exit(capsys, monkeypatch, ORBIT_COUNT_FAULTS[6])
     assert got == expected
 
 
