@@ -11,6 +11,15 @@ before the output was written), 2 mathematical inconsistency in the input
 (e.g. a parity violation in a delta profile), 3 internal consistency
 failure (a cross-check of the program's own results failed).
 
+Commands return documents, and formats are views of them.  Each handler
+`cmd_*` computes its command's document and prints nothing: a
+`ReportDocument` for `report`, and for `table`, `delta` and `rootdata` the
+dict that their json format prints.  `main` is the only writer of command
+output: it prints the view of the document that --format names, from
+`VIEWS`, one table of views by command and format.  The json view of every
+command is `_json_text`, and each command's --format choices are its
+formats in `VIEWS`, so a format is added to a command in that table alone.
+
 `COMMANDS` is the whole grammar: `parse_args` walks argv once against the
 per-command tables derived from it at import, and the -h text is generated
 from it.  `main(argv)` may be called repeatedly in one process, as a library
@@ -23,12 +32,12 @@ values by its contents.  `build_report` copies the `group` field, and the parts 
 `moduli.component` that do not depend on the genus, into a fresh
 `ReportDocument`, whose `hitchin` field is the dict `moduli.hitchin_report`
 returns: the Hitchin numerology, computed with its Riemann-Roch check on
-every call.  `table` prints the row dicts `moduli.classification_table`
-returns, read from the same `moduli.component` records as `report`.  Every
-number of a group spec, a delta label or a profile is read in the ASCII
-digits 0-9.  JSON is written by `_json_text`, an encoder for the values the
-package emits whose text is that of `json.dumps` with sorted keys and a
-two-space indent.
+every call.  The `table` document holds the row dicts that
+`moduli.classification_table` returns, read from the same
+`moduli.component` records as `report`.  Every number of a group spec, a
+delta label or a profile is read in the ASCII digits 0-9.  JSON is written
+by `_json_text`, an encoder for the values the package emits whose text is
+that of `json.dumps` with sorted keys and a two-space indent.
 """
 
 from __future__ import annotations
@@ -184,7 +193,8 @@ def _json_text(value, newline: str = "\n") -> str:
     ensure_ascii=False, indent=2, sort_keys=True)`, which with an indent
     runs the stdlib's pure-Python encoder (CPython 3.11); this one reads
     only what the package emits: dicts with str keys, lists, tuples, str,
-    int, True, False and None.  Any other value, a float or a subclass of int or str included,
+    int, True, False and None, and a `ReportDocument`, as the dict of its
+    fields.  Any other value, a float or a subclass of int or str included,
     and any key that is not a str raise TypeError.  `newline` is the line
     break and indent before a nested value."""
     kind = type(value)
@@ -210,6 +220,8 @@ def _json_text(value, newline: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
+    if kind is ReportDocument:
+        return _json_text(vars(value), newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -241,7 +253,7 @@ class ReportDocument:
 
     def to_json(self) -> str:
         # the encoder only reads the fields, so they need no copy first
-        return _json_text(vars(self))
+        return _json_text(self)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -375,30 +387,22 @@ def render_report_latex(doc: ReportDocument) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the document of its command and prints nothing
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> ReportDocument:
     gf = parse_group_spec(args.group)
-    delta = parse_delta(args.delta, gf)
-    doc = build_report(gf, delta, args.genus)
-    if args.format == "json":
-        print(doc.to_json())
-    elif args.format == "latex":
-        print(render_report_latex(doc))
-    else:
-        print(render_report_text(doc, _color_enabled()))
-    return EXIT_OK
+    return build_report(gf, parse_delta(args.delta, gf), args.genus)
 
 
-def table_lines(rows) -> list[str]:
-    return [f"{r['family']} | {r['group']} | {r['delta_class']} | {r['presentation']}"
-            for r in rows]
+def render_table_text(doc: dict) -> str:
+    return "\n".join(f"{r['family']} | {r['group']} | {r['delta_class']} | {r['presentation']}"
+                     for r in doc["rows"])
 
 
-def render_table_latex(rows) -> str:
+def render_table_latex(doc: dict) -> str:
     lines = []
-    for r in rows:
+    for r in doc["rows"]:
         family, group = r["family"], r["group"].replace("_", r"\_")
         if "_" in family:
             family = family.replace("_", "_{") + "}"
@@ -408,27 +412,19 @@ def render_table_latex(rows) -> str:
     return "\n".join(lines)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
     if args.max_rank < 2:
         # A_1 = SL_2, the smallest type, needs a bound of 2
         raise UsageError(f"--max-rank must be at least 2, got {args.max_rank}")
     if args.max_rank > MAX_TABLE_RANK:
         raise UsageError(f"--max-rank {args.max_rank} is outside the supported range "
                          f"2 to {MAX_TABLE_RANK}")
-    rows = moduli.classification_table(args.genus, args.max_rank)
-    if args.format == "json":
-        doc = {
-            "schema": "bundleaut.table/1",
-            "genus": args.genus,
-            "max_rank": args.max_rank,
-            "rows": rows,
-        }
-        print(_json_text(doc))
-    elif args.format == "latex":
-        print(render_table_latex(rows))
-    else:
-        print("\n".join(table_lines(rows)))
-    return EXIT_OK
+    return {
+        "schema": "bundleaut.table/1",
+        "genus": args.genus,
+        "max_rank": args.max_rank,
+        "rows": moduli.classification_table(args.genus, args.max_rank),
+    }
 
 
 _PROFILE_RE = re.compile(r"^([0-9]+):([0-9]+)$")  # ASCII digits, as in a group spec
@@ -446,25 +442,17 @@ def parse_profile(text: str) -> list[tuple[int, int]]:
     return points
 
 
-def cmd_delta(args) -> int:
-    points = parse_profile(args.profile)
-    locals_ = [moduli.delta_local(p) for p in points]
-    total = sum(locals_)
-    if args.format == "json":
-        doc = {
-            "schema": "bundleaut.delta/1",
-            "points": [
-                {"deg": d, "drop": s, "delta": v}
-                for (d, s), v in zip(points, locals_)
-            ],
-            "total": total,
-        }
-        print(_json_text(doc))
-    else:
-        for (d, s), v in zip(points, locals_):
-            print(f"deg = {d}, stabilizer rank drop = {s}  ->  delta_p = {v}")
-        print(f"total delta = {total}")
-    return EXIT_OK
+def cmd_delta(args) -> dict:
+    points = [{"deg": d, "drop": s, "delta": moduli.delta_local((d, s))}
+              for d, s in parse_profile(args.profile)]
+    return {"schema": "bundleaut.delta/1", "points": points,
+            "total": sum(p["delta"] for p in points)}
+
+
+def render_delta_text(doc: dict) -> str:
+    return "\n".join([*(f"deg = {p['deg']}, stabilizer rank drop = {p['drop']}  ->  "
+                        f"delta_p = {p['delta']}" for p in doc["points"]),
+                      f"total delta = {doc['total']}"])
 
 
 def _halved(x: int) -> str:
@@ -472,56 +460,66 @@ def _halved(x: int) -> str:
     return str(x // 2) if x % 2 == 0 else f"{x}/2"
 
 
-def cmd_rootdata(args) -> int:
+def cmd_rootdata(args) -> dict:
     t = _supported(DynkinType.parse(args.type))  # InvalidType is a usage error in `main`
     rd = build_root_datum(t)
     ambient_dim, doubled = ambient_simple_roots(t)
     check(has_cartan_matrix(doubled, rd.cartan),
           f"the ambient simple roots of {t} do not give the Cartan matrix of its Dynkin diagram")
-    simple_roots = [[_halved(x) for x in v] for v in doubled]
     degrees = weyl.invariant_degrees(t)
     # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
     # roots, which are the columns of A there
     weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
     m, n, ordered = weyl.orbit_counts(t)
-    order = weyl.weyl_order(t)
-    if args.format == "json":
-        doc = {
-            "schema": "bundleaut.rootdata/1",
-            "type": t.label,
-            "rank": rd.rank,
-            "ambient_dim": ambient_dim,
-            "num_roots": len(rd.roots),
-            "simple_roots": simple_roots,
-            "cartan": [list(row) for row in rd.cartan],
-            "degrees": list(degrees),
-            "coxeter_number": degrees[-1],
-            "weyl_order": order,
-            "weight_quotient": weight_quotient,
-            "num_hyperplanes": len(rd.roots) // 2,
-            "root_orbit_count": m,
-            "hyperplane_pair_orbit_count": n,
-            "ordered_root_pair_orbit_count": ordered,
-        }
-        print(_json_text(doc))
-    else:
-        colored = _color_enabled()
-        print(_styled(f"type {t.label}", colored))
-        print(f"  rank {rd.rank}, ambient dimension {ambient_dim}, "
-              f"{len(rd.roots)} roots, {len(rd.roots) // 2} hyperplanes")
-        print("  simple roots:")
-        for i, v in enumerate(simple_roots):
-            print(f"    a_{i + 1} = ({', '.join(v)})")
-        print("  Cartan matrix:")
-        for row in rd.cartan:
-            print("    [" + " ".join(f"{x:2d}" for x in row) + "]")
-        print(f"  invariant degrees: {list(degrees)}   "
-              f"(Coxeter number h = {degrees[-1]})")
-        print(f"  |W| = {order}")
-        print(f"  P/Q = {weight_quotient}")
-        print(f"  orbit counts: roots m = {m}, distinct hyperplane pairs n = {n}, "
-              f"ordered root pairs = {ordered}")
-    return EXIT_OK
+    return {
+        "schema": "bundleaut.rootdata/1",
+        "type": t.label,
+        "rank": rd.rank,
+        "ambient_dim": ambient_dim,
+        "num_roots": len(rd.roots),
+        "simple_roots": [[_halved(x) for x in v] for v in doubled],
+        "cartan": [list(row) for row in rd.cartan],
+        "degrees": list(degrees),
+        "coxeter_number": degrees[-1],
+        "weyl_order": weyl.weyl_order(t),
+        "weight_quotient": weight_quotient,
+        "num_hyperplanes": len(rd.roots) // 2,
+        "root_orbit_count": m,
+        "hyperplane_pair_orbit_count": n,
+        "ordered_root_pair_orbit_count": ordered,
+    }
+
+
+def render_rootdata_text(doc: dict, colored: bool) -> str:
+    return "\n".join([
+        _styled(f"type {doc['type']}", colored),
+        f"  rank {doc['rank']}, ambient dimension {doc['ambient_dim']}, "
+        f"{doc['num_roots']} roots, {doc['num_hyperplanes']} hyperplanes",
+        "  simple roots:",
+        *(f"    a_{i} = ({', '.join(v)})" for i, v in enumerate(doc["simple_roots"], 1)),
+        "  Cartan matrix:",
+        *("    [" + " ".join(f"{x:2d}" for x in row) + "]" for row in doc["cartan"]),
+        f"  invariant degrees: {doc['degrees']}   "
+        f"(Coxeter number h = {doc['coxeter_number']})",
+        f"  |W| = {doc['weyl_order']}",
+        f"  P/Q = {doc['weight_quotient']}",
+        f"  orbit counts: roots m = {doc['root_orbit_count']}, distinct hyperplane pairs "
+        f"n = {doc['hyperplane_pair_orbit_count']}, "
+        f"ordered root pairs = {doc['ordered_root_pair_orbit_count']}",
+    ])
+
+
+# every view of every command's document, by command and format: `main`
+# prints the one that --format names, and a command's --format choices are
+# its formats here, in this order
+VIEWS = {
+    "report": {"text": lambda doc: render_report_text(doc, _color_enabled()),
+               "json": _json_text, "latex": render_report_latex},
+    "table": {"text": render_table_text, "json": _json_text, "latex": render_table_latex},
+    "delta": {"text": render_delta_text, "json": _json_text},
+    "rootdata": {"text": lambda doc: render_rootdata_text(doc, _color_enabled()),
+                 "json": _json_text},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +549,6 @@ class Option:
         return self.dest.upper()
 
 
-_FORMATS = ("text", "json", "latex")
-
 # the whole command-line grammar: each subcommand, its handler, its one-line
 # help and its options; `parse_args` and the -h text both read this table
 COMMANDS = {
@@ -560,21 +556,21 @@ COMMANDS = {
         Option("--group", str, required=True, help="group spec, e.g. D4:adjoint or Spin8"),
         Option("--genus", int, 4),
         Option("--delta", str, help="component label, e.g. 0,0"),
-        Option("--format", _FORMATS, "text"),
+        Option("--format", tuple(VIEWS["report"]), "text"),
     )),
     "table": (cmd_table, "full classification table", (
         Option("--genus", int, 4),
         Option("--max-rank", int, DEFAULT_MAX_RANK),
-        Option("--format", _FORMATS, "text"),
+        Option("--format", tuple(VIEWS["table"]), "text"),
     )),
     "delta": (cmd_delta, "local invariant calculator", (
         Option("--profile", str, required=True,
                help="comma-separated <deg>:<drop> entries, e.g. 4:0,3:1"),
-        Option("--format", _FORMATS[:2], "text"),
+        Option("--format", tuple(VIEWS["delta"]), "text"),
     )),
     "rootdata": (cmd_rootdata, "root system data dump", (
         Option("--type", str, required=True, help="Dynkin type, e.g. E6"),
-        Option("--format", _FORMATS[:2], "text"),
+        Option("--format", tuple(VIEWS["rootdata"]), "text"),
     )),
 }
 
@@ -670,9 +666,8 @@ def _help_text(command: str | None) -> str:
                       "options:", *rows])
 
 
-def _show_help(args) -> int:
-    print(_help_text(args.command))
-    return EXIT_OK
+def _show_help(args) -> str:
+    return _help_text(args.command)
 
 
 def parse_args(argv) -> SimpleNamespace:
@@ -680,7 +675,7 @@ def parse_args(argv) -> SimpleNamespace:
     `COMMANDS`: `command`, `func` (its handler) and one field per option.
     `--opt value` and `--opt=value` both work, the last occurrence of an
     option wins, and a `-h` before any error returns a namespace whose
-    `func` prints the help instead.  Anything else raises UsageError."""
+    `func` returns the help text instead.  Anything else raises UsageError."""
     argv = list(argv)
     unknown = []
     for i, token in enumerate(argv):
@@ -735,9 +730,10 @@ def parse_args(argv) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        code = args.func(args)
+        doc = args.func(args)
+        print(doc if args.func is _show_help else VIEWS[args.command][args.format](doc))
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # the reader went away (`bundleaut table | head -1`): send the rest of
         # the output, and the flush at exit, to /dev/null ("Note on SIGPIPE"

@@ -15,11 +15,12 @@ turns any such basis into coordinates.  Matrices are plain lists of lists
 of Python ints; there is no size limit beyond practicality.
 
 What depends only on an abstract group is built once per group and shared
-by every caller, whichever Dynkin type it serves: the subgroup list of a
-`FiniteAbelianGroup` (`enumerate_subgroups`), the `Subgroup` with a given
-ambient group and element set (`Subgroup.from_elements`), and the quotient
-by a subgroup (`Subgroup.quotient`).  A shared result ran its checks when
-it was built.  `scaled_solve` applies e A^-1 to a few vectors from the Smith
+by every caller, whichever Dynkin type it serves: the element sets of the
+subgroups of a `FiniteAbelianGroup` (`enumerate_subgroups`), the
+`Subgroup`, with its coordinates, that a given ambient group and element
+set make (`Subgroup.from_elements`, built only for a set a caller asks
+for), and the quotient by a subgroup (`Subgroup.quotient`).  A shared
+result ran its checks when it was built.  `scaled_solve` applies e A^-1 to a few vectors from the Smith
 form of A, so that no caller forms the whole inverse.
 """
 
@@ -296,9 +297,6 @@ class Subgroup:
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
 
-    def canonical_key(self):
-        return (len(self.elements), tuple(sorted(self.elements)))
-
     def __eq__(self, other):
         return (isinstance(other, Subgroup)
                 and self.ambient == other.ambient
@@ -326,17 +324,17 @@ def _shared_subgroup(ambient: FiniteAbelianGroup, elements: frozenset) -> Subgro
 
 
 @lru_cache(maxsize=None)
-def enumerate_subgroups(g: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, ordered by size then element lists,
-    built once per group.
+def enumerate_subgroups(g: FiniteAbelianGroup) -> tuple[frozenset, ...]:
+    """The element set of every subgroup exactly once, ordered by size then
+    sorted element list, found once per group; `Subgroup.from_elements`
+    gives one its coordinates.
 
     With k invariant factors every subgroup is generated by k elements, so
     the subgroups are the closures of the k-element multisets."""
     k = len(g.invariant_factors)
     found = {closure(g, gens)
              for gens in itertools.combinations_with_replacement(g.elements(), k)}
-    ordered = sorted(found, key=lambda e: (len(e), tuple(sorted(e))))
-    return tuple(Subgroup.from_elements(g, elems) for elems in ordered)
+    return tuple(sorted(found, key=lambda e: (len(e), tuple(sorted(e)))))
 
 
 class LatticeQuotient:

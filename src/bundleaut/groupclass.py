@@ -15,14 +15,16 @@ class of a permuted generator lift) and is checked to preserve the pairing.
 Every Out action downstream is its restriction: Out(G) is the stabilizer of
 mu, acting on pi_1(G) = mu and on Hom(Z(G), G_m) = mu^perp.
 
-Two caches hold what depends on the Dynkin type: `type_lattices`, and
-`enumerate_forms`, the only constructor of `GroupForm`, whose records carry
-each form's invariants, computed and cross-checked once per form.  What
-depends only on the abstract centre, its subgroups, their coordinates and
-quotients, comes from `finabel` as built, shared by the types with the same
-centre (a whole group is already in its unit basis).  `_names` gives a form
-its display name and the spec tokens that select it ('sc', 'adjoint', 'so',
-'semispin', 'mu<k>'), and `form_by_name` looks a token up among the records.
+One cache holds what depends on the Dynkin type: `enumerate_forms`, the
+only constructor of `GroupForm`, whose records carry each form's
+invariants, computed and cross-checked once per form from the type's
+`type_lattices`, which it alone calls.  What depends only on the abstract
+centre, the element sets of its subgroups and the coordinates and quotients
+of those a form uses, comes from `finabel` as built, shared by the types
+with the same centre (a whole group is already in its unit basis).
+`_names` gives a form its display name and the spec tokens that select it
+('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name` looks a
+token up among the records.
 pi_1(G) = mu is cross-checked by duality: the pairing is perfect, so
 (P/Q)/mu^perp, with mu^perp found through the pairing, must have the
 invariant factors of mu (`Subgroup.quotient`, one Smith form of at most two
@@ -178,7 +180,6 @@ def _sc_action(quotient: LatticeQuotient, outs) -> AbelianAction:
         for elem in outs})
 
 
-@lru_cache(maxsize=None)
 def type_lattices(t: DynkinType) -> TypeLattices:
     cartan = cartan_matrix(t)
     # alpha_j = sum_i A[i][j] omega_i and alpha_i^vee = sum_j A[i][j] omega_j^vee,
@@ -229,11 +230,11 @@ def pairing(lat: TypeLattices, char_coords, center_coords) -> int:
     return _pair(lat.pairings, lat.exponent, char_coords, center_coords)
 
 
-def _so_subgroup(lat: TypeLattices) -> Subgroup:
-    # kernel of the vector representation: the closure of the class of
-    # omega_1^vee (eps_1 in the usual coordinates)
+def _so_subgroup(lat: TypeLattices) -> frozenset:
+    # the elements of the kernel of the vector representation: the closure
+    # of the class of omega_1^vee (eps_1 in the usual coordinates)
     omega1 = lat.center.project(_unit(len(lat.cartan), 0))
-    return Subgroup.from_elements(lat.center.group, closure(lat.center.group, [omega1]))
+    return closure(lat.center.group, [omega1])
 
 
 def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozenset[str]]:
@@ -357,10 +358,11 @@ class GroupForm:
         return self.display_name
 
 
-def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | None) -> GroupForm:
+def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: frozenset | None) -> GroupForm:
     """G^sc/mu with each invariant computed, and cross-checked, once; `so`
-    is the SO subgroup of a type-D center, None otherwise."""
-    display_name, tokens = _names(t, len(mu.elements), lat.center.group.order, mu == so)
+    is the element set of the SO subgroup of a type-D center, None otherwise."""
+    display_name, tokens = _names(t, len(mu.elements), lat.center.group.order,
+                                  mu.elements == so)
     chars = _annihilator(lat, mu)
     pi1 = mu.structure
     # the pairing is perfect, so (P/Q)/mu^perp = Hom(mu, Q/Z) is isomorphic to mu
@@ -383,29 +385,27 @@ def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: Subgroup | No
 def enumerate_forms(t: DynkinType) -> tuple[GroupForm, ...]:
     """One GroupForm per isomorphism class of quotients of the sc group.
 
-    Subgroups of the center are identified along the Out(G^sc)-action; for
-    type D the representative of an orbit containing the vector-kernel
-    subgroup is that subgroup, so the class is literally the SO form.
+    Subgroups of the center are identified along the Out(G^sc)-action, in
+    the order of `enumerate_subgroups`: an orbit comes at its first subgroup,
+    which represents it.  All the subgroups of an orbit have one size, so
+    the forms come by the size of mu.  For type D the representative of an
+    orbit containing the vector-kernel subgroup is that subgroup, so the
+    class is literally the SO form.
     """
     lat = type_lattices(t)
+    center = lat.center.group
     so = _so_subgroup(lat) if t.family == "D" else None
-    subgroups = enumerate_subgroups(lat.center.group)
-    remaining = {sub.canonical_key(): sub for sub in subgroups}
-    classes = []
-    while remaining:
-        key = min(remaining)
-        sub = remaining.pop(key)
-        orbit = [sub]
-        for elem in lat.out_elements:
-            image = frozenset(lat.center_action.apply(elem.name, x) for x in sub.elements)
-            ikey = (len(image), tuple(sorted(image)))
-            if ikey in remaining:
-                orbit.append(remaining.pop(ikey))
-        if so in orbit:
-            sub = so
-        classes.append(sub)
-    classes.sort(key=lambda s: s.canonical_key())
-    return tuple(_make_form(t, rep, lat, so) for rep in classes)
+    seen: set[frozenset] = set()
+    forms = []
+    for elements in enumerate_subgroups(center):
+        if elements in seen:
+            continue
+        orbit = {frozenset(lat.center_action.apply(elem.name, x) for x in elements)
+                 for elem in lat.out_elements}
+        seen |= orbit
+        mu = Subgroup.from_elements(center, so if so in orbit else elements)
+        forms.append(_make_form(t, mu, lat, so))
+    return tuple(forms)
 
 
 def form_by_name(t: DynkinType, kind: str) -> GroupForm:

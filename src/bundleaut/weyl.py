@@ -1,18 +1,19 @@
 """Weyl-group counts: the orbit counts, the group order, invariant degrees.
 
-Everything works from the integer Cartan matrix, and every per-type result
-is cached on the DynkinType.  No W-orbit is searched.  The orbit counts on
-the roots and on the ordered root pairs are counts of roots in a closed
-chamber, read off the pairings of the roots with the simple coroots that
-the root closure records: a reflection group has one root of each of its
-orbits on the roots in its closed chamber (Humphreys, Reflection Groups and
-Coxeter Groups 1.12).  The W-orbits of roots are counted by the dominant
-roots, the orbits on ordered root pairs through the stabilizers of the
-dominant roots, acting on one root at a time through the permutations of
-the root indices that the simple reflections induce.  The orbits on pairs
-of hyperplanes are the orbits of the order-8 group of swaps and sign
-changes on those ordered-pair representatives.  The group order is r!
-times the product of the coefficients of the highest root times the
+Everything works from the integer Cartan matrix.  The orbit counts and the
+invariant degrees are cached on the DynkinType; the group order, which
+`rootdata` asks for once per command, is not.  No W-orbit is searched.  The
+orbit counts on the roots and on the ordered root pairs are counts of roots
+in a closed chamber, read off the pairings of the roots with the simple
+coroots that the root closure records: a reflection group has one root of
+each of its orbits on the roots in its closed chamber (Humphreys,
+Reflection Groups and Coxeter Groups 1.12).  The W-orbits of roots are
+counted by the dominant roots, the orbits on ordered root pairs through the
+stabilizers of the dominant roots, acting on one root at a time through the
+permutations of the root indices that the simple reflections induce.  The
+orbits on pairs of hyperplanes are the orbits of the order-8 group of swaps
+and sign changes on those ordered-pair representatives.  The group order is
+r! times the product of the coefficients of the highest root times the
 connection index |P/Q|, one more than the number of those coefficients
 equal to 1; the group is never enumerated.
 Invariant degrees are computed two ways, checked to agree: from the
@@ -63,10 +64,10 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
     order-8 group that the swap (a, b) -> (b, a) and the sign change
     (a, b) -> (-a, b) generate, which commutes with W; so n is the number of
     its orbits on the representatives with beta != +-theta, found by a walk
-    that applies the two generators.  Each generator is checked to send a
-    representative to a representative that it sends back, each climb to a
-    dominant root to end at one, and the pairings of each simple root to be
-    its column of the Cartan matrix.
+    over one table of the two generator images of each representative.
+    Each generator is checked to send a representative to a representative
+    that it sends back, each climb to a dominant root to end at one, and the
+    pairings of each simple root to be its column of the Cartan matrix.
     """
     rd = build_root_datum(t)
     perms, pairings, roots = rd.reflections, rd.pairings, rd.roots
@@ -121,20 +122,21 @@ def orbit_counts(t: DynkinType) -> tuple[int, int, int]:
 
     ordered = {(theta, beta) for theta in dominant for beta in range(n_roots)
                 if raising(beta, fixing[theta]) is None}
-    representatives = {(theta, beta) for theta, beta in ordered
-                       if beta != theta and beta != n_roots - 1 - theta}
-    # the swap and the sign change, as roots[n_roots - 1 - a] = -roots[a]
-    moves = (lambda a, b: canonical(b, a), lambda a, b: canonical(n_roots - 1 - a, b))
-    unseen, n = set(representatives), 0
+    # each representative with beta != +-theta, and its images under the swap
+    # and the sign change, as roots[n_roots - 1 - a] = -roots[a]
+    images = {(a, b): (canonical(b, a), canonical(n_roots - 1 - a, b))
+              for a, b in ordered if b != a and b != n_roots - 1 - a}
+    for pair, moved in images.items():
+        for g, image in enumerate(moved):
+            check(image in images and images[image][g] == pair,
+                  lambda: f"a swap or sign change of a pair of roots of {t} is not an "
+                  "involution on the ordered-pair representatives")
+    unseen, n = set(images), 0
     while unseen:
         n += 1
         orbit = [unseen.pop()]
         for pair in orbit:  # the list grows as it is walked
-            for move in moves:
-                image = move(*pair)
-                check(image in representatives and move(*image) == pair,
-                      lambda: f"a swap or sign change of a pair of roots of {t} is not an "
-                      "involution on the ordered-pair representatives")
+            for image in images[pair]:
                 if image in unseen:
                     unseen.remove(image)
                     orbit.append(image)
@@ -226,7 +228,6 @@ def invariant_degrees(t: DynkinType) -> tuple[int, ...]:
     return degrees
 
 
-@lru_cache(maxsize=None)
 def weyl_order(t: DynkinType) -> int:
     """|W| = r! n_1 ... n_r f, the n_i the coefficients of the highest root
     and f = det A = |P/Q| the connection index (Bourbaki VI 2.4, Prop. 7).

@@ -50,12 +50,10 @@ CACHES = [
     "bundleaut.finabel._shared_subgroup",
     "bundleaut.finabel.enumerate_subgroups",
     "bundleaut.groupclass.enumerate_forms",
-    "bundleaut.groupclass.type_lattices",
     "bundleaut.moduli.component",
     "bundleaut.rootdata.build_root_datum",
     "bundleaut.weyl.invariant_degrees",
     "bundleaut.weyl.orbit_counts",
-    "bundleaut.weyl.weyl_order",
 ]
 
 

@@ -247,7 +247,7 @@ def test_so_subgroup_is_the_shared_instance():
     for n in range(4, 17):
         mu = by_name(f"D{n}", "so").mu
         assert mu is Subgroup.from_elements(mu.ambient, mu.elements)
-        assert mu in enumerate_subgroups(mu.ambient)
+        assert mu.elements in enumerate_subgroups(mu.ambient)
         assert len(mu.elements) == 2
 
 
