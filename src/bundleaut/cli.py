@@ -46,7 +46,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps
 from types import SimpleNamespace
@@ -193,10 +193,10 @@ def _json_text(value, newline: str = "\n") -> str:
     ensure_ascii=False, indent=2, sort_keys=True)`, which with an indent
     runs the stdlib's pure-Python encoder (CPython 3.11); this one reads
     only what the package emits: dicts with str keys, lists, tuples, str,
-    int, True, False and None, and a `ReportDocument`, as the dict of its
-    fields.  Any other value, a float or a subclass of int or str included,
-    and any key that is not a str raise TypeError.  `newline` is the line
-    break and indent before a nested value."""
+    int, True, False and None, and a `ReportDocument`, as the object of its
+    fields by name.  Any other value, a float or a subclass of int or str
+    included, and any key that is not a str raise TypeError.  `newline` is
+    the line break and indent before a nested value."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -221,7 +221,7 @@ def _json_text(value, newline: str = "\n") -> str:
     if value is False:
         return "false"
     if kind is ReportDocument:
-        return _json_text(vars(value), newline)
+        return _dict_text.__wrapped__(newline, *zip(value._fields, value))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -238,21 +238,13 @@ def _dict_text(newline: str, *items) -> str:
         + newline + "}")
 
 
-@dataclass
-class ReportDocument:
-    schema: str
-    group: dict
-    genus: int
-    delta: list
-    delta_class: str | None
-    presentation: str | None
-    actions: dict
-    hitchin: dict
-    provenance: dict
-    warnings: list
+class ReportDocument(namedtuple("ReportDocument", "schema group genus delta delta_class "
+                                                 "presentation actions hitchin provenance warnings")):
+    __slots__ = ()
 
     def to_json(self) -> str:
-        # the encoder only reads the fields, so they need no copy first
+        """The json view: the object of the fields by name, as `_json_text`
+        writes it, which reads the fields and copies none of them."""
         return _json_text(self)
 
     @classmethod
@@ -530,13 +522,11 @@ def _color_enabled() -> bool:
     return os.environ.get("BUNDLEAUT_COLOR") == "1"
 
 
-@dataclass(frozen=True)
-class Option:
-    flag: str
-    kind: type | tuple[str, ...]  # int, str, or the tuple of allowed values
-    default: object = None
-    required: bool = False
-    help: str = ""
+class Option(namedtuple("Option", (
+        "flag",
+        "kind",  # int, str, or the tuple of allowed values
+        "default", "required", "help"), defaults=(None, False, ""))):
+    __slots__ = ()
 
     @property
     def dest(self) -> str:

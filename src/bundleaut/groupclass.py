@@ -33,8 +33,8 @@ columns per subgroup).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 
 from .finabel import (
     AbelianAction,
@@ -53,12 +53,10 @@ class InvalidDegree(ValueError):
     """A component label outside pi_1(G)."""
 
 
-@dataclass(frozen=True)
-class OutElement:
-    name: str
-    node_permutation: tuple[int, ...]
+class OutElement(namedtuple("OutElement", "name node_permutation")):
+    __slots__ = ()
 
-    @cached_property
+    @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.node_permutation))
 
@@ -74,9 +72,8 @@ class OutElement:
 _SYMBOLS = {1: "1", 2: "Z/2Z", 6: "S_3"}  # Out(G) by order
 
 
-@dataclass(frozen=True)
-class OutGroup:
-    elements: tuple[OutElement, ...]
+class OutGroup(namedtuple("OutGroup", "elements")):
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -91,7 +88,8 @@ class OutGroup:
 
 
 def _make_out_group(elements) -> OutGroup:
-    elements = sorted(elements, key=lambda e: (not e.is_identity, e.node_permutation))
+    # the identity is the least node permutation, so it comes first
+    elements = sorted(elements, key=lambda e: e.node_permutation)
     check(len(elements) in _SYMBOLS, lambda: f"unexpected outer group order {len(elements)}")
     return OutGroup(elements=tuple(elements))
 
@@ -159,18 +157,18 @@ def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
     return sorted(perms)
 
 
-@dataclass(frozen=True)
-class TypeLattices:
+class TypeLattices(namedtuple("TypeLattices", (
+        "cartan",
+        "chars",  # P/Q  = Hom(Z(G^sc), G_m), weight coordinates
+        "center",  # P^vee/Q^vee = Z(G^sc), coweight coordinates
+        "exponent",  # e, the last invariant factor of A, so e A^-1 is integral
+        "pairings",  # [a][b] = e <chars gen a, center gen b> mod e
+        "out_elements",  # Out(G^sc), the Cartan automorphisms
+        "chars_action",  # Out(G^sc) on P/Q
+        "center_action"))):  # Out(G^sc) on P^vee/Q^vee
     """Weight- and coweight-side quotients for a simply-connected type."""
 
-    cartan: tuple[tuple[int, ...], ...]
-    chars: LatticeQuotient  # P/Q  = Hom(Z(G^sc), G_m), weight coordinates
-    center: LatticeQuotient  # P^vee/Q^vee = Z(G^sc), coweight coordinates
-    exponent: int  # e, the last invariant factor of A, so e A^-1 is integral
-    pairings: tuple[tuple[int, ...], ...]  # [a][b] = e <chars gen a, center gen b> mod e
-    out_elements: tuple[OutElement, ...]  # Out(G^sc), the Cartan automorphisms
-    chars_action: AbelianAction  # Out(G^sc) on P/Q
-    center_action: AbelianAction  # Out(G^sc) on P^vee/Q^vee
+    __slots__ = ()
 
 
 def _sc_action(quotient: LatticeQuotient, outs) -> AbelianAction:
@@ -325,34 +323,29 @@ def _delta_classes(pi1: FiniteAbelianGroup, action: AbelianAction) -> tuple[tupl
     return tuple(sorted(tuple(sorted(labels)) for labels in by_stabs.values()))
 
 
-@dataclass(frozen=True)
-class GroupForm:
+class GroupForm(namedtuple("GroupForm", (
+        "dynkin",
+        "mu",
+        "display_name",
+        "tokens",  # the spec tokens selecting it, see `_names`
+        "chars",  # Hom(Z(G), G_m), the annihilator of mu in P/Q
+        "pi1",  # pi_1(G), isomorphic to mu
+        "out",  # Out(G), the elements of Out(G^sc) preserving mu
+        "pi1_action",  # Out(G) on pi_1(G)
+        "chars_action",  # Out(G) on Hom(Z(G), G_m)
+        "delta_classes"))):
     """The group G = G^sc/mu and its invariants, built once by
-    `enumerate_forms`.  Equality and hashing see (dynkin, mu, display_name)
-    only; the hash is taken once, at construction, as the caches keyed by a
-    form (`moduli.component`, the `cli` ones) hash it on every lookup.  A
-    form rebuilt after a cache clear is equal to the old one, hash and all."""
+    `enumerate_forms`.  Equality is that of the tuple of its fields, and the
+    hash is that of its display name, which no two forms share: the caches
+    keyed by a form (`moduli.component`, the `cli` ones) hash it on every
+    lookup, and a str keeps its hash.  A form rebuilt after a cache clear,
+    or loaded from a pickle, is equal to the old one and hashes as its name
+    does in that process."""
 
-    dynkin: DynkinType
-    mu: Subgroup
-    display_name: str
-    tokens: frozenset[str] = field(compare=False)  # the spec tokens selecting it, see `_names`
-    chars: Subgroup = field(compare=False)  # Hom(Z(G), G_m), the annihilator of mu in P/Q
-    pi1: FiniteAbelianGroup = field(compare=False)  # pi_1(G), isomorphic to mu
-    out: OutGroup = field(compare=False)  # Out(G), the elements of Out(G^sc) preserving mu
-    pi1_action: AbelianAction = field(compare=False)  # Out(G) on pi_1(G)
-    chars_action: AbelianAction = field(compare=False)  # Out(G) on Hom(Z(G), G_m)
-    delta_classes: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dynkin, self.mu, self.display_name)))
+    __slots__ = ()
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a pickle rebuilds the form, and so its hash, as `DynkinType` does
-        return GroupForm, tuple(getattr(self, f.name) for f in fields(self))
+        return hash(self.display_name)
 
     def __str__(self) -> str:
         return self.display_name

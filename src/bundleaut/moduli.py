@@ -27,7 +27,7 @@ documents the command line prints, the table's rows and the report's
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import groupclass, weyl
@@ -125,14 +125,14 @@ def delta_class_label(gf: GroupForm, cls: tuple) -> str:
     return f"{DELTA} = {listing} {IN} {sym}"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", (
+        "presentation",  # H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)), rendered
+        "actions",  # (acting element, its description) pairs
+        "delta_class"))):  # the label of the delta class that holds delta
     """What the table and a report print about the component delta of a
     form; none of it depends on the genus."""
 
-    presentation: str  # H^1(C, Z(G)) x| (Out(G, delta) x Aut(C)), rendered
-    actions: tuple[tuple[str, str], ...]  # (acting element, its description)
-    delta_class: str  # the label of the delta class that holds delta
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

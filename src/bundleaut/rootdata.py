@@ -26,7 +26,7 @@ So do the rank ceilings of the command line, `MAX_RANK` and `MAX_TABLE_RANK`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul, neg
 
@@ -57,36 +57,28 @@ class InvalidType(ValueError):
     """Family/rank pair outside the admissible classification."""
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
+class DynkinType(namedtuple("DynkinType", "family rank")):
     """A family letter and a rank, checked admissible at construction.
-    Equality and order are those of (family, rank), and so is the hash,
-    which is taken once here: every per-type cache is keyed by the type."""
+    Equality, order and hash are those of the tuple (family, rank).  A
+    pickle rebuilds a type through `__new__`, so a loaded type takes the
+    hash of the process that loads it: that of a str differs between
+    processes."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam, n = self.family, self.rank
+    def __new__(cls, family: str, rank: int):
         ok = (
-            (fam == "A" and n >= 1)
-            or (fam == "B" and n >= 2)
-            or (fam == "C" and n >= 3)
-            or (fam == "D" and n >= 4)
-            or (fam == "E" and n in (6, 7, 8))
-            or (fam == "F" and n == 4)
-            or (fam == "G" and n == 2)
+            (family == "A" and rank >= 1)
+            or (family == "B" and rank >= 2)
+            or (family == "C" and rank >= 3)
+            or (family == "D" and rank >= 4)
+            or (family == "E" and rank in (6, 7, 8))
+            or (family == "F" and rank == 4)
+            or (family == "G" and rank == 2)
         )
         if not ok:
-            raise InvalidType(f"inadmissible Dynkin type {fam}{n}")
-        object.__setattr__(self, "_hash", hash((fam, n)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a pickle rebuilds the type, and so its hash: that of a str differs between processes
-        return DynkinType, (self.family, self.rank)
+            raise InvalidType(f"inadmissible Dynkin type {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     @property
     def name(self) -> str:
@@ -112,9 +104,6 @@ class DynkinType:
 
     def __str__(self) -> str:
         return self.name
-
-
-Root = tuple[int, ...]
 
 
 def _unit(dim: int, i: int) -> tuple[int, ...]:
@@ -203,17 +192,16 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    dynkin: DynkinType
-    cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[Root, ...]  # simple-root coordinates, sorted
-    # for each simple reflection s_i, the permutation it induces on the
-    # indices of `roots`
-    reflections: tuple[tuple[int, ...], ...]
-    # the nonzero <beta, alpha_i^vee> as {i: value}, one dict per positive
-    # root beta, in the order of `roots`; -beta has the negated ones
-    pairings: tuple[dict[int, int], ...]
+class RootDatum(namedtuple("RootDatum", (
+        "dynkin", "cartan",
+        "roots",  # simple-root coordinates, sorted
+        # for each simple reflection s_i, the permutation it induces on the
+        # indices of `roots`
+        "reflections",
+        # the nonzero <beta, alpha_i^vee> as {i: value}, one dict per positive
+        # root beta, in the order of `roots`; -beta has the negated ones
+        "pairings"))):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -199,8 +198,8 @@ def _scribble(value):
 
 
 def test_report_json_is_asdict_for_every_label():
-    # the json of a report holds its fields as `dataclasses.asdict` copies
-    # them, which share no container with the document
+    # the json of a report is a deep copy of the dict of its fields, which
+    # shares no container with the document
     labels = 0
     for t in table_types(8):
         for gf in enumerate_forms(t):
@@ -209,12 +208,23 @@ def test_report_json_is_asdict_for_every_label():
                     labels += 1
                     doc = build_report(gf, delta, 4)
                     assert ReportDocument.from_json(doc.to_json()) == doc
-                    d = dataclasses.asdict(doc)
+                    d = copy.deepcopy(doc._asdict())
                     assert json.loads(doc.to_json()) == d
                     before = copy.deepcopy(doc)
                     _scribble(d)
                     assert doc == before
     assert labels == 143
+
+
+@pytest.mark.parametrize("edit", [lambda d: d.update(extra=1), lambda d: d.pop("warnings")],
+                         ids=["extra_key", "missing_key"])
+def test_from_json_rejects_a_report_with_other_keys(edit):
+    # `from_json` takes the fields by name, so a report with a key that is
+    # no field, or without one of the fields, is a TypeError
+    d = json.loads(build_report(parse_group_spec("E8"), (), 4).to_json())
+    edit(d)
+    with pytest.raises(TypeError):
+        ReportDocument.from_json(json.dumps(d))
 
 
 def reference_report(gf, delta, genus):
@@ -267,14 +277,15 @@ REPORT_LABELS = [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t
 def test_cached_report_matches_the_reference(fresh_caches):
     # genus by genus, so that each label is built cold once and then read
     # from the caches at the other genera; the reference's json is the
-    # stdlib encoder's text of the deep copy `dataclasses.asdict` makes
+    # stdlib encoder's text of a deep copy of the dict of its fields
     assert len(REPORT_LABELS) == 143
     for genus in (2, 3, 4, 7, 10):
         for gf, delta in REPORT_LABELS:
             ref = reference_report(gf, delta, genus)
             doc = build_report(gf, delta, genus)
             assert doc == ref
-            ref_json = json.dumps(dataclasses.asdict(ref), ensure_ascii=False, indent=2, sort_keys=True)
+            ref_json = json.dumps(copy.deepcopy(ref._asdict()), ensure_ascii=False, indent=2,
+                                  sort_keys=True)
             assert rendered(doc, doc.to_json()) == rendered(ref, ref_json)
             assert ReportDocument.from_json(doc.to_json()) == doc
 
@@ -595,11 +606,13 @@ def test_cached_parser_leaks_no_state(capsys, monkeypatch):
 def test_no_rational_arithmetic_is_imported():
     # the package computes in integers only: importing the CLI and running
     # rootdata, table and report load neither `fractions` nor `decimal`,
-    # which `fractions` imports
+    # which `fractions` imports.  Its records are named tuples, so neither
+    # loads `dataclasses`, nor `inspect`, which `dataclasses` imports
     script = ("import contextlib, io, sys\n"
               "from bundleaut import cli\n"
               "def loaded(step):\n"
-              "    found = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+              "    found = [m for m in ('fractions', 'decimal', 'dataclasses', 'inspect')\n"
+              "             if m in sys.modules]\n"
               "    assert not found, (step, found)\n"
               "loaded('import')\n"
               "for argv in (['rootdata', '--type', 'E8'], ['table'], ['report', '--group', 'E8']):\n"
@@ -933,7 +946,7 @@ def with_pairings(name, root, pairings):
     """A patch of `weyl.build_root_datum`, as source: the root datum of the
     type with the pairings of one positive root replaced."""
     return (f"lambda t, rd=weyl.build_root_datum(DynkinType.parse({name!r})): "
-            "dataclasses.replace(rd, pairings=tuple("
+            "rd._replace(pairings=tuple("
             f"{pairings!r} if root == {root!r} else p "
             "for root, p in zip(rd.roots[len(rd.roots) // 2:], rd.pairings)))")
 
@@ -1009,7 +1022,7 @@ def test_hyperplane_pair_moves_off_the_representatives_exit_3(capsys, monkeypatc
 
 @pytest.mark.parametrize("name,root,pairings,message", ORBIT_COUNT_FAULTS, ids=ORBIT_COUNT_IDS)
 def test_orbit_count_checks_exit_3_under_optimize(name, root, pairings, message):
-    script = ("import dataclasses, sys\n"
+    script = ("import sys\n"
               "from bundleaut import cli, weyl\n"
               "from bundleaut.rootdata import DynkinType\n"
               f"weyl.build_root_datum = {with_pairings(name, root, pairings)}\n"

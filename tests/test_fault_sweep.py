@@ -24,7 +24,6 @@ Regenerate it and review the diff:
 
 from __future__ import annotations
 
-import dataclasses
 import signal
 import sys
 from pathlib import Path
@@ -59,7 +58,7 @@ def pairing_faults():
                         faulty[i] = value
                     pairings = rd.pairings[:q] + (faulty,) + rd.pairings[q + 1:]
                     yield (f"pairings {name} {rd.roots[half + q]} {i} {value or 'drop'}",
-                           t, dataclasses.replace(rd, pairings=pairings))
+                           t, rd._replace(pairings=pairings))
 
 
 def outcome(t: DynkinType, faulty) -> str:

@@ -421,15 +421,17 @@ def test_cartan_automorphisms_need_no_recursion():
 
 
 def test_hashes_taken_once_keep_value_semantics(fresh_caches):
-    # a type and a form hash once, at construction, as their compared fields
-    # do; a form rebuilt after the caches are cleared is equal to the old
-    # one, with the same hash, so a cache keyed by either finds it
+    # a type hashes as its tuple (family, rank) and a form as its display
+    # name, which no two forms share; a form rebuilt after the caches are
+    # cleared is equal to the old one, with the same hash, so a cache keyed
+    # by either finds it
     types = admissible_types(16)
     forms = [gf for t in moduli.table_types(16) for gf in enumerate_forms(t)]
     for t in types:
         assert hash(t) == hash((t.family, t.rank))
     for gf in forms:
-        assert hash(gf) == hash((gf.dynkin, gf.mu, gf.display_name))
+        assert hash(gf) == hash(gf.display_name)
+    assert len({gf.display_name for gf in forms}) == len(forms)
     for cache in package_caches():
         cache.cache_clear()
     rebuilt = [gf for t in moduli.table_types(16) for gf in enumerate_forms(t)]

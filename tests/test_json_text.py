@@ -7,7 +7,7 @@ every command that prints JSON.
 """
 
 import contextlib
-import dataclasses
+import copy
 import io
 import json
 
@@ -86,7 +86,7 @@ def test_edited_fixed_blocks_are_encoded_as_edited(edit):
     doc = build_report(gf, (1,), 4)
     for block in (doc.group, doc.actions, doc.provenance):
         EDITS[edit](block, min(block))
-    assert doc.to_json() == dumps(dataclasses.asdict(doc))
+    assert doc.to_json() == dumps(copy.deepcopy(doc._asdict()))
     assert build_report(gf, (1,), 4).to_json() == fresh
 
 

@@ -16,6 +16,12 @@ A change that should not alter output leaves every line as it is.  After a
 deliberate output change, regenerate the file and review its diff:
 
     PYTHONPATH=src python tests/test_snapshot.py --write
+
+`--check` compares the outputs with the file without pytest, so that any
+interpreter can run it: it prints each command whose output differs, or
+that only one of the command list and the file names, and exits 1.
+`test_digests_match_under_other_interpreters` runs it under the other
+CPython versions that pyenv installs, and under `python -O`.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
-
-import pytest
 
 from bundleaut import cli
 from bundleaut.groupclass import enumerate_forms
@@ -82,6 +87,34 @@ def recorded() -> dict[str, str]:
     return {cmd: sha for sha, cmd in (line.split("  ", 1) for line in lines)}
 
 
+def changed_commands() -> list[str]:
+    """The commands whose output does not have its recorded digest, then the
+    recorded commands that the list no longer names.  Under `python -O` the
+    exit code is not asserted, but a failed command prints nothing, whose
+    digest no command has."""
+    expected, commands = recorded(), snapshot_commands()
+    return ([cmd for cmd in commands if expected.get(cmd) != digest(cmd)]
+            + sorted(expected.keys() - set(commands)))
+
+
+if __name__ == "__main__":  # before pytest is imported, so that it needs none
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_snapshot.py --write | --check")
+    os.environ.pop("BUNDLEAUT_COLOR", None)
+    if sys.argv[1] == "--write":
+        DIGESTS.write_text("".join(f"{digest(cmd)}  {cmd}\n" for cmd in snapshot_commands()),
+                           encoding="utf-8")
+        sys.exit(0)
+    changed = changed_commands()
+    print(*changed, sep="\n", end="\n" if changed else "")
+    sys.exit(1 if changed else 0)
+
+import pytest  # noqa: E402  (after the script, which runs without it)
+
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+OTHER_PYTHONS = ("3.10.13", "3.12.1", "3.13.0")  # requires-python is >= 3.10
+
+
 @pytest.fixture(autouse=True)
 def _plain_output(monkeypatch):
     monkeypatch.delenv("BUNDLEAUT_COLOR", raising=False)
@@ -115,9 +148,16 @@ def test_commands_return_the_document_their_json_prints(capsys, kind):
         assert capsys.readouterr().out == cli._json_text(doc) + "\n", command
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_snapshot.py --write")
-    os.environ.pop("BUNDLEAUT_COLOR", None)
-    DIGESTS.write_text("".join(f"{digest(cmd)}  {cmd}\n" for cmd in snapshot_commands()),
-                       encoding="utf-8")
+@pytest.mark.parametrize("python,flags", [
+    *((PYENV_VERSIONS / version / "bin" / "python", ()) for version in OTHER_PYTHONS),
+    (Path(sys.executable), ("-O",)),
+], ids=[*OTHER_PYTHONS, "optimize"])
+def test_digests_match_under_other_interpreters(python, flags):
+    # the same bytes on every interpreter the package supports, and with
+    # the asserts stripped, where each `check` must still run
+    if not python.exists():
+        pytest.skip(f"no interpreter at {python}")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([str(python), *flags, __file__, "--check"], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
