@@ -254,12 +254,12 @@ class ReportDocument(namedtuple("ReportDocument", "schema group genus delta delt
 
 _PROVENANCE = {
     "center_chars": "annihilator of mu inside the lattice quotient P/Q",
-    "pi1": "coweight-lattice quotient in Smith normal form",
+    "pi1": "mu in P^vee/Q^vee, checked by duality against (P/Q)/mu^perp",
     "out": "Cartan-preserving node permutations acting on lattice classes",
     "presentation": "semidirect assembly from the stabilizer of the component label",
-    "weights": "cyclotomic factorization of the Coxeter characteristic polynomial",
+    "weights": "traces of the powers of a Coxeter element, checked against the root heights",
     "dim_basis": "Riemann-Roch sum cross-checked against dim G (g-1)",
-    "m_ab_components": "orbit count on roots",
+    "m_ab_components": "count of dominant roots, checked against the number of root lengths",
     "n_extra_components": "orbit count on unordered pairs of distinct hyperplanes",
 }
 

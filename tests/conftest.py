@@ -13,6 +13,16 @@ import sys
 import pytest
 
 
+def unit(n, i) -> tuple[int, ...]:
+    """e_i of Z^n: alpha_i, omega_i or omega_i^vee in simple-root or
+    fundamental-(co)weight coordinates."""
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def neg(v) -> tuple:
+    return tuple(-x for x in v)
+
+
 def lift(quotient, coords) -> tuple[int, ...]:
     """A vector of Z^r in the class `coords` of a `finabel.LatticeQuotient`:
     sum c_j * generator_lifts[j].  The package acts on classes through the

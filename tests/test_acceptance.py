@@ -19,6 +19,7 @@ from bundleaut.moduli import delta_local, riemann_roch_basis_dim
 from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum
 from bundleaut.weyl import invariant_degrees, weyl_order
 
+import oracles
 import test_finabel
 import test_groupclass
 import test_rootdata
@@ -87,10 +88,12 @@ def test_criterion_3_degree_identities(capsys):
         for d in degrees:
             product *= d
         assert weyl_order(t) == product
+        assert weyl_order(t) == oracles.weyl_order(t.family, t.rank)
         checked += 1
     with capsys.disabled():
         print(f"ACCEPTANCE 3 PASS: degree identities exact for {checked} types, "
-              f"|W| = prod d_i via orbit-stabilizer chains for every one")
+              f"|W| from the highest root = prod d_i = Humphreys' closed form "
+              f"for every one")
 
 
 def test_criterion_4_dimension_cross_check(capsys):

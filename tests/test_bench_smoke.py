@@ -8,8 +8,12 @@ and the traced runs must list exactly the stale names pinned below.  Losing
 a class the tracer times through its initialiser (`Subgroup.__init__`,
 `AbelianAction.__post_init__`) makes `Tracer.install` raise `KeyError`, so
 the run fails.  Each run writes only to `bench/out/`.
+
+The tests import `bench/oracles.py` too (`bench` is on the test path), so
+it must stay independent of the package it judges.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,3 +50,16 @@ def test_traced_workload_is_correct(workload):
     assert result["failed"] == 0
     detail = json.loads((ROOT / "bench" / "out" / f"{workload}-seed1-trace1.json").read_text())
     assert detail["layers"]["missing"] == STALE_NAMES
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    tree = ast.parse((ROOT / "bench" / "oracles.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {name for name in imported if name.split(".")[0] == "bundleaut"}, imported
+    # both directories are on the test path: a shared module name would
+    # shadow one module with the other
+    bench = {path.stem for path in (ROOT / "bench").glob("*.py")}
+    assert not bench & {path.stem for path in (ROOT / "tests").glob("*.py")}

@@ -847,6 +847,12 @@ def test_riemann_roch_check_runs_on_a_warm_report(capsys, monkeypatch, fresh_cac
 ONE_ORBIT = (5, 2, 4, 1, 0, 3)
 OFF_ORDER = (5, 2, 3, 1, 0, 4)  # tr(c) = -1 and c^3 = 1 need tr(c^2) = -1, not 0
 NILPOTENT = (4, 5, 0, 1, 2, 3)  # tr(c) = tr(c^2) = 0 and tr(c^3) = 2 leave x^3 - 1 2/3 times
+# orbits of length h, but traces no Coxeter element of A2 has
+TRACE_FAULTS = [
+    (OFF_ORDER, "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
+    (NILPOTENT, "the traces of a Coxeter element of A2 give x^3 - 1 the multiplicity 2/3, "
+                "not an integer"),
+]
 
 
 def degrees_exit(capsys, monkeypatch, name, patch):
@@ -867,13 +873,8 @@ def test_coxeter_orbit_of_wrong_length_exits_3(capsys, monkeypatch, fresh_caches
                    "orbits of lengths [6] on the roots, not 2 of length |Phi|/r = 3\n")
 
 
-@pytest.mark.parametrize("c,message", [
-    (OFF_ORDER, "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
-    (NILPOTENT, "the traces of a Coxeter element of A2 give x^3 - 1 the multiplicity 2/3, "
-                "not an integer"),
-], ids=["off_order", "nilpotent"])
+@pytest.mark.parametrize("c,message", TRACE_FAULTS, ids=["off_order", "nilpotent"])
 def test_coxeter_traces_off_a_weyl_group_exit_3(capsys, monkeypatch, fresh_caches, c, message):
-    # orbits of length h, but traces no Coxeter element of A2 has
     code, out, err = degrees_exit(capsys, monkeypatch, "_root_permutations",
                                   lambda t: (c, tuple(range(6))))
     assert (code, out, err) == (3, "", f"internal consistency failure: {message}\n")
@@ -913,13 +914,13 @@ def test_cyclotomic_checks_exit_3(capsys, monkeypatch, fresh_caches, cyclotomics
      "not 2 of length |Phi|/r = 3"),
     ("heights = weyl._heights\nweyl._heights = lambda t: heights(t) + [3]",
      "the degrees [2, 3] of A2 from a Coxeter element are not [2, 4] from the root heights"),
-    (f"weyl._root_permutations = lambda t: ({OFF_ORDER}, tuple(range(6)))",
-     "a Coxeter element of A2 has tr(c^2) = 0, not -1 as c^3 = 1 requires"),
+    *((f"weyl._root_permutations = lambda t: ({c}, tuple(range(6)))", message)
+      for c, message in TRACE_FAULTS),
     ("weyl.invariant_degrees = lambda t: (2, 4)",
      "|W| = 6 is not the product of the degrees [2, 4]"),
     *((f"weyl._coxeter_cyclotomics = lambda t: {c}", message)
       for c, message in CYCLOTOMIC_FAULTS),
-], ids=["orbit", "routes", "traces", "order", *CYCLOTOMIC_IDS])
+], ids=["orbit", "routes", "traces", "nilpotent", "order", *CYCLOTOMIC_IDS])
 def test_degree_checks_exit_3_under_optimize(patch, message):
     script = ("import sys\n"
               "from bundleaut import cli, weyl\n"
@@ -1032,13 +1033,24 @@ def test_orbit_count_checks_exit_3_under_optimize(name, root, pairings, message)
         3, "", f"internal consistency failure: {message}\n")
 
 
+# an actor that collapses the group, as source so that it runs in process
+# and under `python -O` alike, fails a check inside main
+COLLAPSING_APPLY = "lambda self, name, x: self.group.zero()"
+NOT_INVERTIBLE = "internal consistency failure: actor 'e' is not invertible\n"
+
+
 def test_non_invertible_actor_exits_3(capsys, monkeypatch, fresh_caches):
-    # an actor that collapses the group fails a check inside main
-    monkeypatch.setattr(finabel.AbelianAction, "apply", lambda self, name, x: self.group.zero())
-    code, out, err = run(capsys, "report", "--group", "D4:adjoint")
-    assert code == 3
-    assert out == ""
-    assert err == "internal consistency failure: actor 'e' is not invertible\n"
+    monkeypatch.setattr(finabel.AbelianAction, "apply", eval(COLLAPSING_APPLY))
+    assert run(capsys, "report", "--group", "D4:adjoint") == (3, "", NOT_INVERTIBLE)
+
+
+def test_non_invertible_actor_exits_3_under_optimize():
+    script = ("import sys\n"
+              "from bundleaut import cli, finabel\n"
+              f"finabel.AbelianAction.apply = {COLLAPSING_APPLY}\n"
+              "sys.exit(cli.main(['report', '--group', 'D4:adjoint']))\n")
+    proc = run_process("-O", "-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NOT_INVERTIBLE)
 
 
 # pi_1 of PSL_3 against the dual of its characters when the pairing is made

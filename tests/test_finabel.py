@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
-from conftest import lift
+from conftest import lift, unit
 
 from bundleaut.finabel import (
     FiniteAbelianGroup,
@@ -22,30 +23,6 @@ from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum, c
 def mat_mul_int(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
-
-
-def int_det(m):
-    """Determinant by exact rational elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
-
-
-def unit(n, i):
-    """omega_i in fundamental-weight coordinates."""
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def root_relations(t):
@@ -73,8 +50,8 @@ def from_coords(sub, coords):
 def check_snf(m):
     s, u, v, vinv = smith_normal_form(m)
     assert mat_mul_int(mat_mul_int(u, m), v) == s
-    assert abs(int_det(u)) == 1
-    assert abs(int_det(v)) == 1
+    assert abs(oracles.det(u)) == 1
+    assert abs(oracles.det(v)) == 1
     assert mat_mul_int(v, vinv) == [[int(i == j) for j in range(len(v))] for i in range(len(v))]
     diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
     for i in range(len(s)):
@@ -115,7 +92,7 @@ def test_snf_round_trip_randomized():
 def test_snf_zero_matrix():
     s, u, v, vinv = smith_normal_form([[0, 0], [0, 0]])
     assert s == [[0, 0], [0, 0]]
-    assert abs(int_det(u)) == 1 and abs(int_det(v)) == 1
+    assert abs(oracles.det(u)) == 1 and abs(oracles.det(v)) == 1
     assert mat_mul_int(v, vinv) == [[1, 0], [0, 1]]
 
 
@@ -205,7 +182,7 @@ def test_column_quotient_reads_the_row_smith_form():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if int_det(m) == 0:
+        if oracles.det(m) == 0:
             continue
         q = LatticeQuotient(m, smith_normal_form(m), columns=True)
         transposed = lattice_quotient(list(zip(*m)))
@@ -280,7 +257,7 @@ def test_lattice_quotient_index_matches_determinant():
         n = rng.randint(1, 4)
         while True:
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            d = int_det(m)
+            d = oracles.det(m)
             if d != 0:
                 break
         q = lattice_quotient([tuple(row) for row in m])

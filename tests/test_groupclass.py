@@ -5,8 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
-from conftest import lift, package_caches
+from conftest import lift, package_caches, unit
 
 import bundleaut
 from bundleaut import moduli
@@ -31,78 +32,27 @@ def by_name(tname, form):
     return form_by_name(T(tname), form)
 
 
-def unit(n, i):
-    """omega_i (or omega_i^vee) in fundamental-(co)weight coordinates."""
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def group_neg(group, x):
     return tuple((-a) % f for a, f in zip(x, group.invariant_factors))
 
 
-# --- the five classification sub-tables (type A; B/C; D; E6; E7/E8/F4/G2) --
+def group_symbol(factors):
+    """{0}, Z/nZ or (Z/nZ)^k: the invariant factors of every form are equal."""
+    assert len(set(factors)) <= 1
+    cyclic = f"Z/{factors[0]}Z" if factors else "{0}"
+    return f"({cyclic})^{len(factors)}" if len(factors) > 1 else cyclic
+
+
+# --- the classification table: every form of every type of rank <= 8 -------
 # Every entry is computed from lattice quotients and diagram symmetries; the
-# expected strings are the standard classification values.
+# expected names, Out(G), Hom(Z(G), G_m) and pi_1(G) are the oracle's
+# Bourbaki values.
 
-A_TABLE = [
-    ("A1", "sc", "SL_2", "1", "Z/2Z", "{0}"),
-    ("A1", "adjoint", "PSL_2", "1", "{0}", "Z/2Z"),
-    ("A2", "sc", "SL_3", "Z/2Z", "Z/3Z", "{0}"),
-    ("A2", "adjoint", "PSL_3", "Z/2Z", "{0}", "Z/3Z"),
-    ("A3", "sc", "SL_4", "Z/2Z", "Z/4Z", "{0}"),
-    ("A3", "mu2", "SL_4/mu_2", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("A3", "adjoint", "PSL_4", "Z/2Z", "{0}", "Z/4Z"),
-    ("A4", "sc", "SL_5", "Z/2Z", "Z/5Z", "{0}"),
-    ("A5", "mu2", "SL_6/mu_2", "Z/2Z", "Z/3Z", "Z/2Z"),
-    ("A5", "mu3", "SL_6/mu_3", "Z/2Z", "Z/2Z", "Z/3Z"),
-    ("A6", "adjoint", "PSL_7", "Z/2Z", "{0}", "Z/7Z"),
-    ("A7", "mu4", "SL_8/mu_4", "Z/2Z", "Z/2Z", "Z/4Z"),
+ALL_TABLES = [
+    (f"{f.family}{f.rank}", f.token, f.name, {1: "1", 2: "Z/2Z", 6: "S_3"}[f.out_order],
+     group_symbol(f.chars), group_symbol(f.pi1))
+    for f in oracles.all_forms()
 ]
-
-BC_TABLE = [
-    (f"B{n}", "sc", f"Spin_{2 * n + 1}", "1", "Z/2Z", "{0}") for n in range(2, 9)
-] + [
-    (f"B{n}", "adjoint", f"SO_{2 * n + 1}", "1", "{0}", "Z/2Z") for n in range(2, 9)
-] + [
-    (f"C{n}", "sc", f"Sp_{2 * n}", "1", "Z/2Z", "{0}") for n in range(3, 9)
-] + [
-    (f"C{n}", "adjoint", f"PSp_{2 * n}", "1", "{0}", "Z/2Z") for n in range(3, 9)
-]
-
-D_TABLE = [
-    ("D4", "sc", "Spin_8", "S_3", "(Z/2Z)^2", "{0}"),
-    ("D4", "so", "SO_8", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("D4", "adjoint", "PSO_8", "S_3", "{0}", "(Z/2Z)^2"),
-    ("D6", "sc", "Spin_12", "Z/2Z", "(Z/2Z)^2", "{0}"),
-    ("D6", "semispin", "SemiSpin_12", "1", "Z/2Z", "Z/2Z"),
-    ("D6", "so", "SO_12", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("D6", "adjoint", "PSO_12", "Z/2Z", "{0}", "(Z/2Z)^2"),
-    ("D8", "sc", "Spin_16", "Z/2Z", "(Z/2Z)^2", "{0}"),
-    ("D8", "semispin", "SemiSpin_16", "1", "Z/2Z", "Z/2Z"),
-    ("D8", "so", "SO_16", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("D8", "adjoint", "PSO_16", "Z/2Z", "{0}", "(Z/2Z)^2"),
-    ("D5", "sc", "Spin_10", "Z/2Z", "Z/4Z", "{0}"),
-    ("D5", "so", "SO_10", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("D5", "adjoint", "PSO_10", "Z/2Z", "{0}", "Z/4Z"),
-    ("D7", "sc", "Spin_14", "Z/2Z", "Z/4Z", "{0}"),
-    ("D7", "so", "SO_14", "Z/2Z", "Z/2Z", "Z/2Z"),
-    ("D7", "adjoint", "PSO_14", "Z/2Z", "{0}", "Z/4Z"),
-]
-
-E6_TABLE = [
-    ("E6", "sc", "E6_sc", "Z/2Z", "Z/3Z", "{0}"),
-    ("E6", "adjoint", "E6_ad", "Z/2Z", "{0}", "Z/3Z"),
-]
-
-REST_TABLE = [
-    ("E7", "sc", "E7_sc", "1", "Z/2Z", "{0}"),
-    ("E7", "adjoint", "E7_ad", "1", "{0}", "Z/2Z"),
-    ("E8", "sc", "E8", "1", "{0}", "{0}"),
-    ("F4", "sc", "F4", "1", "{0}", "{0}"),
-    ("G2", "sc", "G2", "1", "{0}", "{0}"),
-]
-
-ALL_TABLES = A_TABLE + BC_TABLE + D_TABLE + E6_TABLE + REST_TABLE
 
 
 @pytest.mark.parametrize("tname,form,name,out,chars,pi1", ALL_TABLES)

@@ -8,14 +8,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from conftest import unit
 
 from bundleaut.finabel import LatticeError, scaled_solve, smith_normal_form
 from bundleaut.groupclass import type_lattices
 from bundleaut.rootdata import admissible_types, build_root_datum
-
-
-def unit(n, i):
-    return tuple(int(i == j) for j in range(n))
 
 
 def inverse(a):

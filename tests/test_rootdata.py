@@ -3,7 +3,9 @@
 from fractions import Fraction
 from operator import mul
 
+import oracles
 import pytest
+from conftest import neg, unit
 
 from bundleaut.finabel import lattice_quotient, scaled_solve, smith_normal_form
 from bundleaut.groupclass import type_lattices
@@ -20,14 +22,6 @@ from bundleaut.rootdata import (
 
 def dot(u, v):
     return sum(map(mul, u, v))
-
-
-def neg(v):
-    return tuple(-x for x in v)
-
-
-def unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def reflect(cartan, i, v):
@@ -59,24 +53,6 @@ def coroot_coordinates(t, a):
     image = ambient_image(t, a)
     norm = dot(image, image)
     return tuple(x * dot(s, s) / norm for x, s in zip(a, simples))
-
-
-def integer_closure(cartan):
-    """Closure of the unit vectors under s_i(v) = v - (A v)_i e_i."""
-    n = len(cartan)
-    roots = {unit(n, i) for i in range(n)}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(n):
-                c = dot(cartan[i], v)
-                img = v[:i] + (v[i] - c,) + v[i + 1:]
-                if img not in roots:
-                    roots.add(img)
-                    new.append(img)
-        frontier = new
-    return roots
 
 
 def full_closure_oracle(t):
@@ -218,8 +194,8 @@ def test_reflection_tables_entry_by_entry(t):
     # and the tables off by symmetry; every entry is checked here
     rd = build_root_datum(t)
     half = len(rd.roots) // 2
-    assert set(rd.roots) == integer_closure(rd.cartan)
-    assert list(rd.roots) == sorted(rd.roots)
+    # the oracle's closure of the unit vectors, sorted
+    assert list(rd.roots) == oracles._roots_in_simple_coordinates(rd.cartan)
     assert rd.roots[:half] == tuple(neg(a) for a in reversed(rd.roots[half:]))
     assert all(min(a) >= 0 for a in rd.roots[half:])
     for i, table in enumerate(rd.reflections):
@@ -279,7 +255,7 @@ def test_coroot_map():
     rd = build_root_datum(t)
     coroots = {tuple(int(c) for c in coroot_coordinates(t, a)) for a in rd.roots}
     assert len(coroots) == len(rd.roots)
-    assert coroots == integer_closure(tuple(zip(*rd.cartan)))
+    assert coroots == set(oracles._roots_in_simple_coordinates(tuple(zip(*rd.cartan))))
 
 
 def test_ranks_beyond_default_bound():
