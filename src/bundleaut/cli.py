@@ -35,7 +35,9 @@ returns: the Hitchin numerology, computed with its Riemann-Roch check on
 every call.  The `table` document holds the row dicts that
 `moduli.classification_table` returns, read from the same
 `moduli.component` records as `report`.  Every number of a group spec, a
-delta label or a profile is read in the ASCII digits 0-9.  JSON is written
+delta label or a profile is read in the ASCII digits 0-9, and a genus and
+each number of a profile have at most `moduli.MAX_GENUS_DIGITS` and
+`MAX_PROFILE_DIGITS` digits, checked before anything is built.  JSON is written
 by `_json_text`, an encoder for the values the package emits whose text is
 that of `json.dumps` with sorted keys and a two-space indent.
 """
@@ -54,7 +56,7 @@ from types import SimpleNamespace
 from . import groupclass, moduli, weyl
 from .finabel import lattice_quotient
 from .groupclass import GroupForm, InvalidDegree
-from .moduli import GenusOutOfRange, InconsistentProfile
+from .moduli import MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, GenusOutOfRange, InconsistentProfile
 from .rootdata import (
     DEFAULT_MAX_RANK,
     MAX_RANK,
@@ -101,6 +103,12 @@ def _supported(t: DynkinType) -> DynkinType:
     if t.rank > MAX_RANK:
         raise InvalidType(f"type {t.name} is outside the supported ranks 1 to {MAX_RANK}")
     return t
+
+
+def _within(what: str, digits: str, ceiling: int) -> None:
+    """A usage error where a number has more than `ceiling` digits."""
+    if len(digits) > ceiling:
+        raise UsageError(f"{what} has {len(digits)} digits; at most {ceiling} are supported")
 
 
 def _number(digits: str) -> int:
@@ -292,8 +300,8 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
         actions = dict(comp.actions)
         delta_class = comp.delta_class
     else:
-        warnings.append(
-            "presentation requires genus >= 4; emitting Hitchin numerology only")
+        warnings.append(f"presentation requires genus >= {moduli.MIN_GENUS_PRESENTATION}; "
+                        "emitting Hitchin numerology only")
     return ReportDocument(
         schema="bundleaut.report/1",
         group=dict(_group_header(gf)),
@@ -383,6 +391,7 @@ def render_report_latex(doc: ReportDocument) -> str:
 
 
 def cmd_report(args) -> ReportDocument:
+    _within("--genus", str(abs(args.genus)), MAX_GENUS_DIGITS)
     gf = parse_group_spec(args.group)
     return build_report(gf, parse_delta(args.delta, gf), args.genus)
 
@@ -405,6 +414,7 @@ def render_table_latex(doc: dict) -> str:
 
 
 def cmd_table(args) -> dict:
+    _within("--genus", str(abs(args.genus)), MAX_GENUS_DIGITS)
     if args.max_rank < 2:
         # A_1 = SL_2, the smallest type, needs a bound of 2
         raise UsageError(f"--max-rank must be at least 2, got {args.max_rank}")
@@ -424,12 +434,14 @@ _PROFILE_RE = re.compile(r"^([0-9]+):([0-9]+)$")  # ASCII digits, as in a group 
 
 def parse_profile(text: str) -> list[tuple[int, int]]:
     points = []
-    for token in text.split(","):
+    for k, token in enumerate(text.split(","), 1):
         token = token.strip()
         m = _PROFILE_RE.match(token)
         if not m:
             raise UsageError(
                 f"profile entry {token!r} does not match <deg>:<drop>")
+        for digits in m.groups():
+            _within(f"a number of profile entry {k}", digits, MAX_PROFILE_DIGITS)
         points.append((int(m.group(1)), int(m.group(2))))
     return points
 

@@ -16,12 +16,14 @@ of Python ints; there is no size limit beyond practicality.
 
 What depends only on an abstract group is built once per group and shared
 by every caller, whichever Dynkin type it serves: the element sets of the
-subgroups of a `FiniteAbelianGroup` (`enumerate_subgroups`), the
-`Subgroup`, with its coordinates, that a given ambient group and element
-set make (`Subgroup.from_elements`, built only for a set a caller asks
-for), and the quotient by a subgroup (`Subgroup.quotient`).  A shared
-result ran its checks when it was built.  `scaled_solve` applies e A^-1 to a few vectors from the Smith
-form of A, so that no caller forms the whole inverse.
+subgroups of a `FiniteAbelianGroup` (`enumerate_subgroups`), and the
+`Subgroup` of an ambient group and element set, its one constructor, with
+its coordinates and its quotient field (`Subgroup.from_elements`, built
+only for a set a caller asks for).  A shared result ran its checks when it
+was built.  `render_runs` writes invariant factors, each run of equal ones
+once, for `FiniteAbelianGroup.symbol` and `moduli`'s Picard blocks.
+`scaled_solve` applies e A^-1 to a few vectors from the Smith form of A,
+so that no caller forms the whole inverse.
 """
 
 from __future__ import annotations
@@ -31,17 +33,13 @@ from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
-from .rootdata import check
+from .rootdata import _unit, check
 
 IntMatrix = list[list[int]]
 
 
 class LatticeError(ValueError):
     """Rank mismatch, non-containment, or a vector outside its lattice."""
-
-
-def _int_identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -57,9 +55,9 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     s = [list(row) for row in m]
     nrows = len(s)
     ncols = len(s[0]) if nrows else 0
-    u = _int_identity(nrows)
-    v = _int_identity(ncols)
-    vinv = _int_identity(ncols)
+    # the identity matrices, as lists that the row and column operations edit
+    u = [list(_unit(nrows, i)) for i in range(nrows)]
+    v, vinv = ([list(_unit(ncols, i)) for i in range(ncols)] for _ in range(2))
 
     def row_op(i, j, q):  # row_i -= q * row_j
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
@@ -199,14 +197,16 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
             0 <= a < f for a, f in zip(x, self.invariant_factors))
 
     def symbol(self) -> str:
-        if not self.invariant_factors:
-            return "{0}"
-        parts = []
-        for f, group in itertools.groupby(self.invariant_factors):
-            k = len(list(group))
-            base = f"Z/{f}Z"
-            parts.append(base if k == 1 else f"({base})^{k}")
-        return " x ".join(parts)
+        return render_runs(self.invariant_factors, "Z/{}Z", " x ") or "{0}"
+
+
+def render_runs(factors, template: str, sep: str) -> str:
+    """The factors, each written as `template` formats it, joined by `sep`:
+    a run of k equal factors is written once, as `(...)^k`.  Empty for no
+    factors."""
+    return sep.join(text if k == 1 else f"({text})^{k}"
+                    for text, k in ((template.format(f), len(list(run)))
+                                    for f, run in itertools.groupby(factors)))
 
 
 def closure(group: FiniteAbelianGroup, generators) -> frozenset:
@@ -238,37 +238,44 @@ def _coordinates(group: FiniteAbelianGroup, basis, factors) -> dict:
             for c in itertools.product(*(range(f) for f in factors))}
 
 
-def _torsion_rows(factors) -> IntMatrix:
-    """diag(factors): the relations of Z/f_1 x ... x Z/f_k on Z^k."""
-    return [[f if j == i else 0 for j in range(len(factors))] for i, f in enumerate(factors)]
-
-
 class Subgroup:
-    """A subgroup of a FiniteAbelianGroup, with explicit coordinates.
+    """A subgroup of a FiniteAbelianGroup, from its element set, with
+    explicit coordinates.
 
+    `generators` are picked greedily from the sorted elements, each one not
+    yet in the closure of those before it, and must span the elements.
     `structure` is the subgroup's own invariant-factor form and `basis`
     realizes the decomposition inside the ambient group:  every element is
     sum(c_i * basis_i) with c the `to_coords` image.  The whole group is
     its own structure in the ambient unit basis, so its coordinates are the
     ambient ones; a proper subgroup takes the Smith basis of
     <generators, torsion> / torsion from `sublattice_quotient`, and the
-    quotient ambient / self from the diagonal of the same Smith form.
-    `from_elements` shares one instance per ambient group and element set,
-    so nothing may change a subgroup once it is built.
+    `quotient` ambient / self from the diagonal of the same Smith form (the
+    trivial group for the whole group).  `from_elements` shares one
+    instance per ambient group and element set, so nothing may change a
+    subgroup once it is built.
     """
 
-    def __init__(self, ambient: FiniteAbelianGroup, generators):
+    def __init__(self, ambient: FiniteAbelianGroup, elements):
         self.ambient = ambient
-        self.generators = tuple(ambient.reduce(g) for g in generators)
-        self.elements = closure(ambient, self.generators)
+        self.elements = frozenset(elements)
+        gens: list[tuple[int, ...]] = []
+        spanned = frozenset({ambient.zero()})
+        for e in sorted(self.elements):
+            if e not in spanned:
+                gens.append(e)
+                spanned = closure(ambient, gens)
+        check(spanned == self.elements, "generators do not span the given elements")
+        self.generators = tuple(gens)
         d = ambient.invariant_factors
         r = len(d)
         if len(self.elements) == ambient.order:
             self.structure = ambient
-            self.basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-            self._quotient = FiniteAbelianGroup(())
+            self.basis = tuple(_unit(r, i) for i in range(r))
+            self.quotient = FiniteAbelianGroup(())
         else:
-            torsion = _torsion_rows(d)
+            # diag(d), the relations of the ambient group on Z^r
+            torsion = [[f * x for x in _unit(r, i)] for i, f in enumerate(d)]
             rows = [list(g) for g in self.generators] + torsion
             smith = smith_normal_form(rows)
             quotient, lattice = sublattice_quotient(rows, torsion, smith)
@@ -277,7 +284,7 @@ class Subgroup:
                                for lift in quotient.generator_lifts)
             # ambient/self = Z^r / <generators, torsion>, whose invariant
             # factors are the diagonal of that Smith form
-            self._quotient = FiniteAbelianGroup(
+            self.quotient = FiniteAbelianGroup(
                 tuple(smith[0][k][k] for k in range(r) if smith[0][k][k] > 1))
         self._coords = _coordinates(ambient, self.basis, self.structure.invariant_factors)
         check(len(self._coords) == self.structure.order and self._coords.keys() == self.elements,
@@ -288,11 +295,6 @@ class Subgroup:
         """The subgroup with the given elements, one shared instance per
         ambient group and element set."""
         return _shared_subgroup(ambient, frozenset(ambient.reduce(e) for e in elements))
-
-    def quotient(self) -> FiniteAbelianGroup:
-        """ambient / self: trivial for the whole group, and otherwise read off
-        the Smith form that built the subgroup's coordinates."""
-        return self._quotient
 
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
@@ -311,16 +313,8 @@ class Subgroup:
 
 @lru_cache(maxsize=None)
 def _shared_subgroup(ambient: FiniteAbelianGroup, elements: frozenset) -> Subgroup:
-    """`Subgroup.from_elements`: generators picked greedily in sorted order."""
-    gens: list[tuple[int, ...]] = []
-    have = frozenset({ambient.zero()})
-    for e in sorted(elements):
-        if e not in have:
-            gens.append(e)
-            have = closure(ambient, gens)
-    sub = Subgroup(ambient, gens)
-    check(sub.elements == elements, "generators do not span the given elements")
-    return sub
+    """The cache behind `Subgroup.from_elements`."""
+    return Subgroup(ambient, elements)
 
 
 @lru_cache(maxsize=None)

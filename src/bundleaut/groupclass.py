@@ -46,7 +46,7 @@ from .finabel import (
     scaled_solve,
     smith_normal_form,
 )
-from .rootdata import DynkinType, _unit, cartan_matrix, check
+from .rootdata import DynkinType, _cycles, _unit, cartan_matrix, check
 
 
 class InvalidDegree(ValueError):
@@ -95,20 +95,8 @@ def _make_out_group(elements) -> OutGroup:
 
 
 def _cycle_name(perm: tuple[int, ...]) -> str:
-    seen = set()
-    cycles = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        cycles.append("(" + " ".join(str(i + 1) for i in cycle) + ")")
-    return "".join(cycles) if cycles else "e"
+    return "".join("(" + " ".join(str(i + 1) for i in cycle) + ")"
+                   for cycle in _cycles(perm) if len(cycle) > 1) or "e"
 
 
 def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
@@ -359,7 +347,7 @@ def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: frozenset | N
     chars = _annihilator(lat, mu)
     pi1 = mu.structure
     # the pairing is perfect, so (P/Q)/mu^perp = Hom(mu, Q/Z) is isomorphic to mu
-    dual = chars.quotient()
+    dual = chars.quotient
     check(pi1 == dual,
           lambda: f"pi_1({display_name}) = {pi1.symbol()} is not (P/Q)/Hom(Z(G), G_m) = "
           f"{dual.symbol()}, its dual")

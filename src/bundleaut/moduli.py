@@ -26,16 +26,20 @@ documents the command line prints, the table's rows and the report's
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 
 from . import groupclass, weyl
-from .finabel import AbelianAction
+from .finabel import AbelianAction, render_runs
 from .groupclass import GroupForm, OutGroup, render_element
-from .rootdata import DEFAULT_MAX_RANK, DynkinType, build_root_datum, admissible_types, check
+from .rootdata import DEFAULT_MAX_RANK, DynkinType, _unit, admissible_types, build_root_datum, check
 
 MIN_GENUS_PRESENTATION = 4
+# the command line's ceilings on a genus and on each number of a delta profile,
+# in digits, checked before anything is built: every number computed from them
+# has fewer than 640 digits, the least limit Python's int-to-str conversion takes
+MAX_GENUS_DIGITS = 600
+MAX_PROFILE_DIGITS = 600
 SEMIDIRECT = "⋊"
 TIMES = "×"
 DELTA = "δ"
@@ -51,16 +55,8 @@ class InconsistentProfile(ValueError):
     """A ramification entry violating parity or positivity."""
 
 
-def _render_torsion(factors) -> str:
-    parts = []
-    for l, run in itertools.groupby(factors):
-        k = len(list(run))
-        parts.append(f"Pic(C)[{l}]" if k == 1 else f"(Pic(C)[{l}])^{k}")
-    return f" {TIMES} ".join(parts)
-
-
 def render_presentation(torsion_factors, outer: OutGroup) -> str:
-    torsion = _render_torsion(torsion_factors)
+    torsion = render_runs(torsion_factors, "Pic(C)[{}]", f" {TIMES} ")
     inner = "Aut(C)" if outer.is_trivial else f"{outer.symbol()} {TIMES} Aut(C)"
     if not torsion:
         return inner
@@ -75,12 +71,11 @@ def _describe_action(action: AbelianAction, name: str) -> str:
         return "trivial"
     k = len(group.invariant_factors)
     m = action.matrix(name)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    identity = tuple(_unit(k, i) for i in range(k))
     if m == identity:
         return "trivial"
-    if all(m[i][j] % group.invariant_factors[i] ==
-           (-1 if i == j else 0) % group.invariant_factors[i]
-           for i in range(k) for j in range(k)):
+    if all((a + b) % f == 0 for row, e, f in zip(m, identity, group.invariant_factors)
+           for a, b in zip(row, e)):  # m = -1 modulo the factors
         return "dualization L -> L^{-1}"
     if all(m[i][j] in (0, 1) for i in range(k) for j in range(k)) and \
             all(sum(row) == 1 for row in m) and \

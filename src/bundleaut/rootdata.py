@@ -107,7 +107,25 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
 
 
 def _unit(dim: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(dim))
+    """e_i of Z^dim, 0 <= i < dim; the rows of an identity matrix are these."""
+    return (0,) * i + (1,) + (0,) * (dim - 1 - i)
+
+
+def _cycles(perm) -> list[list[int]]:
+    """The cycles of a permutation of range(len(perm)), fixed points
+    included, each from its least point and in the order of those points.
+    The walk stops at a point already seen, so it ends on any map."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = perm[k]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
 
 def _minus(u, v) -> tuple[int, ...]:
@@ -179,7 +197,7 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     one's -l/l_i, the multiplicity of the bond."""
     lengths, bonds = _diagram(t)
     n = t.rank
-    gram = [[lengths[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    gram = [[lengths[i] * x for x in _unit(n, i)] for i in range(n)]
     for i, j in bonds:
         gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
     check(not any(2 * x % norm for norm, row in zip(lengths, gram) for x in row),

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from .rootdata import DynkinType, _diagram, _unit, build_root_datum, check
+from .rootdata import DynkinType, _cycles, _diagram, _unit, build_root_datum, check
 
 
 def _root_permutations(t: DynkinType) -> tuple[tuple[int, ...], ...]:
@@ -168,19 +168,11 @@ def _coxeter_cyclotomics(t: DynkinType) -> tuple[int, dict[int, int]]:
     for p in reversed(_root_permutations(t)):
         c = [p[k] for k in c]
     h = n_roots // r
-    lengths, seen = [], [False] * n_roots
-    for start in range(n_roots):  # the cycles of c
-        k, length = start, 0
-        while not seen[k]:
-            seen[k] = True
-            k, length = c[k], length + 1
-        if length:
-            lengths.append(length)
-    lengths.sort()
+    lengths = sorted(map(len, _cycles(c)))
     check(lengths == [h] * r, f"a Coxeter element of {t} has orbits of lengths "
           f"{lengths} on the roots, not {r} of length |Phi|/r = {h}")
-    index = {root: k for k, root in enumerate(roots)}
-    at = [index[_unit(r, j)] for j in range(r)]
+    # the simple roots, found by bisection among the positive roots
+    at = [bisect_left(roots, _unit(r, j), n_roots // 2) for j in range(r)]
     traces = [r]  # tr(c^k) at index k
     for _ in range(h):
         at = [c[x] for x in at]

@@ -1,11 +1,14 @@
-"""Code with no caller is deleted: every public top-level function and class
-of a package module is referenced somewhere in `src/` outside its own
-definition.  A name that only tests or the benchmark use is code kept for
-them, and belongs in the tests or is deleted.  The package's caches are
-listed here by name, so that adding or removing one is a visible change.
+"""Code with no caller is deleted: every top-level function and class of a
+package module, and every module constant, is referenced somewhere in
+`src/` outside its own definition.  A name that only tests or the benchmark
+use is code kept for them, and belongs in the tests or is deleted.  The
+package's caches are listed here by name, so that adding or removing one is
+a visible change.
 """
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import bundleaut.cli  # loads every module that holds a cache
@@ -14,32 +17,62 @@ from conftest import package_caches
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bundleaut"
 
 
-def referenced_names(nodes) -> set:
-    """Every name read or assigned as a bare name or an attribute in nodes."""
+def referenced_names(node) -> set:
+    """Every name read or assigned as a bare name or an attribute in node."""
     names = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
     return names
 
 
-def test_every_public_definition_has_a_caller():
-    # `__init__` defines nothing, and a re-export there is not a caller
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+@cache
+def top_level_nodes() -> dict:
+    """Each package module's top-level statements, with the names each one
+    references.  `__init__` defines nothing, and a re-export there is not a
+    caller."""
+    return {path.name: [(node, referenced_names(node)) for node in
+                        ast.parse(path.read_text(encoding="utf-8")).body]
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def uncalled(private: bool) -> list[str]:
+    """The top-level definitions of the package modules that no code in
+    `src/` reads outside the definition itself: the public functions and
+    classes, or the private ones and every module constant, a name assigned
+    at the top level."""
+    modules = top_level_nodes()
     unused = []
-    for module, tree in trees.items():
-        elsewhere = referenced_names(t for m, t in trees.items() if m != module)
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+    for module, nodes in modules.items():
+        elsewhere = set().union(*(names for m, other in modules.items() if m != module
+                                  for _, names in other))
+        # how many top-level statements of the module reference each name
+        here = Counter(name for _, names in nodes for name in names)
+        for node, names in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name] if node.name.startswith("_") == private else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and private:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for target in targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name)]
+            else:
                 continue
-            own = referenced_names(n for n in tree.body if n is not node)
-            if node.name not in own | elsewhere:
-                unused.append(f"{module}: {node.name}")
-    assert unused == []
+            # a definition's own name, read inside it, is no caller
+            unused += [f"{module}: {name}" for name in defined
+                       if name not in elsewhere and here[name] == (name in names)]
+    return unused
+
+
+def test_every_public_definition_has_a_caller():
+    assert uncalled(private=False) == []
+
+
+def test_every_private_definition_and_constant_has_a_caller():
+    # a private function or a constant with no reader, such as an old copy
+    # of a helper that a merge left behind
+    assert uncalled(private=True) == []
 
 
 CACHES = [

@@ -394,6 +394,79 @@ def test_rank_past_the_ceiling_is_a_usage_error(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# a genus and each number of a delta profile have at most 600 digits, far
+# below the 4300 that `int` converts to and from text: a number of 4299
+# digits is read, and products or sums of such numbers are not printable
+AT_CEILING = "9" * 600
+PAST_CEILING = "1" + "0" * 600
+UNPRINTABLE = "9" * 4299
+
+
+def ceiling_argvs(genus: str, entry: str, repeat: int = 1) -> list[list[str]]:
+    """A report in text and json, a table and a delta profile at one number."""
+    return [["report", "--group", "E8", "--genus", genus],
+            ["report", "--group", "E8", "--genus", genus, "--format", "json"],
+            ["table", "--genus", genus, "--max-rank", "2", "--format", "json"],
+            ["delta", "--profile", ",".join([f"{entry}:1"] * repeat), "--format", "json"]]
+
+
+def test_numbers_at_the_digit_ceilings_are_read(capsys):
+    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    genus = int(AT_CEILING)
+    report, report_json, table, delta = ceiling_argvs(AT_CEILING, AT_CEILING, repeat=30)
+    code, out, _ = run(capsys, *report)
+    assert code == 0 and f"dim basis = {248 * (genus - 1)} = dim G (g-1)" in out
+    code, out, _ = run(capsys, *report_json)
+    assert code == 0 and json.loads(out)["hitchin"]["dim_basis"] == 248 * (genus - 1)
+    code, out, _ = run(capsys, *table)
+    assert code == 0 and json.loads(out)["genus"] == genus
+    code, out, _ = run(capsys, *delta)
+    assert code == 0 and json.loads(out)["total"] == 30 * (genus - 1) // 2
+    code, out, _ = run(capsys, "delta", "--profile", f"{AT_CEILING}:{AT_CEILING}")
+    assert (code, out.splitlines()[-1]) == (0, "total delta = 0")
+
+
+PAST_DIGIT_CEILINGS = [
+    *((argv, message) for argv, message in zip(
+        ceiling_argvs(PAST_CEILING, PAST_CEILING),
+        ["--genus has 601 digits; at most 600 are supported"] * 3
+        + ["a number of profile entry 1 has 601 digits; at most 600 are supported"])),
+    (["report", "--group", "E8", "--genus", "-" + PAST_CEILING],
+     "--genus has 601 digits; at most 600 are supported"),
+    (["delta", "--profile", f"4:0,1:{PAST_CEILING}"],
+     "a number of profile entry 2 has 601 digits; at most 600 are supported"),
+]
+# the inputs that once ended in a ValueError traceback: an entry `int` does
+# not read, a total with more digits than `str` writes, and a report whose
+# dim_basis has more digits than `str` writes
+UNPRINTABLE_INPUTS = [
+    (["delta", "--profile", f"{'9' * 5000}:1"],
+     "a number of profile entry 1 has 5000 digits; at most 600 are supported"),
+    (ceiling_argvs(UNPRINTABLE, UNPRINTABLE, repeat=30)[3],
+     "a number of profile entry 1 has 4299 digits; at most 600 are supported"),
+    (ceiling_argvs(UNPRINTABLE, UNPRINTABLE)[0],
+     "--genus has 4299 digits; at most 600 are supported"),
+    (ceiling_argvs(UNPRINTABLE, UNPRINTABLE)[1],
+     "--genus has 4299 digits; at most 600 are supported"),
+]
+UNPRINTABLE_IDS = ["profile_5000_digits", "profile_total", "report_text", "report_json"]
+
+
+@pytest.mark.parametrize("argv,message", PAST_DIGIT_CEILINGS + UNPRINTABLE_INPUTS,
+                         ids=["report_genus", "report_json_genus", "table_genus", "profile_deg",
+                              "report_negative_genus", "profile_drop", *UNPRINTABLE_IDS])
+def test_number_past_its_digit_ceiling_is_a_usage_error(capsys, argv, message):
+    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", UNPRINTABLE_INPUTS, ids=UNPRINTABLE_IDS)
+def test_unprintable_numbers_exit_1_in_a_process(argv, message):
+    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    proc = run_process("-m", "bundleaut.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_table_json_round_trips(capsys):
     code, out, _ = run(capsys, "table", "--max-rank", "3", "--format", "json")
     assert code == 0

@@ -5,10 +5,14 @@ error message of the parsers they replaced (`reference_parsers.py`).
 Generated ranks are at most 8, or just above the supported ceilings
 (`rootdata.MAX_RANK` for a type or group spec, `MAX_TABLE_RANK` for
 `table --max-rank`).  Above a ceiling every command must exit 1 before it
-builds anything, so no command runs at a rank past 8.  Free text is drawn
-without decimal digits, so it names no rank either.  Every test has a fixed
-example budget and a derandomized seed, so the suite runs the same examples
-each time.
+builds anything, so no command runs at a rank past 8.  Every numeric field
+(a spec rank, `--genus`, `--max-rank`, a delta part, a profile entry) also
+draws long numbers: at the digit ceilings of a genus and a profile entry,
+one digit past them, and around the 4300 digits that `int` converts to and
+from text; every number past those ceilings must exit 1.  Free text is
+drawn without decimal digits, so it names no rank either.  Every test has a
+fixed example budget and a derandomized seed, so the suite runs the same
+examples each time.
 """
 
 import contextlib
@@ -32,7 +36,7 @@ from bundleaut.cli import (
     parse_profile,
 )
 from bundleaut.groupclass import GroupForm, enumerate_forms
-from bundleaut.moduli import table_types
+from bundleaut.moduli import MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, table_types
 from bundleaut.rootdata import MAX_RANK as RANK_CEILING
 from bundleaut.rootdata import MAX_TABLE_RANK, DynkinType, InvalidType
 import reference_parsers
@@ -46,6 +50,11 @@ def budget(n: int):
 
 
 free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+# the genus and profile ceilings, and the 4300 digits of `int`'s text conversion
+CEILING_DIGITS = max(MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS)
+long_numbers = st.sampled_from(
+    [MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, CEILING_DIGITS + 1, 4299, 4300, 4301, 5000]
+).map(lambda k: "9" * k)
 
 
 @st.composite
@@ -58,7 +67,7 @@ def typed_specs(draw) -> str:
     # a rank in digits other than 0-9, which the parsers reject: superscripts,
     # which `int` rejects too, and Arabic-Indic digits, which it reads
     rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"])
-                | st.integers(RANK_CEILING + 1, RANK_CEILING + 3).map(str))
+                | st.integers(RANK_CEILING + 1, RANK_CEILING + 3).map(str) | long_numbers)
     spec = f"{family}{sep}{rank}"
     return f"{spec}:{form}" if form else spec
 
@@ -74,9 +83,11 @@ def alias_specs(draw) -> str:
     m = draw(st.integers(0, scale * MAX_RANK + 1)
              | st.integers(scale * (RANK_CEILING + 1) + 1, scale * (RANK_CEILING + 1) + 3))
     sep = draw(st.sampled_from(["", "_"]))
+    size = draw(st.just(str(m)) | long_numbers)
     if name == "SL/mu":
-        return f"SL{sep}{m}/mu{sep}{draw(st.integers(0, m + 2))}"
-    return f"{name}{sep}{m}"
+        k = draw(st.integers(0, m + 2).map(str) | long_numbers)
+        return f"SL{sep}{size}/mu{sep}{k}"
+    return f"{name}{sep}{size}"
 
 
 group_specs = st.one_of(
@@ -86,19 +97,23 @@ group_specs = st.one_of(
     free_text)
 
 delta_texts = st.one_of(
-    st.lists(st.integers(-3, 12), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-3, 12).map(str) | long_numbers, max_size=3).map(",".join),
     st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
         lambda xs: "(" + ",".join(map(str, xs)) + ")"),
     free_text)
 
+profile_numbers = st.integers(0, 40).map(str) | long_numbers
 profile_texts = st.one_of(
-    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=4)
+    st.lists(st.tuples(profile_numbers, profile_numbers), min_size=1, max_size=4)
     .map(lambda ps: ",".join(f"{d}:{s}" for d, s in ps)),
+    # many entries of one long number, whose sum has more digits than each
+    st.tuples(long_numbers, st.integers(1, 30)).map(lambda nk: ",".join([f"{nk[0]}:1"] * nk[1])),
     free_text)
 
 FORMS = [gf for t in table_types(MAX_RANK) for gf in enumerate_forms(t)]
 formats = st.sampled_from(["text", "json", "latex", "xml"])
-genera = st.one_of(st.integers(-2, 12).map(str), free_text)
+genera = st.one_of(st.integers(-2, 12).map(str), long_numbers, long_numbers.map("-".__add__),
+                   free_text)
 
 
 @st.composite
@@ -113,7 +128,8 @@ argvs = st.one_of(
     report_argvs(),
     st.builds(lambda g, r, f: ["table", f"--genus={g}", f"--max-rank={r}", f"--format={f}"],
               genera, (st.integers(-1, MAX_RANK) | st.integers(MAX_TABLE_RANK + 1,
-                                                               MAX_TABLE_RANK + 3)).map(str),
+                                                               MAX_TABLE_RANK + 3)).map(str)
+              | long_numbers,
               formats),
     st.builds(lambda p, f: ["delta", f"--profile={p}", f"--format={f}"], profile_texts, formats),
     st.builds(lambda t, f: ["rootdata", f"--type={t}", f"--format={f}"],
@@ -176,6 +192,9 @@ def test_main_exits_0_1_or_2_without_traceback(argv):
     rank = drawn_type_rank(argv)
     if rank is not None and rank > RANK_CEILING:
         assert code == 1, (argv, code, err.getvalue())
+    # no field takes a number past the genus and profile ceilings
+    if re.search(f"[0-9]{{{CEILING_DIGITS + 1}}}", " ".join(argv)):
+        assert code == 1, (argv[:1], code, err.getvalue()[:200])
 
 
 def drawn_max_rank(argv) -> int | None:
@@ -183,7 +202,10 @@ def drawn_max_rank(argv) -> int | None:
     for arg in argv:
         if arg.startswith("--max-rank="):
             value = arg.partition("=")[2]
-            return int(value) if value.lstrip("-").isdigit() else None
+            if not value.lstrip("-").isdigit():
+                return None
+            # a long number is past the ceiling; `int` reads at most 4300 digits
+            return int(value) if len(value) <= CEILING_DIGITS else MAX_TABLE_RANK + 1
     return None
 
 

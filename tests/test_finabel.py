@@ -17,7 +17,13 @@ from bundleaut.finabel import (
     lattice_quotient,
     smith_normal_form,
 )
-from bundleaut.rootdata import DynkinType, admissible_types, build_root_datum, cartan_matrix
+from bundleaut.rootdata import (
+    ConsistencyError,
+    DynkinType,
+    admissible_types,
+    build_root_datum,
+    cartan_matrix,
+)
 
 
 def mat_mul_int(a, b):
@@ -213,7 +219,7 @@ def test_subgroup_quotient_has_the_coset_structure():
             order = g.order // len(sub.elements)
             exponent = max(coset_order(g, sub, x) for x in g.elements())
             expected = tuple(f for f in (order // exponent, exponent) if f > 1)
-            assert sub.quotient() == FiniteAbelianGroup(expected), sub
+            assert sub.quotient == FiniteAbelianGroup(expected), sub
 
 
 def test_lattice_quotient_d5():
@@ -353,11 +359,11 @@ def test_enumerate_subgroups_matches_brute_force(factors):
 
 def test_subgroup_structure_and_coords():
     g = FiniteAbelianGroup((2, 4))
-    sub = Subgroup(g, [(1, 2)])
+    sub = Subgroup(g, closure(g, [(1, 2)]))
     assert sub.structure.invariant_factors == (2,)
     assert sub.to_coords((1, 2)) == (1,)
     assert from_coords(sub, (1,)) == (1, 2)
-    full = Subgroup(g, [(1, 0), (0, 1)])
+    full = Subgroup(g, closure(g, [(1, 0), (0, 1)]))
     assert full.structure.invariant_factors == (2, 4)
     for e in full.elements:
         assert from_coords(full, full.to_coords(e)) == e
@@ -368,7 +374,8 @@ def test_subgroup_structure_and_coords():
     (4, 4), (2, 2, 4), (2, 2, 2, 2), (3, 9),
 ])
 def test_whole_group_has_unit_basis(factors):
-    # whatever generates the whole group, its coordinates are the ambient ones
+    # the whole group's coordinates are the ambient ones; a subgroup is built
+    # from its element set, so every generating set below builds the same one
     g = FiniteAbelianGroup(factors)
     units = tuple(unit(len(factors), i) for i in range(len(factors)))
     elements = list(g.elements())
@@ -377,13 +384,21 @@ def test_whole_group_has_unit_basis(factors):
         gens = rng.choices(elements, k=rng.randint(len(factors), len(factors) + 2))
         if len(closure(g, gens)) < g.order:
             continue
-        sub = Subgroup(g, gens)
+        sub = Subgroup(g, closure(g, gens))
         assert sub.structure == g
         assert sub.basis == units
         assert all(sub.to_coords(e) == e for e in elements)
 
 
 def test_subgroup_closure_matches_helper():
+    # the generators a subgroup picks from its elements span them again
     g = FiniteAbelianGroup((4, 4))
     gens = [(2, 0), (0, 2)]
-    assert Subgroup(g, gens).elements == closure(g, gens)
+    sub = Subgroup(g, closure(g, gens))
+    assert sub.elements == closure(g, gens) == closure(g, sub.generators)
+
+
+def test_subgroup_of_a_set_that_is_no_subgroup_fails_its_check():
+    # {0, 2, 3} in Z/4Z: its greedy generators 2 and 3 span all of Z/4Z
+    with pytest.raises(ConsistencyError, match="generators do not span the given elements"):
+        Subgroup(FiniteAbelianGroup((4,)), {(0,), (2,), (3,)})
