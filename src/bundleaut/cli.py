@@ -28,29 +28,27 @@ package's caches, which hold immutable values only.  This module's own
 caches are `parse_group_spec`, by the spec text (a rejected spec is not
 cached), `_latexify`, by its input text, `_group_header`, the form's
 `group` field, and `_dict_text`, the JSON text of a dict of str and int
-values by its contents.  `build_report` copies the `group` field, and the parts of
-`moduli.component` that do not depend on the genus, into a fresh
+values by its contents.  `build_report` copies the `group` field, and the
+parts of `moduli.component` that do not depend on the genus, into a fresh
 `ReportDocument`, whose `hitchin` field is the dict `moduli.hitchin_report`
-returns: the Hitchin numerology, computed with its Riemann-Roch check on
-every call.  The `table` document holds the row dicts that
-`moduli.classification_table` returns, read from the same
-`moduli.component` records as `report`.  Every number of a group spec, a
-delta label or a profile is read in the ASCII digits 0-9, and a genus and
-each number of a profile have at most `moduli.MAX_GENUS_DIGITS` and
-`MAX_PROFILE_DIGITS` digits, checked before anything is built.  JSON is written
-by `_json_text`, an encoder for the values the package emits whose text is
-that of `json.dumps` with sorted keys and a two-space indent.
+returns: the Hitchin numerology, with its Riemann-Roch check on every call.
+The `table` document holds the row dicts of `moduli.classification_table`,
+read from the same `moduli.component` records as `report`.  Group specs,
+delta labels and profiles are read with `str` methods, their numbers in the
+ASCII digits 0-9; a genus, each part of a delta label and each number of a
+profile have at most `moduli.MAX_GENUS_DIGITS` or `MAX_PROFILE_DIGITS`
+digits, checked before anything is built.  JSON is written by `_json_text`,
+as `json.dumps` writes it with sorted keys and a two-space indent; no command
+imports `json` or `re`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
+from _json import encode_basestring as _quote  # the C escaper of json.dumps
 from collections import namedtuple
 from functools import lru_cache
-from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps
 from types import SimpleNamespace
 
 from . import groupclass, moduli, weyl
@@ -84,15 +82,9 @@ class UsageError(ValueError):
 # group-spec grammar
 
 
-# numbers are ASCII digits: `\d` and `int` would take any decimal digit, and
-# `int` the underscore between digit groups too
-_TYPED = re.compile(r"^([a-g])([0-9]+)(?::(.+))?$")
-_EXCEPTIONAL = re.compile(r"^([efg])([0-9])(sc|ad|adjoint)$")
-_SL_MU = re.compile(r"^sl([0-9]+)/?mu([0-9]+)$")
 # a matrix-group alias is a name and a size m: SL_m is of type A_{m-1},
 # Sp_m of type C_{m/2}, an orthogonal group of type D_{m/2}, and Spin_m and
 # SO_m of type B_{(m-1)/2} for odd m
-_MATRIX = re.compile(r"^(spin|semispin|pso|so|psl|sl|psp|sp)([0-9]+)$")
 _MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": "so",
                   "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
 
@@ -111,6 +103,11 @@ def _within(what: str, digits: str, ceiling: int) -> None:
         raise UsageError(f"{what} has {len(digits)} digits; at most {ceiling} are supported")
 
 
+def _digits(text: str) -> bool:
+    """One or more of the ASCII digits 0-9; `int` also reads other decimal digits and `_`."""
+    return text.isascii() and text.isdecimal()
+
+
 def _number(digits: str) -> int:
     try:
         return int(digits)
@@ -122,20 +119,20 @@ def _number(digits: str) -> int:
 def _type_and_token(spec: str) -> tuple[DynkinType, str]:
     """The Dynkin type and form token a group spec names; whether the type
     has that form is `groupclass.form_by_name`'s to decide."""
-    text = spec.strip().lower().replace("_", "").replace(" ", "")
-    m = _TYPED.match(text)
-    if m:
-        return DynkinType(m.group(1).upper(), _number(m.group(2))), m.group(3) or "sc"
-    m = _EXCEPTIONAL.match(text)
-    if m:
-        return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3)
-    m = _SL_MU.match(text)
-    if m:
-        return DynkinType("A", _number(m.group(1)) - 1), f"mu{_number(m.group(2))}"
-    m = _MATRIX.match(text)
-    if not m:
+    # <TYPE><rank>[:<form>], E6ad, SL4/mu2 or SL4mu2, <alias><size>; one final newline may follow
+    text = spec.strip().lower().replace("_", "").replace(" ", "").removesuffix("\n")
+    head, colon, form = text.partition(":")
+    if head[:1] in "abcdefg" and _digits(head[1:]) and (form or not colon) and "\n" not in form:
+        return DynkinType(head[0].upper(), _number(head[1:])), form or "sc"
+    if text[:1] in "efg" and "0" <= text[1:2] <= "9" and text[2:] in ("sc", "ad", "adjoint"):
+        return DynkinType(text[0].upper(), int(text[1])), text[2:]
+    size, _, order = text[2:].partition("mu")
+    if text[:2] == "sl" and _digits(size.removesuffix("/")) and _digits(order):
+        return DynkinType("A", _number(size.removesuffix("/")) - 1), f"mu{_number(order)}"
+    name = text.rstrip("0123456789")
+    if name not in _MATRIX_TOKENS or name == text:
         raise UsageError(f"cannot parse group spec {spec!r}")
-    name, size = m.group(1), _number(m.group(2))
+    size = _number(text[len(name):])
     if name in ("sl", "psl"):
         return DynkinType("A", size - 1), _MATRIX_TOKENS[name]
     if size % 2 == 0:
@@ -170,13 +167,14 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
     if text is None:
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
+    for k, p in enumerate(parts, 1):
+        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_PROFILE_DIGITS)
     try:
         coords = tuple(map(int, parts))
     except ValueError as exc:
         raise UsageError(f"cannot parse delta {text!r}: {exc}") from exc
     for p in parts:  # `int` also takes any decimal digit, and `_` between digits
-        digits = p.strip().lstrip("+-")  # one sign at most, as `int` took p
-        if not (digits.isascii() and digits.isdecimal()):
+        if not _digits(p.strip().lstrip("+-")):  # one sign at most, as `int` took p
             raise UsageError(f"cannot parse delta {text!r}: {p!r} is not an integer "
                              "in the digits 0-9")
     if pi1.is_trivial and coords in ((), (0,)):
@@ -257,6 +255,7 @@ class ReportDocument(namedtuple("ReportDocument", "schema group genus delta delt
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
+        import json  # only to read a report back, so no command imports it
         return cls(**json.loads(text))
 
 
@@ -366,10 +365,14 @@ _LATEX_MAP = [
 def _latexify(text: str) -> str:
     """text in LaTeX; memoized, as its inputs are the finitely many group
     symbols, class labels and presentations."""
-    text = re.sub(r"Z/(\d+)Z", r"\\mathbb{Z}/\1\\mathbb{Z}", text)
+    text, *after = text.split("Z")  # each Z/<n>Z, n in any decimal digits, left to right
+    opens = False
+    for i, p in enumerate(after, 1):  # the text after the i-th Z; a Z that closes opens none
+        closes, opens = opens, not opens and i < len(after) and p[:1] == "/" and p[1:].isdecimal()
+        text += (r"\mathbb{Z}" if opens or closes else "Z") + p
     for src, dst in _LATEX_MAP:
         text = text.replace(src, dst)
-    return re.sub(r"\s+", " ", text).strip()
+    return " ".join(text.split())  # each run of white space as one space
 
 
 def render_report_latex(doc: ReportDocument) -> str:
@@ -429,20 +432,15 @@ def cmd_table(args) -> dict:
     }
 
 
-_PROFILE_RE = re.compile(r"^([0-9]+):([0-9]+)$")  # ASCII digits, as in a group spec
-
-
 def parse_profile(text: str) -> list[tuple[int, int]]:
     points = []
     for k, token in enumerate(text.split(","), 1):
         token = token.strip()
-        m = _PROFILE_RE.match(token)
-        if not m:
-            raise UsageError(
-                f"profile entry {token!r} does not match <deg>:<drop>")
-        for digits in m.groups():
+        if len(numbers := token.split(":")) != 2 or not all(map(_digits, numbers)):
+            raise UsageError(f"profile entry {token!r} does not match <deg>:<drop>")
+        for digits in numbers:
             _within(f"a number of profile entry {k}", digits, MAX_PROFILE_DIGITS)
-        points.append((int(m.group(1)), int(m.group(2))))
+        points.append((int(numbers[0]), int(numbers[1])))
     return points
 
 
@@ -591,7 +589,6 @@ _GRAMMARS = {
     for command, (func, _, options) in COMMANDS.items()
 }
 _VALUE = "value"  # a token read as a value or a stray word, never as an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _classify(token: str, flags) -> str | tuple[str | None, str | None]:
@@ -618,7 +615,9 @@ def _classify(token: str, flags) -> str | tuple[str | None, str | None]:
         raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], attached
-    if _NEGATIVE.match(token) or " " in token:
+    # argparse's negative number, `-5` or `-.5` in any decimal digits, and one final newline
+    number = token.removesuffix("\n")[1:]
+    if number.replace(".", "", 1).isdecimal() and number[-1:] != "." or " " in token:
         return _VALUE
     return None, None
 

@@ -1,16 +1,26 @@
-"""`parse_args` and `parse_delta` as they were before argv and delta parts
-were read with fewer calls: every token classified by `_classify`, every
-part of a delta matched by a regex.  `test_cli_fuzz.py` compares the
-namespaces and the error messages of `bundleaut.cli` with these.  Only
-`COMMANDS`, the handlers and the error classes are taken from the package.
+"""The command-line parsers as they were before they were read with fewer
+calls and without `re`: `parse_args` with every token classified by
+`_classify`, whose negative number is a regex; `parse_delta` with every part
+of a delta matched by a regex; and the group-spec grammar, the profile
+grammar and `latexify`'s two substitutions as regexes.  `test_cli_fuzz.py`
+compares the namespaces, the results and the error messages of
+`bundleaut.cli` with these.  Only `COMMANDS`, the handlers, the error
+classes, `_number` (which reads a spec's digits) and `_LATEX_MAP` are taken
+from the package.
+
+One change is made to the parent's code: `parse_delta` checks each part
+against the 600-digit ceiling of a genus and a profile number before `int`,
+as the package does, so that a part `int` cannot read gives a short message.
 """
 
 import re
 from types import SimpleNamespace
 
 from bundleaut import groupclass
-from bundleaut.cli import COMMANDS, UsageError, _show_help
+from bundleaut.cli import COMMANDS, _LATEX_MAP, UsageError, _number, _show_help, _within
 from bundleaut.groupclass import InvalidDegree
+from bundleaut.moduli import MAX_PROFILE_DIGITS
+from bundleaut.rootdata import DynkinType
 
 _HELP = ("-h", "--help")
 _GRAMMARS = {
@@ -125,6 +135,8 @@ def parse_delta(text, gf):
     if text is None:
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
+    for k, p in enumerate(parts, 1):
+        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_PROFILE_DIGITS)
     try:
         coords = tuple(int(p) for p in parts)
     except ValueError as exc:
@@ -140,3 +152,60 @@ def parse_delta(text, gf):
     except InvalidDegree as exc:
         valid = ", ".join(groupclass.render_element(x) for x in pi1.elements())
         raise UsageError(f"{exc}; valid values: {valid}") from exc
+
+
+_TYPED = re.compile(r"^([a-g])([0-9]+)(?::(.+))?$")
+_EXCEPTIONAL = re.compile(r"^([efg])([0-9])(sc|ad|adjoint)$")
+_SL_MU = re.compile(r"^sl([0-9]+)/?mu([0-9]+)$")
+_MATRIX = re.compile(r"^(spin|semispin|pso|so|psl|sl|psp|sp)([0-9]+)$")
+_MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": "so",
+                  "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
+
+
+def type_and_token(spec):
+    text = spec.strip().lower().replace("_", "").replace(" ", "")
+    m = _TYPED.match(text)
+    if m:
+        return DynkinType(m.group(1).upper(), _number(m.group(2))), m.group(3) or "sc"
+    m = _EXCEPTIONAL.match(text)
+    if m:
+        return DynkinType(m.group(1).upper(), int(m.group(2))), m.group(3)
+    m = _SL_MU.match(text)
+    if m:
+        return DynkinType("A", _number(m.group(1)) - 1), f"mu{_number(m.group(2))}"
+    m = _MATRIX.match(text)
+    if not m:
+        raise UsageError(f"cannot parse group spec {spec!r}")
+    name, size = m.group(1), _number(m.group(2))
+    if name in ("sl", "psl"):
+        return DynkinType("A", size - 1), _MATRIX_TOKENS[name]
+    if size % 2 == 0:
+        family = "C" if name in ("sp", "psp") else "D"
+        return DynkinType(family, size // 2), _MATRIX_TOKENS[name]
+    if name in ("spin", "so"):
+        return DynkinType("B", (size - 1) // 2), _MATRIX_TOKENS[name]
+    raise UsageError(f"group spec {spec!r}: no {name} group in odd dimension {size}")
+
+
+_PROFILE_RE = re.compile(r"^([0-9]+):([0-9]+)$")
+
+
+def parse_profile(text):
+    points = []
+    for k, token in enumerate(text.split(","), 1):
+        token = token.strip()
+        m = _PROFILE_RE.match(token)
+        if not m:
+            raise UsageError(
+                f"profile entry {token!r} does not match <deg>:<drop>")
+        for digits in m.groups():
+            _within(f"a number of profile entry {k}", digits, MAX_PROFILE_DIGITS)
+        points.append((int(m.group(1)), int(m.group(2))))
+    return points
+
+
+def latexify(text):
+    text = re.sub(r"Z/(\d+)Z", r"\\mathbb{Z}/\1\\mathbb{Z}", text)
+    for src, dst in _LATEX_MAP:
+        text = text.replace(src, dst)
+    return re.sub(r"\s+", " ", text).strip()

@@ -28,6 +28,7 @@ from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 
 from test_acceptance import GOLDEN, _norm
 from test_moduli import reference_actions, reference_presentation
+from test_snapshot import OTHER_PYTHONS, PYENV_VERSIONS
 
 
 def run(capsys, *argv):
@@ -467,6 +468,33 @@ def test_unprintable_numbers_exit_1_in_a_process(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+# each part of a delta label has at most 600 digits too, checked before `int`
+# reads it: at the ceiling a label is read as its number, past it the message
+# names the part and its length, not its digits or `int`'s limit
+DELTA_PARTS = [
+    ("0" * 599 + "1", 0, ""),
+    ("0" * 600 + "1", 1, "error: part 1 of --delta has 601 digits; at most 600 are supported\n"),
+    ("9" * 4301, 1, "error: part 1 of --delta has 4301 digits; at most 600 are supported\n"),
+    ("0,-" + "9" * 4301, 1,
+     "error: part 2 of --delta has 4301 digits; at most 600 are supported\n"),
+]
+
+
+@pytest.mark.parametrize("in_process", [True, False], ids=["in_process", "process"])
+@pytest.mark.parametrize("delta,code,err", DELTA_PARTS,
+                         ids=["600_digits", "601_digits", "4301_digits", "second_part"])
+def test_delta_part_digit_ceiling(capsys, in_process, delta, code, err):
+    assert moduli.MAX_PROFILE_DIGITS == 600
+    argv = ["report", "--group", "PSL2", "--delta", delta]
+    if in_process:
+        result = run(capsys, *argv)
+    else:
+        proc = run_process("-m", "bundleaut.cli", *argv)
+        result = proc.returncode, proc.stdout, proc.stderr
+    expected_out = run(capsys, "report", "--group", "PSL2", "--delta", "1")[1] if code == 0 else ""
+    assert result == (code, expected_out, err)
+
+
 def test_table_json_round_trips(capsys):
     code, out, _ = run(capsys, "table", "--max-rank", "3", "--format", "json")
     assert code == 0
@@ -694,6 +722,40 @@ def test_no_rational_arithmetic_is_imported():
               "    loaded(argv)\n")
     proc = run_process("-c", script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+# every command in every format, a delta label, -h, a negative number and a
+# usage error, run in one process after `cli` is imported
+EVERY_COMMAND = """\
+import contextlib, io, sys
+from bundleaut import cli
+runs = [["table", "--format", f] for f in cli.VIEWS["table"]]
+runs += [["report", "--group", g, "--format", f] for g in ("E8", "PSO_8") for f in cli.VIEWS["report"]]
+runs += [["report", "--group", "PSO_8", "--delta", "1,1", "--format", f] for f in cli.VIEWS["report"]]
+runs += [["rootdata", "--type", "E8", "--format", f] for f in cli.VIEWS["rootdata"]]
+runs += [["delta", "--profile", "4:0,3:1", "--format", f] for f in cli.VIEWS["delta"]]
+runs += [["table", "-h"], ["table", "--genus", "-3"], ["report", "--group", "X9"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+assert codes == [0] * (len(runs) - 2) + [1, 1], codes
+print(*sorted(m for m in ("re", "enum", "json", "json.decoder", "json.encoder") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("python", [
+    Path(sys.executable), *(PYENV_VERSIONS / version / "bin" / "python" for version in OTHER_PYTHONS),
+], ids=["this", *OTHER_PYTHONS])
+def test_no_regex_enum_or_json_is_imported(python):
+    # the grammars are read with `str` methods and strings are escaped by the
+    # C `_json.encode_basestring`, so no command loads `re`, `enum` or `json`.
+    # `_json` is private to CPython, hence every interpreter of the snapshot
+    # test; `site` loads `re` and `enum` itself, hence -S
+    if not python.exists():
+        pytest.skip(f"no interpreter at {python}")
+    src = str(Path(bundleaut.__file__).resolve().parent.parent)
+    proc = subprocess.run([str(python), "-S", "-c", EVERY_COMMAND], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 # ---------------------------------------------------------------------------

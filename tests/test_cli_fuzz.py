@@ -10,9 +10,15 @@ builds anything, so no command runs at a rank past 8.  Every numeric field
 draws long numbers: at the digit ceilings of a genus and a profile entry,
 one digit past them, and around the 4300 digits that `int` converts to and
 from text; every number past those ceilings must exit 1.  Free text is
-drawn without decimal digits, so it names no rank either.  Every test has a
+drawn without decimal digits, so it names no rank either.  Specs, delta
+labels, profiles and argv tokens are also drawn with a final or an inner
+newline, and numbers in decimal digits other than 0-9.  Every test has a
 fixed example budget and a derandomized seed, so the suite runs the same
 examples each time.
+
+The group-spec, profile and negative-number grammars and `_latexify` are
+read with `str` methods; each is compared with the regex it replaced
+(`reference_parsers.py`), whose `$` also matches before a final newline.
 """
 
 import contextlib
@@ -26,8 +32,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bundleaut import moduli
 from bundleaut.cli import (
+    _GRAMMARS,
     UsageError,
+    _classify,
+    _latexify,
     _type_and_token,
     main,
     parse_args,
@@ -55,6 +65,21 @@ CEILING_DIGITS = max(MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS)
 long_numbers = st.sampled_from(
     [MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, CEILING_DIGITS + 1, 4299, 4300, 4301, 5000]
 ).map(lambda k: "9" * k)
+# decimal digits other than 0-9, which `int` and `isdecimal` read and `[0-9]`
+# does not: Arabic-Indic, Bengali, fullwidth and mathematical digits
+other_digits = st.sampled_from(["٣", "٨", "৪", "５", "𝟠"])
+
+
+@st.composite
+def newlined(draw, texts):
+    """A text of `texts`, as it is or with a newline: at its end, at its end
+    before an `_` (which a group spec drops after its `strip`), or inside it."""
+    text = draw(texts)
+    where = draw(st.sampled_from(["", "", "", "end", "end_", "inner"]))
+    if where == "inner":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + "\n" + text[i:]
+    return text + {"": "", "end": "\n", "end_": "\n_"}[where]
 
 
 @st.composite
@@ -65,8 +90,8 @@ def typed_specs(draw) -> str:
         ["", "sc", "adjoint", "ad", "so", "semispin", "mu", "mu0", "mu1", "mu2", "mu3",
          "mu4", "mu9", "x"]))
     # a rank in digits other than 0-9, which the parsers reject: superscripts,
-    # which `int` rejects too, and Arabic-Indic digits, which it reads
-    rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸", "٣"])
+    # which `int` rejects too, and other decimal digits, which it reads
+    rank = draw(st.integers(0, MAX_RANK).map(str) | st.sampled_from(["²", "⁸"]) | other_digits
                 | st.integers(RANK_CEILING + 1, RANK_CEILING + 3).map(str) | long_numbers)
     spec = f"{family}{sep}{rank}"
     return f"{spec}:{form}" if form else spec
@@ -90,30 +115,31 @@ def alias_specs(draw) -> str:
     return f"{name}{sep}{size}"
 
 
-group_specs = st.one_of(
+group_specs = newlined(st.one_of(
     typed_specs(), alias_specs(),
     st.sampled_from(["E6_sc", "E6ad", "E7_adjoint", "E7sc", "E8", "F4", "G2", "E9", "G_2",
-                     "E8_sc", "E8_ad", "F4_sc", "G2_ad"]),
-    free_text)
+                     "E8_sc", "E8_ad", "F4_sc", "G2_ad", "E٨sc"]),
+    free_text))
 
-delta_texts = st.one_of(
-    st.lists(st.integers(-3, 12).map(str) | long_numbers, max_size=3).map(",".join),
+delta_texts = newlined(st.one_of(
+    st.lists(st.integers(-3, 12).map(str) | long_numbers | other_digits, max_size=3)
+    .map(",".join),
     st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
         lambda xs: "(" + ",".join(map(str, xs)) + ")"),
-    free_text)
+    free_text))
 
-profile_numbers = st.integers(0, 40).map(str) | long_numbers
-profile_texts = st.one_of(
+profile_numbers = st.integers(0, 40).map(str) | long_numbers | other_digits
+profile_texts = newlined(st.one_of(
     st.lists(st.tuples(profile_numbers, profile_numbers), min_size=1, max_size=4)
     .map(lambda ps: ",".join(f"{d}:{s}" for d, s in ps)),
     # many entries of one long number, whose sum has more digits than each
     st.tuples(long_numbers, st.integers(1, 30)).map(lambda nk: ",".join([f"{nk[0]}:1"] * nk[1])),
-    free_text)
+    free_text))
 
 FORMS = [gf for t in table_types(MAX_RANK) for gf in enumerate_forms(t)]
 formats = st.sampled_from(["text", "json", "latex", "xml"])
 genera = st.one_of(st.integers(-2, 12).map(str), long_numbers, long_numbers.map("-".__add__),
-                   free_text)
+                   other_digits, other_digits.map("-".__add__), free_text)
 
 
 @st.composite
@@ -226,13 +252,15 @@ def drawn_type_rank(argv) -> int | None:
 
 # tokens argparse reads in ways a generated argv rarely reaches alone
 ODD_TOKENS = ["-h", "--help", "--he", "-hh", "-h=x", "--", "-", "-2", "-1.5", "-x y",
-              "--genus", "--g", "--format=json", "--max", "extra", ""]
+              "--genus", "--g", "--format=json", "--max", "extra", "", "-.5", "-5.", "-٣",
+              "-2\n"]
 
 
 @st.composite
 def reshaped_argvs(draw) -> list[str]:
     """An argv of `argvs` with each `--opt=value` cut to a prefix of at least
-    `--x` and kept joined or split in two, and up to two odd tokens put in."""
+    `--x` and kept joined or split in two, up to two odd tokens put in, and
+    any token given a newline."""
     out = []
     for token in draw(argvs):
         flag, eq, value = token.partition("=")
@@ -243,7 +271,7 @@ def reshaped_argvs(draw) -> list[str]:
             out.append(token)
     for odd in draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=2)):
         out.insert(draw(st.integers(0, len(out))), odd)
-    return out
+    return [draw(newlined(st.just(token))) for token in out]
 
 
 @budget(600)
@@ -289,3 +317,84 @@ def test_parse_args_matches_the_reference_parser(argv):
 @example(FORMS[0], "(1,,2)")
 def test_parse_delta_matches_the_reference_parser(gf, text):
     assert outcome(parse_delta, text, gf) == outcome(reference_parsers.parse_delta, text, gf)
+
+
+def spec_outcome(parse, spec) -> tuple:
+    """("ok", type, token) or (error class, message) of one group spec."""
+    try:
+        return ("ok", *parse(spec))
+    except (UsageError, InvalidType) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@budget(600)
+@given(group_specs)
+@example("a3:s\nc")
+@example("A3:")
+@example("E٨sc")
+@example("sl4/mu2")
+@example("sl4mu2")
+@example("semispin8")
+@example("so7")
+@example("so8")
+@example("A3:sc\n_")
+@example("E8sc\n_")
+@example("SL4//mu2")
+@example("Spin8\n\n_")
+def test_type_and_token_matches_the_reference(spec):
+    assert spec_outcome(_type_and_token, spec) == spec_outcome(reference_parsers.type_and_token,
+                                                               spec)
+
+
+@budget(300)
+@given(profile_texts)
+@example("4:0\n_")
+@example("٣:1")
+@example("4:")
+@example(":4")
+@example("4:0:1")
+@example(" 4:0 ,\t3:1\n")
+def test_parse_profile_matches_the_reference(text):
+    assert outcome(parse_profile, text) == outcome(reference_parsers.parse_profile, text)
+
+
+digit_runs = st.text(st.sampled_from("0129.x") | other_digits, max_size=3)
+
+
+@budget(300)
+@given(newlined(st.builds("-{}{}".format, digit_runs, digit_runs)),
+       st.sampled_from([("-h", "--help"), _GRAMMARS["table"].flags]))
+@example("-5\n", ("-h", "--help"))
+@example("-.5", ("-h", "--help"))
+@example("-5.", ("-h", "--help"))
+@example("-٣", ("-h", "--help"))
+def test_negative_numbers_are_read_as_the_reference_reads_them(token, flags):
+    assert _classify(token, flags) == reference_parsers._classify(token, flags)
+
+
+@budget(400)
+@given(st.lists(st.sampled_from([*"Z/019 xZ", "\t", "\n", "\x1c", "\u2003", "×", "δ", "{0}"])
+                | other_digits, max_size=24).map("".join))
+@example("Z/2Z/3Z")
+@example("Z/٣Z")
+@example("ZZ/2Z")
+@example("Z/2ZZ/3Z")
+@example("Z/Z")
+@example(" Z/2Z \n× Z/4Z\t")
+def test_latexify_matches_the_reference(text):
+    assert _latexify(text) == reference_parsers.latexify(text)
+
+
+def test_latexify_matches_the_reference_on_every_latex_view_text():
+    # the group symbols, presentations and class labels the latex views of
+    # `report` and `table` pass it, for every form of rank <= 16
+    texts = set()
+    for t in table_types(16):
+        for gf in enumerate_forms(t):
+            texts.update([gf.chars.structure.symbol(), gf.pi1.symbol(), gf.out.symbol()])
+            for delta in gf.pi1.elements():
+                comp = moduli.component(gf, tuple(delta))
+                texts.update([comp.presentation, comp.delta_class])
+    assert any("Z/" in text for text in texts)
+    assert [text for text in sorted(texts)
+            if _latexify(text) != reference_parsers.latexify(text)] == []
