@@ -36,10 +36,9 @@ The `table` document holds the row dicts of `moduli.classification_table`,
 read from the same `moduli.component` records as `report`.  Group specs,
 delta labels and profiles are read with `str` methods, their numbers in the
 ASCII digits 0-9; a genus, each part of a delta label and each number of a
-profile have at most `moduli.MAX_GENUS_DIGITS` or `MAX_PROFILE_DIGITS`
-digits, checked before anything is built.  JSON is written by `_json_text`,
-as `json.dumps` writes it with sorted keys and a two-space indent; no command
-imports `json` or `re`.
+profile have at most `moduli.MAX_DIGITS` digits, checked before anything is
+built.  JSON is written by `_json_text`, as `json.dumps` writes it with sorted
+keys and a two-space indent; no command imports `json` or `re`.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import groupclass, moduli, weyl
-from .finabel import lattice_quotient
+from .finabel import LatticeQuotient
 from .groupclass import GroupForm, InvalidDegree
-from .moduli import MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, GenusOutOfRange, InconsistentProfile
+from .moduli import MAX_DIGITS, GenusOutOfRange, InconsistentProfile
 from .rootdata import (
     DEFAULT_MAX_RANK,
     MAX_RANK,
@@ -168,7 +167,7 @@ def parse_delta(text: str | None, gf: GroupForm) -> tuple[int, ...]:
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
     for k, p in enumerate(parts, 1):
-        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_PROFILE_DIGITS)
+        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_DIGITS)
     try:
         coords = tuple(map(int, parts))
     except ValueError as exc:
@@ -394,7 +393,7 @@ def render_report_latex(doc: ReportDocument) -> str:
 
 
 def cmd_report(args) -> ReportDocument:
-    _within("--genus", str(abs(args.genus)), MAX_GENUS_DIGITS)
+    _within("--genus", str(abs(args.genus)), MAX_DIGITS)
     gf = parse_group_spec(args.group)
     return build_report(gf, parse_delta(args.delta, gf), args.genus)
 
@@ -417,7 +416,7 @@ def render_table_latex(doc: dict) -> str:
 
 
 def cmd_table(args) -> dict:
-    _within("--genus", str(abs(args.genus)), MAX_GENUS_DIGITS)
+    _within("--genus", str(abs(args.genus)), MAX_DIGITS)
     if args.max_rank < 2:
         # A_1 = SL_2, the smallest type, needs a bound of 2
         raise UsageError(f"--max-rank must be at least 2, got {args.max_rank}")
@@ -439,7 +438,7 @@ def parse_profile(text: str) -> list[tuple[int, int]]:
         if len(numbers := token.split(":")) != 2 or not all(map(_digits, numbers)):
             raise UsageError(f"profile entry {token!r} does not match <deg>:<drop>")
         for digits in numbers:
-            _within(f"a number of profile entry {k}", digits, MAX_PROFILE_DIGITS)
+            _within(f"a number of profile entry {k}", digits, MAX_DIGITS)
         points.append((int(numbers[0]), int(numbers[1])))
     return points
 
@@ -471,7 +470,7 @@ def cmd_rootdata(args) -> dict:
     degrees = weyl.invariant_degrees(t)
     # P/Q is Z^r, in fundamental-weight coordinates, modulo the simple
     # roots, which are the columns of A there
-    weight_quotient = lattice_quotient(list(zip(*rd.cartan))).group.symbol()
+    weight_quotient = LatticeQuotient(rd.cartan, columns=True).group.symbol()
     m, n, ordered = weyl.orbit_counts(t)
     return {
         "schema": "bundleaut.rootdata/1",

@@ -1,11 +1,13 @@
 """Exact integer-lattice arithmetic and finite abelian groups.
 
-Smith normal form over Z by elementary row/column reduction, quotients of
-Z^r by the row or the column lattice of an integer relation matrix (both
-from one Smith form) and of one row lattice by another
+Smith normal form U M V = S over Z by elementary row/column reduction,
+quotients of Z^r by the row or the column lattice of an integer relation
+matrix (both from one Smith form, read one way from U R = S V^-1, the column
+quotient as the row quotient of R^T) and of one row lattice by another
 (`sublattice_quotient`), with invariant factors and explicit projection
 maps, finite abelian groups in invariant-factor form, subgroup enumeration,
-the quotient of a group by a subgroup, and named automorphism actions.
+the quotient of a group by a subgroup, and named automorphism actions
+(`AbelianAction.actors`, a matrix per name).
 
 This module alone decides the coordinates of a finite abelian group and its
 subgroups: a quotient is one integer matrix of unit-vector classes, a whole
@@ -42,22 +44,23 @@ class LatticeError(ValueError):
     """Rank mismatch, non-containment, or a vector outside its lattice."""
 
 
-def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, U, V, V^-1) with U*M*V = S, S diagonal, d_i | d_{i+1}.
+def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (S, U, V) with U*M*V = S, S diagonal, d_i | d_{i+1}.
 
-    U and V are unimodular, and V^-1 is kept in step with V: a column
-    operation on V is the inverse row operation on V^-1.  Pivots are chosen
-    as the minimal nonzero absolute value (first in scan order on ties),
-    which makes the output deterministic for a fixed input.  An entry of
-    absolute value 1 is such a pivot, so the scan stops at the first one,
-    and a unit pivot divides everything, so it skips the divisibility scan.
+    U and V are unimodular.  A reader that needs rows of V^-1 takes them
+    from U*M = S*V^-1: row k of U*M is d_k times row k of V^-1.  Pivots are
+    chosen as the minimal nonzero absolute value (first in scan order on
+    ties), which makes the output deterministic for a fixed input.  An
+    entry of absolute value 1 is such a pivot, so the scan stops at the
+    first one, and a unit pivot divides everything, so it skips the
+    divisibility scan.
     """
     s = [list(row) for row in m]
     nrows = len(s)
     ncols = len(s[0]) if nrows else 0
     # the identity matrices, as lists that the row and column operations edit
     u = [list(_unit(nrows, i)) for i in range(nrows)]
-    v, vinv = ([list(_unit(ncols, i)) for i in range(ncols)] for _ in range(2))
+    v = [list(_unit(ncols, i)) for i in range(ncols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
@@ -68,7 +71,6 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
-        vinv[j] = [a + q * b for a, b in zip(vinv[j], vinv[i])]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -79,7 +81,6 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     for t in range(min(nrows, ncols)):
         while True:
@@ -127,13 +128,12 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
         if t < min(nrows, ncols) and s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
-    return s, u, v, vinv
+    return s, u, v
 
 
 def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
     """((x_1, ...), e) with A x_i = e w_i for the vectors w_i, from the Smith
-    form (S, U, V, V^-1) of a square matrix A, e = d_n its last invariant
-    factor.
+    form (S, U, V) of a square matrix A, e = d_n its last invariant factor.
 
     U A V = S = diag(d_1, ..., d_n) with d_k | e gives x = e A^-1 w =
     V diag(e / d_k) (U w): two matrix-vector products per vector, O(n^2),
@@ -141,7 +141,7 @@ def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
     operations never turn an entry that is not an `int` into one, so such
     an entry of A leaves one in S, which raises `TypeError`.
     """
-    s, u, v, _ = smith
+    s, u, v = smith
     if not all(isinstance(x, int) for row in s for x in row):
         raise TypeError("matrix entries must be integers")
     d = [s[k][k] for k in range(len(s))]
@@ -339,12 +339,12 @@ class LatticeQuotient:
     vector e_i in invariant-factor coordinates, and `project` applies it
     modulo the invariant factors.  With U R V = S in Smith normal form, row
     i is row i of V at the columns k where d_k > 1, and `generator_lifts` are
-    the matching rows of V^-1, which project to the unit classes.  The
-    column quotient reads the same Smith form: e_i has class (U e_i)_k, and
-    column k of U^-1 = R V S^-1, that is R V e_k / d_k, lifts the unit
-    class k.  A caller holding the Smith form passes it as `smith`, so both
-    quotients of R cost one.  `with_basis` re-coordinatizes the matrix on
-    the classes of other lifts.
+    the matching rows of V^-1, which project to the unit classes; they are
+    read from U R = S V^-1 as row k of U R divided by d_k.  The column
+    quotient is the row quotient of R^T, whose Smith form is the transposed
+    triple (S, V^T, U^T), read the same way.  A caller holding the Smith
+    form of R passes it as `smith`, so both quotients of R cost one.
+    `with_basis` re-coordinatizes the matrix on the classes of other lifts.
     """
 
     def __init__(self, relations, smith=None, columns=False):
@@ -354,21 +354,19 @@ class LatticeQuotient:
             raise LatticeError("need one relation row of length r per coordinate of Z^r")
         if not all(isinstance(x, int) for row in rel for x in row):
             raise LatticeError("relations must be integer vectors")
-        s, u, v, vinv = smith or smith_normal_form(rel)
+        s, u, v = smith or smith_normal_form(rel)
+        if columns:  # V^T R^T U^T = S
+            rel, u, v = list(zip(*rel)), list(zip(*v)), list(zip(*u))
         full = [s[i][i] for i in range(r)]
         if any(f == 0 for f in full):
             raise LatticeError("relations do not span a full-rank lattice")
         positions = [i for i, f in enumerate(full) if f > 1]
         self.rank = r
         self.group = FiniteAbelianGroup(tuple(full[i] for i in positions))
-        if columns:
-            self.generator_lifts = tuple(
-                tuple(sum(x * v[j][k] for j, x in enumerate(row)) // full[k] for row in rel)
-                for k in positions)
-            classes = [[u[k][i] for k in positions] for i in range(r)]
-        else:
-            self.generator_lifts = tuple(tuple(vinv[k]) for k in positions)
-            classes = [[row[k] for k in positions] for row in v]
+        self.generator_lifts = tuple(
+            tuple(sum(a * b for a, b in zip(u[k], col)) // full[k] for col in zip(*rel))
+            for k in positions)
+        classes = [[row[k] for k in positions] for row in v]
         self._matrix = tuple(self.group.reduce(c) for c in classes)
 
     def project(self, x) -> tuple[int, ...]:
@@ -395,19 +393,16 @@ class LatticeQuotient:
         return other
 
 
-def lattice_quotient(relations) -> LatticeQuotient:
-    return LatticeQuotient(relations)
-
-
 def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, IntMatrix]:
     """L/M for the row lattices L of `rows` and M of `sub_rows`, both of
     full rank r with M inside L, returned with the basis of L in whose
     coordinates the quotient is taken.  A caller holding the Smith form of
     `rows` passes it as `smith`.
 
-    The basis is diag(s) V^-1 for the Smith form U L V = S: a vector x of L
-    has coordinates (x V)_k / s_k in it."""
-    s, _, v, vinv = smith or smith_normal_form(rows)
+    The basis is diag(s) V^-1 for the Smith form U L V = S, which is the
+    first r rows of U L = S V^-1: a vector x of L has coordinates
+    (x V)_k / s_k in it."""
+    s, u, v = smith or smith_normal_form(rows)
     r = len(v)
     diag = [s[i][i] if i < len(s) else 0 for i in range(r)]
     if 0 in diag:
@@ -418,7 +413,8 @@ def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, In
         if any(c % d for c, d in zip(xv, diag)):
             raise LatticeError("vector lies outside the lattice")
         coords.append([c // d for c, d in zip(xv, diag)])
-    return LatticeQuotient(coords), [[d * a for a in row] for d, row in zip(diag, vinv)]
+    basis = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in u[:r]]
+    return LatticeQuotient(coords), basis
 
 
 class AbelianAction(namedtuple("AbelianAction", "group actors")):
@@ -440,12 +436,6 @@ class AbelianAction(namedtuple("AbelianAction", "group actors")):
         for name in self.actors:
             images = {self.apply(name, x) for x in self.group.elements()}
             check(len(images) == self.group.order, lambda: f"actor {name!r} is not invertible")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.actors)
-
-    def matrix(self, name: str):
-        return self.actors[name]
 
     def apply(self, name: str, x) -> tuple[int, ...]:
         m = self.actors[name]

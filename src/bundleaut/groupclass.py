@@ -6,12 +6,14 @@ P^vee/Q^vee, its character group with P/Q; both are computed as lattice
 quotients of the integer Cartan matrix A, never tabulated.  In
 fundamental-weight coordinates Q is spanned by the columns of A, in
 fundamental-coweight coordinates Q^vee by its rows, and one Smith form
-U A V = S gives both quotients and the perfect pairing between them: for
-each of the at most two generator lifts w of P/Q, e A^-1 w = V diag(e/d_k)
-(U w) (e = d_r, `finabel.scaled_solve`) is paired with the lifts of
-P^vee/Q^vee, once per type.  Out(G^sc), the node permutations preserving A,
-acts once per type on each quotient (`chars_action`, `center_action`: the
-class of a permuted generator lift) and is checked to preserve the pairing.
+U A V = S gives both quotients, each read from U A = S V^-1 (P/Q as the
+rows of A^T, with the transposed triple, as `cli rootdata` reads it too),
+and the perfect pairing between them: for each of the at most two generator
+lifts w of P/Q, e A^-1 w = V diag(e/d_k) (U w) (e = d_r,
+`finabel.scaled_solve`) is paired with the lifts of P^vee/Q^vee, once per
+type.  Out(G^sc), the node permutations preserving A, acts once per type on
+each quotient (`chars_action`, `center_action`: the class of a permuted
+generator lift) and is checked to preserve the pairing.
 Every Out action downstream is its restriction: Out(G) is the stabilizer of
 mu, acting on pi_1(G) = mu and on Hom(Z(G), G_m) = mu^perp.
 
@@ -194,8 +196,8 @@ def type_lattices(t: DynkinType) -> TypeLattices:
                        center_action=_sc_action(center, outs))
     # the pairing is bilinear, so Out(G^sc) preserves it if it does on the
     # generators; sa[a] and sz[z], matrix columns, are the images of generators
-    for name in lat.chars_action.names():
-        sa, sz = (list(zip(*act.matrix(name))) for act in (lat.chars_action, lat.center_action))
+    for name in lat.chars_action.actors:
+        sa, sz = (list(zip(*act.actors[name])) for act in (lat.chars_action, lat.center_action))
         check(all(_pair(pairings, e, sa[a], sz[z]) == p
                   for a, row in enumerate(pairings) for z, p in enumerate(row)),
               lambda: f"outer element {name} does not preserve the pairing")
@@ -296,7 +298,7 @@ def _delta_classes(pi1: FiniteAbelianGroup, action: AbelianAction) -> tuple[tupl
     one row, since they produce identical presentations.  The actors are
     all of Out(G), so an orbit is the set of images of one label.
     """
-    names = action.names()
+    names = tuple(action.actors)
 
     def stab(x):
         return frozenset(n for n in names if action.apply(n, x) == x)

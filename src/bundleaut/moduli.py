@@ -35,11 +35,11 @@ from .groupclass import GroupForm, OutGroup, render_element
 from .rootdata import DEFAULT_MAX_RANK, DynkinType, _unit, admissible_types, build_root_datum, check
 
 MIN_GENUS_PRESENTATION = 4
-# the command line's ceilings on a genus and on each number of a delta profile,
-# in digits, checked before anything is built: every number computed from them
-# has fewer than 640 digits, the least limit Python's int-to-str conversion takes
-MAX_GENUS_DIGITS = 600
-MAX_PROFILE_DIGITS = 600
+# the command line's ceiling, in digits, on a genus, on each number of a delta
+# profile and on each part of a `--delta` label, checked before anything is
+# built: every number computed from them has fewer than 640 digits, the least
+# limit Python's int-to-str conversion takes
+MAX_DIGITS = 600
 SEMIDIRECT = "⋊"
 TIMES = "×"
 DELTA = "δ"
@@ -70,7 +70,7 @@ def _describe_action(action: AbelianAction, name: str) -> str:
     if group.is_trivial:
         return "trivial"
     k = len(group.invariant_factors)
-    m = action.matrix(name)
+    m = action.actors[name]
     identity = tuple(_unit(k, i) for i in range(k))
     if m == identity:
         return "trivial"

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from bundleaut import groupclass
 from bundleaut.cli import COMMANDS, _LATEX_MAP, UsageError, _number, _show_help, _within
 from bundleaut.groupclass import InvalidDegree
-from bundleaut.moduli import MAX_PROFILE_DIGITS
+from bundleaut.moduli import MAX_DIGITS
 from bundleaut.rootdata import DynkinType
 
 _HELP = ("-h", "--help")
@@ -136,7 +136,7 @@ def parse_delta(text, gf):
         return pi1.zero()
     parts = [p for p in text.strip().strip("()").split(",") if p != ""]
     for k, p in enumerate(parts, 1):
-        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_PROFILE_DIGITS)
+        _within(f"part {k} of --delta", p.strip().lstrip("+-"), MAX_DIGITS)
     try:
         coords = tuple(int(p) for p in parts)
     except ValueError as exc:
@@ -199,7 +199,7 @@ def parse_profile(text):
             raise UsageError(
                 f"profile entry {token!r} does not match <deg>:<drop>")
         for digits in m.groups():
-            _within(f"a number of profile entry {k}", digits, MAX_PROFILE_DIGITS)
+            _within(f"a number of profile entry {k}", digits, MAX_DIGITS)
         points.append((int(m.group(1)), int(m.group(2))))
     return points
 

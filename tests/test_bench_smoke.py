@@ -24,12 +24,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # The wrapped names that the package no longer has, in the tracer's order.
-# `finabel.lattice_quotient` is not among them: `cli` still takes P/Q
-# through it for `rootdata`.
+# `finabel.lattice_quotient` is among them: `cli` reads P/Q for `rootdata`
+# with `LatticeQuotient` directly.
 STALE_NAMES = [
     "rootdata.root_hyperplanes",
     "linalg.solve", "linalg.invert", "linalg.nullspace", "linalg.charpoly", "linalg.mat_mul",
-    "finabel.torsion_power",
+    "finabel.lattice_quotient", "finabel.torsion_power",
     "weyl.coxeter_element", "weyl.orbits_on_roots", "weyl.orbits_on_hyperplane_pairs",
     "weyl.ordered_root_pair_orbit_count",
     "groupclass.fundamental_group", "groupclass.center_char_subgroup", "groupclass.out_group",

@@ -412,7 +412,7 @@ def ceiling_argvs(genus: str, entry: str, repeat: int = 1) -> list[list[str]]:
 
 
 def test_numbers_at_the_digit_ceilings_are_read(capsys):
-    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    assert moduli.MAX_DIGITS == 600
     genus = int(AT_CEILING)
     report, report_json, table, delta = ceiling_argvs(AT_CEILING, AT_CEILING, repeat=30)
     code, out, _ = run(capsys, *report)
@@ -457,13 +457,13 @@ UNPRINTABLE_IDS = ["profile_5000_digits", "profile_total", "report_text", "repor
                          ids=["report_genus", "report_json_genus", "table_genus", "profile_deg",
                               "report_negative_genus", "profile_drop", *UNPRINTABLE_IDS])
 def test_number_past_its_digit_ceiling_is_a_usage_error(capsys, argv, message):
-    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    assert moduli.MAX_DIGITS == 600
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,message", UNPRINTABLE_INPUTS, ids=UNPRINTABLE_IDS)
 def test_unprintable_numbers_exit_1_in_a_process(argv, message):
-    assert (moduli.MAX_GENUS_DIGITS, moduli.MAX_PROFILE_DIGITS) == (600, 600)
+    assert moduli.MAX_DIGITS == 600
     proc = run_process("-m", "bundleaut.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
@@ -484,7 +484,7 @@ DELTA_PARTS = [
 @pytest.mark.parametrize("delta,code,err", DELTA_PARTS,
                          ids=["600_digits", "601_digits", "4301_digits", "second_part"])
 def test_delta_part_digit_ceiling(capsys, in_process, delta, code, err):
-    assert moduli.MAX_PROFILE_DIGITS == 600
+    assert moduli.MAX_DIGITS == 600
     argv = ["report", "--group", "PSL2", "--delta", delta]
     if in_process:
         result = run(capsys, *argv)
@@ -1303,7 +1303,7 @@ GROUP_FAULTS = {
     "out_pairing": ("groupclass", "TypeLattices",
                     "lambda cls=groupclass.TypeLattices, **f: cls(**{**f, 'chars_action': "
                     "finabel.AbelianAction(f['chars_action'].group, dict.fromkeys("
-                    "f['chars_action'].actors, f['chars_action'].matrix('e')))})",
+                    "f['chars_action'].actors, f['chars_action'].actors['e']))})",
                     ["report", "--group", "D8"],
                     "outer element (7 8) does not preserve the pairing"),
 }

@@ -46,7 +46,7 @@ from bundleaut.cli import (
     parse_profile,
 )
 from bundleaut.groupclass import GroupForm, enumerate_forms
-from bundleaut.moduli import MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, table_types
+from bundleaut.moduli import MAX_DIGITS, table_types
 from bundleaut.rootdata import MAX_RANK as RANK_CEILING
 from bundleaut.rootdata import MAX_TABLE_RANK, DynkinType, InvalidType
 import reference_parsers
@@ -60,11 +60,9 @@ def budget(n: int):
 
 
 free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
-# the genus and profile ceilings, and the 4300 digits of `int`'s text conversion
-CEILING_DIGITS = max(MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS)
+# the digit ceiling, and the 4300 digits of `int`'s text conversion
 long_numbers = st.sampled_from(
-    [MAX_GENUS_DIGITS, MAX_PROFILE_DIGITS, CEILING_DIGITS + 1, 4299, 4300, 4301, 5000]
-).map(lambda k: "9" * k)
+    [MAX_DIGITS, MAX_DIGITS + 1, 4299, 4300, 4301, 5000]).map(lambda k: "9" * k)
 # decimal digits other than 0-9, which `int` and `isdecimal` read and `[0-9]`
 # does not: Arabic-Indic, Bengali, fullwidth and mathematical digits
 other_digits = st.sampled_from(["٣", "٨", "৪", "５", "𝟠"])
@@ -219,7 +217,7 @@ def test_main_exits_0_1_or_2_without_traceback(argv):
     if rank is not None and rank > RANK_CEILING:
         assert code == 1, (argv, code, err.getvalue())
     # no field takes a number past the genus and profile ceilings
-    if re.search(f"[0-9]{{{CEILING_DIGITS + 1}}}", " ".join(argv)):
+    if re.search(f"[0-9]{{{MAX_DIGITS + 1}}}", " ".join(argv)):
         assert code == 1, (argv[:1], code, err.getvalue()[:200])
 
 
@@ -231,7 +229,7 @@ def drawn_max_rank(argv) -> int | None:
             if not value.lstrip("-").isdigit():
                 return None
             # a long number is past the ceiling; `int` reads at most 4300 digits
-            return int(value) if len(value) <= CEILING_DIGITS else MAX_TABLE_RANK + 1
+            return int(value) if len(value) <= MAX_DIGITS else MAX_TABLE_RANK + 1
     return None
 
 

@@ -14,7 +14,6 @@ from bundleaut.finabel import (
     Subgroup,
     closure,
     enumerate_subgroups,
-    lattice_quotient,
     smith_normal_form,
 )
 from bundleaut.rootdata import (
@@ -54,11 +53,10 @@ def from_coords(sub, coords):
 
 
 def check_snf(m):
-    s, u, v, vinv = smith_normal_form(m)
+    s, u, v = smith_normal_form(m)
     assert mat_mul_int(mat_mul_int(u, m), v) == s
     assert abs(oracles.det(u)) == 1
     assert abs(oracles.det(v)) == 1
-    assert mat_mul_int(v, vinv) == [[int(i == j) for j in range(len(v))] for i in range(len(v))]
     diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
     for i in range(len(s)):
         for j in range(len(s[0]) if s else 0):
@@ -96,10 +94,9 @@ def test_snf_round_trip_randomized():
 
 
 def test_snf_zero_matrix():
-    s, u, v, vinv = smith_normal_form([[0, 0], [0, 0]])
+    s, u, v = smith_normal_form([[0, 0], [0, 0]])
     assert s == [[0, 0], [0, 0]]
     assert abs(oracles.det(u)) == 1 and abs(oracles.det(v)) == 1
-    assert mat_mul_int(v, vinv) == [[1, 0], [0, 1]]
 
 
 def full_scan_smith_normal_form(m):
@@ -111,7 +108,6 @@ def full_scan_smith_normal_form(m):
     ncols = len(s[0]) if nrows else 0
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i, j, q):
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
@@ -122,7 +118,6 @@ def full_scan_smith_normal_form(m):
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
-        vinv[j] = [a + q * b for a, b in zip(vinv[j], vinv[i])]
 
     for t in range(min(nrows, ncols)):
         while True:
@@ -142,7 +137,6 @@ def full_scan_smith_normal_form(m):
                 j = pivot[1]
                 for row in s + v:
                     row[t], row[j] = row[j], row[t]
-                vinv[t], vinv[j] = vinv[j], vinv[t]
             dirty = False
             for i in range(t + 1, nrows):
                 if s[i][t]:
@@ -163,7 +157,7 @@ def full_scan_smith_normal_form(m):
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
-    return s, u, v, vinv
+    return s, u, v
 
 
 @pytest.mark.parametrize("t", admissible_types(12), ids=lambda t: t.label)
@@ -183,6 +177,22 @@ def test_unit_pivots_keep_the_smith_form_of_random_matrices():
         assert smith_normal_form(m) == full_scan_smith_normal_form(m), m
 
 
+def fraction_inverse(m):
+    """The inverse of an invertible square matrix, by Gauss-Jordan
+    elimination over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and (f := a[i][c]):
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
 def test_column_quotient_reads_the_row_smith_form():
     rng = random.Random(77)
     for _ in range(60):
@@ -190,17 +200,25 @@ def test_column_quotient_reads_the_row_smith_form():
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         if oracles.det(m) == 0:
             continue
-        q = LatticeQuotient(m, smith_normal_form(m), columns=True)
-        transposed = lattice_quotient(list(zip(*m)))
-        assert q.group == transposed.group
-        # the columns of m are the relations, the lifts hit the unit classes
-        for col in zip(*m):
-            assert q.project(col) == q.group.zero()
-        k = len(q.group.invariant_factors)
-        for i, gen in enumerate(q.generator_lifts):
-            assert q.project(gen) == tuple(int(j == i) for j in range(k))
-        for coords in q.group.elements():
-            assert q.project(lift(q, coords)) == coords
+        smith = smith_normal_form(m)
+        rows = LatticeQuotient(m, smith)
+        # the row lifts are the rows of V^-1 at each d_k > 1
+        s, _, v = smith
+        vinv = fraction_inverse(v)
+        assert rows.generator_lifts == tuple(tuple(vinv[k]) for k in range(n) if s[k][k] > 1)
+        q = LatticeQuotient(m, smith, columns=True)
+        transposed = LatticeQuotient(list(zip(*m)))
+        assert q.group == transposed.group == rows.group
+        # the rows, or the columns, of m are the relations, and the lifts hit
+        # the unit classes
+        for quotient, relations in ((rows, m), (q, list(zip(*m)))):
+            for rel in relations:
+                assert quotient.project(rel) == quotient.group.zero()
+            k = len(quotient.group.invariant_factors)
+            for i, gen in enumerate(quotient.generator_lifts):
+                assert quotient.project(gen) == tuple(int(j == i) for j in range(k))
+            for coords in quotient.group.elements():
+                assert quotient.project(lift(quotient, coords)) == coords
 
 
 def coset_order(group, sub, x):
@@ -223,7 +241,7 @@ def test_subgroup_quotient_has_the_coset_structure():
 
 
 def test_lattice_quotient_d5():
-    q = lattice_quotient(root_relations(DynkinType("D", 5)))
+    q = LatticeQuotient(root_relations(DynkinType("D", 5)))
     assert q.group.invariant_factors == (4,)
     # the class of w_5 generates
     w5 = q.project(unit(5, 4))
@@ -231,13 +249,13 @@ def test_lattice_quotient_d5():
 
 
 def test_lattice_quotient_e6():
-    q = lattice_quotient(root_relations(DynkinType("E", 6)))
+    q = LatticeQuotient(root_relations(DynkinType("E", 6)))
     assert q.group.invariant_factors == (3,)
     assert element_order(q.group, q.project(unit(6, 0))) == 3
 
 
 def test_lattice_quotient_equal_lattices():
-    q = lattice_quotient([(1, 0), (0, 1)])
+    q = LatticeQuotient([(1, 0), (0, 1)])
     assert q.group.is_trivial
     assert q.project((3, -5)) == ()
 
@@ -245,16 +263,16 @@ def test_lattice_quotient_equal_lattices():
 def test_lattice_quotient_errors():
     # one relation for Z^2: the sub lattice has smaller rank
     with pytest.raises(LatticeError):
-        lattice_quotient([(1, 0)])
+        LatticeQuotient([(1, 0)])
     # sub not contained in sup: (1, 0) has coordinates (1/2, 0) in 2Z^2
     with pytest.raises(LatticeError):
-        lattice_quotient([(Fraction(1, 2), 0), (0, 1)])
+        LatticeQuotient([(Fraction(1, 2), 0), (0, 1)])
     # degenerate sub lattice
     with pytest.raises(LatticeError):
-        lattice_quotient([(1, 0), (2, 0)])
+        LatticeQuotient([(1, 0), (2, 0)])
     # a vector outside Z^r
     with pytest.raises(LatticeError):
-        lattice_quotient([(2, 0), (0, 2)]).project((1, 0, 0))
+        LatticeQuotient([(2, 0), (0, 2)]).project((1, 0, 0))
 
 
 def test_lattice_quotient_index_matches_determinant():
@@ -266,12 +284,12 @@ def test_lattice_quotient_index_matches_determinant():
             d = oracles.det(m)
             if d != 0:
                 break
-        q = lattice_quotient([tuple(row) for row in m])
+        q = LatticeQuotient([tuple(row) for row in m])
         assert q.group.order == abs(d)
 
 
 def test_projection_is_additive_and_lifts_invert():
-    q = lattice_quotient(root_relations(DynkinType("D", 6)))
+    q = LatticeQuotient(root_relations(DynkinType("D", 6)))
     for coords in q.group.elements():
         assert q.project(lift(q, coords)) == coords
     a = unit(6, 2)
@@ -281,7 +299,7 @@ def test_projection_is_additive_and_lifts_invert():
 
 
 def test_with_basis_repins_coordinates():
-    q = lattice_quotient(root_relations(DynkinType("D", 6)))
+    q = LatticeQuotient(root_relations(DynkinType("D", 6)))
     pinned = q.with_basis([unit(6, 4), unit(6, 5)])
     assert pinned.project(unit(6, 4)) == (1, 0)
     assert pinned.project(unit(6, 5)) == (0, 1)

@@ -130,18 +130,18 @@ def test_out_action_on_pi1_examples():
     # PSL_n: the generator inverts Z/n
     gf = by_name("A3", "adjoint")
     act = gf.pi1_action
-    g = next(n for n in act.names() if n != "e")
+    g = next(n for n in act.actors if n != "e")
     assert all(act.apply(g, x) == group_neg(act.group, x) for x in act.group.elements())
     # PSO_{4l}: the generator swaps the two Z/2 coordinates
     gf = by_name("D6", "adjoint")
     act = gf.pi1_action
-    g = next(n for n in act.names() if n != "e")
+    g = next(n for n in act.actors if n != "e")
     assert act.apply(g, (1, 0)) == (0, 1)
     assert act.apply(g, (1, 1)) == (1, 1)
     # trivial-Out forms only carry the identity action
     gf = by_name("D6", "semispin")
     act = gf.pi1_action
-    assert act.names() == ("e",)
+    assert tuple(act.actors) == ("e",)
     assert all(act.apply("e", x) == x for x in act.group.elements())
 
 
@@ -149,7 +149,7 @@ def test_out_acts_trivially_on_z2_factors():
     for tname, form in [("D6", "so"), ("D4", "so"), ("D7", "so")]:
         act = by_name(tname, form).pi1_action
         assert act.group.invariant_factors == (2,)
-        for name in act.names():
+        for name in act.actors:
             assert act.apply(name, (1,)) == (1,)
 
 
@@ -211,7 +211,7 @@ def test_pairing_is_out_equivariant():
     # every pair of elements; `type_lattices` checks the generators only
     for t in admissible_types(16):
         lat = type_lattices(t)
-        for name in lat.chars_action.names():
+        for name in lat.chars_action.actors:
             for a in lat.chars.group.elements():
                 ia = lat.chars_action.apply(name, a)
                 for b in lat.center.group.elements():
@@ -238,7 +238,7 @@ def sides(lat):
 def test_sc_actions_are_the_lifted_permutations(t):
     lat = type_lattices(t)
     for quotient, action in sides(lat):
-        assert action.names() == tuple(elem.name for elem in lat.out_elements)
+        assert tuple(action.actors) == tuple(elem.name for elem in lat.out_elements)
         for elem in lat.out_elements:
             for x in quotient.group.elements():
                 assert action.apply(elem.name, x) == lifted_image(quotient, elem, x)
@@ -264,15 +264,15 @@ def test_sc_actions_identity_and_composition(t):
 def test_char_action_matches_table_rows():
     # Spin_{4l}: the swap permutes the two Pic factors
     act = by_name("D6", "sc").chars_action
-    g = next(n for n in act.names() if n != "e")
+    g = next(n for n in act.actors if n != "e")
     assert act.apply(g, (1, 0)) == (0, 1)
     # Spin_{4l+2}: the generator inverts Z/4
     act = by_name("D5", "sc").chars_action
-    g = next(n for n in act.names() if n != "e")
+    g = next(n for n in act.actors if n != "e")
     assert act.apply(g, (1,)) == (3,)
     # E6 sc: inversion on Z/3
     act = by_name("E6", "sc").chars_action
-    g = next(n for n in act.names() if n != "e")
+    g = next(n for n in act.actors if n != "e")
     assert act.apply(g, (1,)) == (2,)
 
 
@@ -281,8 +281,8 @@ def test_d4_out_is_gl2_f2():
 
     act = by_name("D4", "adjoint").pi1_action
     mats = set()
-    for name in act.names():
-        m = act.matrix(name)
+    for name in act.actors:
+        m = act.actors[name]
         mats.add(tuple(tuple(x % 2 for x in row) for row in m))
     gl2 = set()
     for entries in itertools.product((0, 1), repeat=4):
@@ -317,9 +317,9 @@ def test_action_set_closed_under_composition():
         act = by_name(tname, form).pi1_action
         elements = list(act.group.elements())
         maps = {name: tuple(act.apply(name, x) for x in elements)
-                for name in act.names()}
-        for a in act.names():
-            for b in act.names():
+                for name in act.actors}
+        for a in act.actors:
+            for b in act.actors:
                 composed = tuple(act.apply(a, act.apply(b, x)) for x in elements)
                 assert composed in maps.values()
 

@@ -7,7 +7,7 @@ import oracles
 import pytest
 from conftest import neg, unit
 
-from bundleaut.finabel import lattice_quotient, scaled_solve, smith_normal_form
+from bundleaut.finabel import LatticeQuotient, scaled_solve, smith_normal_form
 from bundleaut.groupclass import type_lattices
 from bundleaut.rootdata import (
     DynkinType,
@@ -294,7 +294,7 @@ def test_dn_weight_classes(n):
     assert pair_with_simple_coroots(rd.cartan, two_w1) == [2] + [0] * (n - 1)
     assert ambient_image(t, two_w1) == (2,) + (0,) * (n - 1)
     # P/Q: the simple roots in weight coordinates are the columns of A
-    q = lattice_quotient(list(zip(*rd.cartan)))
+    q = LatticeQuotient(list(zip(*rd.cartan)))
     eps1 = unit(n, 0)
     zero = q.group.zero()
     cls = {

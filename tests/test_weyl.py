@@ -6,7 +6,7 @@ import oracles
 import pytest
 from conftest import neg
 
-from bundleaut.finabel import lattice_quotient
+from bundleaut.finabel import LatticeQuotient
 from bundleaut.groupclass import enumerate_forms
 from bundleaut.moduli import hitchin_report
 from bundleaut.rootdata import MAX_RANK, DynkinType, admissible_types, build_root_datum
@@ -426,7 +426,7 @@ def test_connection_index_counts_the_highest_root_ones(t):
     # weyl_order takes |P/Q| = 1 + #{i : n_i = 1}; here |P/Q| is read off a
     # Smith form of the Cartan matrix instead
     theta = build_root_datum(t).roots[-1]
-    assert 1 + theta.count(1) == lattice_quotient(build_root_datum(t).cartan).group.order
+    assert 1 + theta.count(1) == LatticeQuotient(build_root_datum(t).cartan).group.order
 
 
 def test_weyl_order_classical_values():
