@@ -26,6 +26,11 @@ was built.  `render_runs` writes invariant factors, each run of equal ones
 once, for `FiniteAbelianGroup.symbol` and `moduli`'s Picard blocks.
 `scaled_solve` applies e A^-1 to a few vectors from the Smith form of A,
 so that no caller forms the whole inverse.
+
+Every broken invariant, such as a relation matrix of lower rank, a vector
+outside its lattice or a singular matrix to solve, fails a
+`rootdata.check`: the lattices here come from the Cartan matrix, so a
+failure is the program's fault, and the CLI exits 3 with its message.
 """
 
 from __future__ import annotations
@@ -38,10 +43,6 @@ from math import prod
 from .rootdata import _unit, check
 
 IntMatrix = list[list[int]]
-
-
-class LatticeError(ValueError):
-    """Rank mismatch, non-containment, or a vector outside its lattice."""
 
 
 def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -137,16 +138,14 @@ def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     U A V = S = diag(d_1, ..., d_n) with d_k | e gives x = e A^-1 w =
     V diag(e / d_k) (U w): two matrix-vector products per vector, O(n^2),
-    in integers.  A zero d_k means A is singular.  The row and column
-    operations never turn an entry that is not an `int` into one, so such
-    an entry of A leaves one in S, which raises `TypeError`.
+    in integers.  A zero d_k means A is singular, and fails a `check`.  The
+    row and column operations never turn an entry that is not an `int` into
+    one, so such an entry of A leaves one in S, which fails a `check` too.
     """
     s, u, v = smith
-    if not all(isinstance(x, int) for row in s for x in row):
-        raise TypeError("matrix entries must be integers")
+    check(all(isinstance(x, int) for row in s for x in row), "matrix entries must be integers")
     d = [s[k][k] for k in range(len(s))]
-    if not all(d):
-        raise LatticeError("matrix is singular")
+    check(all(d), "matrix is singular")
     e = d[-1] if d else 1
     solutions = []
     for w in vectors:
@@ -166,10 +165,9 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
 
     def __new__(cls, invariant_factors: tuple[int, ...]):
         fs = invariant_factors
-        if any(f < 2 for f in fs):
-            raise ValueError("invariant factors must be >= 2")
-        if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
-            raise ValueError("invariant factors must form a divisibility chain")
+        check(all(f >= 2 for f in fs), "invariant factors must be >= 2")
+        check(not any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)),
+              "invariant factors must form a divisibility chain")
         return super().__new__(cls, fs)
 
     @property
@@ -350,16 +348,15 @@ class LatticeQuotient:
     def __init__(self, relations, smith=None, columns=False):
         rel = [list(row) for row in relations]
         r = len(rel)
-        if any(len(row) != r for row in rel):
-            raise LatticeError("need one relation row of length r per coordinate of Z^r")
-        if not all(isinstance(x, int) for row in rel for x in row):
-            raise LatticeError("relations must be integer vectors")
+        check(all(len(row) == r for row in rel),
+              "need one relation row of length r per coordinate of Z^r")
+        check(all(isinstance(x, int) for row in rel for x in row),
+              "relations must be integer vectors")
         s, u, v = smith or smith_normal_form(rel)
         if columns:  # V^T R^T U^T = S
             rel, u, v = list(zip(*rel)), list(zip(*v)), list(zip(*u))
         full = [s[i][i] for i in range(r)]
-        if any(f == 0 for f in full):
-            raise LatticeError("relations do not span a full-rank lattice")
+        check(all(full), "relations do not span a full-rank lattice")
         positions = [i for i, f in enumerate(full) if f > 1]
         self.rank = r
         self.group = FiniteAbelianGroup(tuple(full[i] for i in positions))
@@ -370,8 +367,7 @@ class LatticeQuotient:
         self._matrix = tuple(self.group.reduce(c) for c in classes)
 
     def project(self, x) -> tuple[int, ...]:
-        if len(x) != self.rank:
-            raise LatticeError(f"expected a vector of Z^{self.rank}")
+        check(len(x) == self.rank, lambda: f"expected a vector of Z^{self.rank}")
         fs = self.group.invariant_factors
         return tuple(sum(a * row[j] for a, row in zip(x, self._matrix) if a) % f
                      for j, f in enumerate(fs))
@@ -379,13 +375,10 @@ class LatticeQuotient:
     def with_basis(self, lifts) -> "LatticeQuotient":
         """Re-coordinatize the quotient on the classes of the given lifts."""
         fs = self.group.invariant_factors
-        if len(lifts) != len(fs):
-            raise LatticeError("need one lift per invariant factor")
-        if self.group.order > 4096:
-            raise LatticeError("quotient too large to re-coordinatize")
+        check(len(lifts) == len(fs), "need one lift per invariant factor")
+        check(self.group.order <= 4096, "quotient too large to re-coordinatize")
         table = _coordinates(self.group, [self.project(l) for l in lifts], fs)
-        if len(table) != self.group.order:
-            raise LatticeError("lifts do not generate independent classes")
+        check(len(table) == self.group.order, "lifts do not generate independent classes")
         other = LatticeQuotient.__new__(LatticeQuotient)
         other.rank, other.group = self.rank, self.group
         other.generator_lifts = tuple(tuple(l) for l in lifts)
@@ -405,13 +398,11 @@ def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, In
     s, u, v = smith or smith_normal_form(rows)
     r = len(v)
     diag = [s[i][i] if i < len(s) else 0 for i in range(r)]
-    if 0 in diag:
-        raise LatticeError("row lattice does not have full rank")
+    check(all(diag), "row lattice does not have full rank")
     coords = []
     for x in sub_rows:
         xv = [sum(a * v[j][k] for j, a in enumerate(x)) for k in range(r)]
-        if any(c % d for c, d in zip(xv, diag)):
-            raise LatticeError("vector lies outside the lattice")
+        check(not any(c % d for c, d in zip(xv, diag)), "vector lies outside the lattice")
         coords.append([c // d for c, d in zip(xv, diag)])
     basis = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in u[:r]]
     return LatticeQuotient(coords), basis

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import permutations
 
 from .finabel import (
     AbelianAction,
@@ -101,49 +102,42 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
                    for cycle in _cycles(perm) if len(cycle) > 1) or "e"
 
 
+def _distances(neighbours, source) -> list:
+    """Each node's distance from `source` in the graph, breadth first; None
+    for a node it does not reach."""
+    distance = [None] * len(neighbours)
+    distance[source] = 0
+    order = [source]
+    for i in order:
+        for j in neighbours[i]:
+            if distance[j] is None:
+                distance[j] = distance[i] + 1
+                order.append(j)
+    return distance
+
+
 def _cartan_automorphisms(cartan) -> list[tuple[int, ...]]:
     """The node permutations preserving the Cartan matrix, sorted.
 
-    The Dynkin diagram is a tree, so the map is built along a breadth-first
-    order of it: each node goes to an unused neighbour of its parent's image
-    with the same two Cartan entries on that edge.  A bijection sending the
-    r - 1 tree edges to edges sends them onto all r - 1 edges, so every
-    complete map is an automorphism; each of the r choices for node 0 dies
-    or completes within r steps."""
+    The Dynkin diagram is a tree with at most 3 leaves, and a node of a tree
+    is told apart by its distances to the leaves.  An automorphism permutes
+    the leaves and keeps distances, so each permutation of the leaves gives
+    at most one candidate: each node goes to the node whose distance vector
+    is its own, permuted.  A candidate defined on every node is injective,
+    and it is kept if it has the same two Cartan entries on every edge: a
+    bijection sending the r - 1 edges to edges keeps the whole matrix."""
     r = len(cartan)
     neighbours = [[j for j in range(r) if j != i and cartan[i][j]] for i in range(r)]
-    order, parent = [0], {0: None}
-    for i in order:
-        for j in neighbours[i]:
-            if j not in parent:
-                parent[j] = i
-                order.append(j)
-    check(len(order) == r, "the Dynkin diagram is not connected")
-    # edges[k]: the parent of node order[k + 1] and the two entries on its edge
-    edges = [(parent[i], cartan[i][parent[i]], cartan[parent[i]][i]) for i in order[1:]]
-    perms: list[tuple[int, ...]] = []
-    image = [0] * r
-    used = [False] * r
-    # depth-first with a stack of (k, image of order[k]) instead of recursion,
-    # so the depth is not bounded by the interpreter's recursion limit; the
-    # nodes order[k:] are unassigned again before an entry (k, _) is taken
-    stack = [(0, img) for img in range(r)]
-    depth = 0
-    while stack:
-        k, img = stack.pop()
-        while depth > k:
-            depth -= 1
-            used[image[order[depth]]] = False
-        image[order[k]], used[img] = img, True
-        depth = k + 1
-        if depth == r:
-            perms.append(tuple(image))
-            continue
-        p, a, b = edges[k]
-        q = image[p]
-        for c in neighbours[q]:
-            if not used[c] and cartan[c][q] == a and cartan[q][c] == b:
-                stack.append((depth, c))
+    check(None not in _distances(neighbours, 0), "the Dynkin diagram is not connected")
+    # column k: each node's distance to leaf k; a node's vector is its row
+    columns = [_distances(neighbours, i) for i in range(r) if len(neighbours[i]) <= 1]
+    node = {vector: i for i, vector in enumerate(zip(*columns))}
+    perms = []
+    for permuted in permutations(columns):
+        image = tuple(map(node.get, zip(*permuted)))
+        if None not in image and all(cartan[image[i]][image[j]] == cartan[i][j]
+                                     for i in range(r) for j in neighbours[i]):
+            perms.append(image)
     return sorted(perms)
 
 
@@ -336,9 +330,6 @@ class GroupForm(namedtuple("GroupForm", (
 
     def __hash__(self) -> int:
         return hash(self.display_name)
-
-    def __str__(self) -> str:
-        return self.display_name
 
 
 def _make_form(t: DynkinType, mu: Subgroup, lat: TypeLattices, so: frozenset | None) -> GroupForm:

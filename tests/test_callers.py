@@ -3,10 +3,13 @@ package module, and every module constant, is referenced somewhere in
 `src/` outside its own definition.  A name that only tests or the benchmark
 use is code kept for them, and belongs in the tests or is deleted.  The
 package's caches are listed here by name, so that adding or removing one is
-a visible change.
+a visible change.  Every exception class the package defines is caught by
+`cli.main`, so that it ends in an exit code and a message.
 """
 
 import ast
+import builtins
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -93,3 +96,22 @@ CACHES = [
 def test_the_package_caches_are_these():
     names = sorted(f"{c.__module__}.{c.__qualname__}" for c in package_caches())
     assert names == CACHES
+
+
+def test_every_package_exception_has_an_exit_code():
+    # the classes named in the except clauses of `cli.main`, read from its
+    # source, and every exception class defined at the top level of a
+    # package module, which must be a subclass of one of them
+    main = next(node for node, _ in top_level_nodes()["cli.py"]
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    names = [n.id for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+             for n in ast.walk(handler.type) if isinstance(n, ast.Name)]
+    caught = tuple(getattr(bundleaut.cli, name, None) or getattr(builtins, name)
+                   for name in names)
+    defined = [(module, node.name) for module, nodes in top_level_nodes().items()
+               for node, _ in nodes if isinstance(node, ast.ClassDef)]
+    classes = {f"{module}: {name}": getattr(sys.modules[f"bundleaut.{module[:-3]}"], name)
+               for module, name in defined}
+    exceptions = [name for name, cls in classes.items() if issubclass(cls, BaseException)]
+    assert exceptions  # the package's own, such as `rootdata.ConsistencyError`
+    assert [name for name in exceptions if not issubclass(classes[name], caught)] == []

@@ -1227,6 +1227,14 @@ CARTAN_FAULTS = {
     # G2 without its bond is A1 x A1, with a valid Cartan matrix
     "not_connected": ("rootdata", "_diagram", "lambda t: ([2, 6], [])",
                       ["report", "--group", "G2"], "the Dynkin diagram is not connected"),
+    # D5 with nodes 1 and 5 numbered the other way round: the lift omega_5 of
+    # the centre Z/4Z is then omega_1, the vector class, of order 2
+    "relabelled_lifts": ("rootdata", "_diagram",
+                         "lambda t, diagram=rootdata._diagram: "
+                         "(diagram(t)[0], [tuple((4, 1, 2, 3, 0)[i] for i in bond) "
+                         "for bond in diagram(t)[1]]) if t == ('D', 5) else diagram(t)",
+                         ["report", "--group", "D5"],
+                         "lifts do not generate independent classes"),
     # 2 (alpha_1, alpha_2) / (alpha_2, alpha_2) = -8/20 is not an integer
     "ambient_inexact": ("cli", "ambient_simple_roots",
                         "lambda t: (3, ((2, -2, 0), (0, 2, -4)))",

@@ -9,12 +9,12 @@ from conftest import lift, unit
 
 from bundleaut.finabel import (
     FiniteAbelianGroup,
-    LatticeError,
     LatticeQuotient,
     Subgroup,
     closure,
     enumerate_subgroups,
     smith_normal_form,
+    sublattice_quotient,
 )
 from bundleaut.rootdata import (
     ConsistencyError,
@@ -261,18 +261,28 @@ def test_lattice_quotient_equal_lattices():
 
 
 def test_lattice_quotient_errors():
-    # one relation for Z^2: the sub lattice has smaller rank
-    with pytest.raises(LatticeError):
+    # one relation row of length 2 for Z^1
+    with pytest.raises(ConsistencyError, match="one relation row of length r"):
         LatticeQuotient([(1, 0)])
-    # sub not contained in sup: (1, 0) has coordinates (1/2, 0) in 2Z^2
-    with pytest.raises(LatticeError):
+    # a relation that is not an integer vector
+    with pytest.raises(ConsistencyError, match="relations must be integer vectors"):
         LatticeQuotient([(Fraction(1, 2), 0), (0, 1)])
     # degenerate sub lattice
-    with pytest.raises(LatticeError):
+    with pytest.raises(ConsistencyError, match="do not span a full-rank lattice"):
         LatticeQuotient([(1, 0), (2, 0)])
     # a vector outside Z^r
-    with pytest.raises(LatticeError):
+    with pytest.raises(ConsistencyError, match=r"expected a vector of Z\^2"):
         LatticeQuotient([(2, 0), (0, 2)]).project((1, 0, 0))
+    # two lifts for Z/4Z, and a lift for a quotient past the size limit
+    with pytest.raises(ConsistencyError, match="one lift per invariant factor"):
+        LatticeQuotient([(4,)]).with_basis([(1,), (1,)])
+    with pytest.raises(ConsistencyError, match="too large to re-coordinatize"):
+        LatticeQuotient([(4097,)]).with_basis([(1,)])
+    # L/M with L of lower rank, and with a vector of M outside L
+    with pytest.raises(ConsistencyError, match="row lattice does not have full rank"):
+        sublattice_quotient([(1, 0), (2, 0)], [(2, 0)])
+    with pytest.raises(ConsistencyError, match="vector lies outside the lattice"):
+        sublattice_quotient([(2, 0), (0, 2)], [(1, 0), (0, 2)])
 
 
 def test_lattice_quotient_index_matches_determinant():
@@ -308,8 +318,10 @@ def test_with_basis_repins_coordinates():
 
 
 def test_invariant_factor_normalization():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError, match="divisibility chain"):
         FiniteAbelianGroup((3, 2))
+    with pytest.raises(ConsistencyError, match="invariant factors must be >= 2"):
+        FiniteAbelianGroup((1, 2))
 
 
 def test_group_symbols():

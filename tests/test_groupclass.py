@@ -21,7 +21,7 @@ from bundleaut.groupclass import (
     pairing,
     type_lattices,
 )
-from bundleaut.rootdata import DynkinType, admissible_types, cartan_matrix
+from bundleaut.rootdata import MAX_RANK, DynkinType, admissible_types, cartan_matrix
 
 
 def T(name):
@@ -356,8 +356,9 @@ def test_cartan_automorphisms_match_the_exhaustive_search(t):
 
 
 def test_cartan_automorphisms_need_no_recursion():
-    # the search keeps its own stack, so a path of 300 nodes, with its two
-    # automorphisms, runs under a recursion limit of 200
+    # the distances to the leaves are found breadth first, with no recursion,
+    # so a path of 300 nodes, with its two automorphisms, runs under a
+    # recursion limit of 200
     n = 300
     cartan = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
                    for i in range(n))
@@ -368,6 +369,21 @@ def test_cartan_automorphisms_need_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert perms == [tuple(range(n)), tuple(reversed(range(n)))]
+
+
+def test_cartan_automorphisms_of_every_type_in_range():
+    # Out(G^sc) for every type the command line takes, against the closed
+    # forms of `oracles.forms`: the identity first, and each permutation
+    # keeping the whole matrix, not only the entries on the edges
+    for t in admissible_types(MAX_RANK):
+        cartan = cartan_matrix(t)
+        perms = _cartan_automorphisms(cartan)
+        sc = next(f for f in oracles.forms(t.family, t.rank) if f.token == "sc")
+        nodes = range(t.rank)
+        assert len(perms) == sc.out_order, t.label
+        assert perms[0] == tuple(nodes), t.label
+        assert all(cartan[p[i]][p[j]] == cartan[i][j]
+                   for p in perms for i in nodes for j in nodes), t.label
 
 
 def test_hashes_taken_once_keep_value_semantics(fresh_caches):
