@@ -4,9 +4,10 @@ Smith normal form U M V = S over Z by elementary row/column reduction,
 quotients of Z^r by the row or the column lattice of an integer relation
 matrix (both from one Smith form, read one way from U R = S V^-1, the column
 quotient as the row quotient of R^T) and of one row lattice by another
-(`sublattice_quotient`), with invariant factors and explicit projection
-maps, finite abelian groups in invariant-factor form, subgroup enumeration,
-the quotient of a group by a subgroup, and named automorphism actions
+(`sublattice_quotient`, from the Smith form its caller took), with
+invariant factors and projection maps to the Smith coordinates, finite
+abelian groups in invariant-factor form, subgroup enumeration, the
+quotient of a group by a subgroup, and named automorphism actions
 (`AbelianAction.actors`, a matrix per name).
 
 This module alone decides the coordinates of a finite abelian group and its
@@ -24,11 +25,9 @@ its coordinates and its quotient field (`Subgroup.from_elements`, built
 only for a set a caller asks for).  A shared result ran its checks when it
 was built.  `render_runs` writes invariant factors, each run of equal ones
 once, for `FiniteAbelianGroup.symbol` and `moduli`'s Picard blocks.
-`scaled_solve` applies e A^-1 to a few vectors from the Smith form of A,
-so that no caller forms the whole inverse.
 
 Every broken invariant, such as a relation matrix of lower rank, a vector
-outside its lattice or a singular matrix to solve, fails a
+outside its lattice or an element set that is no subgroup, fails a
 `rootdata.check`: the lattices here come from the Cartan matrix, so a
 failure is the program's fault, and the CLI exits 3 with its message.
 """
@@ -132,28 +131,6 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return s, u, v
 
 
-def scaled_solve(smith, vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """((x_1, ...), e) with A x_i = e w_i for the vectors w_i, from the Smith
-    form (S, U, V) of a square matrix A, e = d_n its last invariant factor.
-
-    U A V = S = diag(d_1, ..., d_n) with d_k | e gives x = e A^-1 w =
-    V diag(e / d_k) (U w): two matrix-vector products per vector, O(n^2),
-    in integers.  A zero d_k means A is singular, and fails a `check`.  The
-    row and column operations never turn an entry that is not an `int` into
-    one, so such an entry of A leaves one in S, which fails a `check` too.
-    """
-    s, u, v = smith
-    check(all(isinstance(x, int) for row in s for x in row), "matrix entries must be integers")
-    d = [s[k][k] for k in range(len(s))]
-    check(all(d), "matrix is singular")
-    e = d[-1] if d else 1
-    solutions = []
-    for w in vectors:
-        uw = [e // dk * sum(a * b for a, b in zip(row, w)) for dk, row in zip(d, u)]
-        solutions.append(tuple(sum(a * b for a, b in zip(row, uw)) for row in v))
-    return tuple(solutions), e
-
-
 class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     """Z/l_1 x ... x Z/l_k with l_1 | l_2 | ... | l_k, every l_i >= 2.
 
@@ -240,31 +217,24 @@ class Subgroup:
     """A subgroup of a FiniteAbelianGroup, from its element set, with
     explicit coordinates.
 
-    `generators` are picked greedily from the sorted elements, each one not
-    yet in the closure of those before it, and must span the elements.
     `structure` is the subgroup's own invariant-factor form and `basis`
     realizes the decomposition inside the ambient group:  every element is
     sum(c_i * basis_i) with c the `to_coords` image.  The whole group is
     its own structure in the ambient unit basis, so its coordinates are the
     ambient ones; a proper subgroup takes the Smith basis of
-    <generators, torsion> / torsion from `sublattice_quotient`, and the
-    `quotient` ambient / self from the diagonal of the same Smith form (the
-    trivial group for the whole group).  `from_elements` shares one
-    instance per ambient group and element set, so nothing may change a
-    subgroup once it is built.
+    <elements, torsion> / torsion from `sublattice_quotient`, one Smith
+    form of the sorted elements and the torsion rows, and the `quotient`
+    ambient / self from the diagonal of the same Smith form (the trivial
+    group for the whole group).  Those coordinates list the subgroup that
+    the elements generate, so a set that is no subgroup fails the check
+    that they list the set.  `from_elements` shares one instance per
+    ambient group and element set, so nothing may change a subgroup once
+    it is built.
     """
 
     def __init__(self, ambient: FiniteAbelianGroup, elements):
         self.ambient = ambient
         self.elements = frozenset(elements)
-        gens: list[tuple[int, ...]] = []
-        spanned = frozenset({ambient.zero()})
-        for e in sorted(self.elements):
-            if e not in spanned:
-                gens.append(e)
-                spanned = closure(ambient, gens)
-        check(spanned == self.elements, "generators do not span the given elements")
-        self.generators = tuple(gens)
         d = ambient.invariant_factors
         r = len(d)
         if len(self.elements) == ambient.order:
@@ -274,13 +244,13 @@ class Subgroup:
         else:
             # diag(d), the relations of the ambient group on Z^r
             torsion = [[f * x for x in _unit(r, i)] for i, f in enumerate(d)]
-            rows = [list(g) for g in self.generators] + torsion
+            rows = [list(x) for x in sorted(self.elements)] + torsion
             smith = smith_normal_form(rows)
             quotient, lattice = sublattice_quotient(rows, torsion, smith)
             self.structure = quotient.group
             self.basis = tuple(_combination(ambient, lift, lattice)
                                for lift in quotient.generator_lifts)
-            # ambient/self = Z^r / <generators, torsion>, whose invariant
+            # ambient/self = Z^r / <elements, torsion>, whose invariant
             # factors are the diagonal of that Smith form
             self.quotient = FiniteAbelianGroup(
                 tuple(smith[0][k][k] for k in range(r) if smith[0][k][k] > 1))
@@ -301,9 +271,6 @@ class Subgroup:
         return (isinstance(other, Subgroup)
                 and self.ambient == other.ambient
                 and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash((self.ambient, self.elements))
 
     def __repr__(self):
         return f"Subgroup({self.structure.symbol()} in {self.ambient.symbol()})"
@@ -386,16 +353,15 @@ class LatticeQuotient:
         return other
 
 
-def sublattice_quotient(rows, sub_rows, smith=None) -> tuple[LatticeQuotient, IntMatrix]:
+def sublattice_quotient(rows, sub_rows, smith) -> tuple[LatticeQuotient, IntMatrix]:
     """L/M for the row lattices L of `rows` and M of `sub_rows`, both of
     full rank r with M inside L, returned with the basis of L in whose
-    coordinates the quotient is taken.  A caller holding the Smith form of
-    `rows` passes it as `smith`.
+    coordinates the quotient is taken; `smith` is the Smith form of `rows`.
 
     The basis is diag(s) V^-1 for the Smith form U L V = S, which is the
     first r rows of U L = S V^-1: a vector x of L has coordinates
     (x V)_k / s_k in it."""
-    s, u, v = smith or smith_normal_form(rows)
+    s, u, v = smith
     r = len(v)
     diag = [s[i][i] if i < len(s) else 0 for i in range(r)]
     check(all(diag), "row lattice does not have full rank")

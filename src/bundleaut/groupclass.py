@@ -8,10 +8,12 @@ fundamental-weight coordinates Q is spanned by the columns of A, in
 fundamental-coweight coordinates Q^vee by its rows, and one Smith form
 U A V = S gives both quotients, each read from U A = S V^-1 (P/Q as the
 rows of A^T, with the transposed triple, as `cli rootdata` reads it too),
-and the perfect pairing between them: for each of the at most two generator
-lifts w of P/Q, e A^-1 w = V diag(e/d_k) (U w) (e = d_r,
-`finabel.scaled_solve`) is paired with the lifts of P^vee/Q^vee, once per
-type.  Out(G^sc), the node permutations preserving A, acts once per type on
+and the perfect pairing between them: A^-1 = V S^-1 U, so a weight w and a
+coweight z pair to sum_k x_k y_k / d_k, where x = U w and y = z V are
+their classes in the Smith coordinates of the two quotients.  With
+e = d_r, `pairings` holds e times it for the at most two generator lifts
+on each side, once per type, and no inverse or solve is formed.
+Out(G^sc), the node permutations preserving A, acts once per type on
 each quotient (`chars_action`, `center_action`: the class of a permuted
 generator lift) and is checked to preserve the pairing.
 Every Out action downstream is its restriction: Out(G) is the stabilizer of
@@ -46,7 +48,6 @@ from .finabel import (
     Subgroup,
     closure,
     enumerate_subgroups,
-    scaled_solve,
     smith_normal_form,
 )
 from .rootdata import DynkinType, _cycles, _unit, cartan_matrix, check
@@ -175,13 +176,19 @@ def type_lattices(t: DynkinType) -> TypeLattices:
         lifts = [_unit(n, n - 2), _unit(n, n - 1)] if n % 2 == 0 else [_unit(n, n - 1)]
     elif (t.family == "A" or (t.family == "E" and n == 6)) and not chars.group.is_trivial:
         lifts = [_unit(n, 0)]
+    # <omega_i, omega_j^vee> = A^-1[j][i], so <w, z> = z^T A^-1 w, and
+    # A^-1 = V S^-1 U makes it sum_k (U w)_k (z V)_k / d_k: diagonal in the
+    # Smith coordinates that both quotients project to before `with_basis`
+    smith_chars, smith_center = chars, center
     if lifts is not None:
         chars = chars.with_basis(lifts)
         center = center.with_basis(lifts)
-    # <omega_i, omega_j^vee> = A^-1[j][i], so <w, z> = z^T A^-1 w
-    images, e = scaled_solve(smith, chars.generator_lifts)
-    pairings = tuple(tuple(sum(x * y for x, y in zip(z, nw)) % e
-                           for z in center.generator_lifts) for nw in images)
+    fs = smith_chars.group.invariant_factors
+    e = fs[-1] if fs else 1
+    xs = [smith_chars.project(w) for w in chars.generator_lifts]
+    ys = [smith_center.project(z) for z in center.generator_lifts]
+    pairings = tuple(tuple(sum(e // f * a * b for f, a, b in zip(fs, x, y)) % e for y in ys)
+                     for x in xs)
     # the order of Out(G^sc) is checked before its actions are built from it
     outs = _make_out_group(OutElement(name=_cycle_name(perm), node_permutation=perm)
                            for perm in _cartan_automorphisms(cartan)).elements
@@ -265,7 +272,7 @@ def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozens
 def _annihilator(lat: TypeLattices, mu: Subgroup) -> Subgroup:
     """Hom(Z(G), G_m) as the annihilator of mu inside P/Q."""
     ann = [a for a in lat.chars.group.elements()
-           if all(pairing(lat, a, g) == 0 for g in mu.generators)]
+           if all(pairing(lat, a, g) == 0 for g in mu.basis)]
     return Subgroup.from_elements(lat.chars.group, ann)
 
 

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from bundleaut.finabel import smith_normal_form
+
 
 def unit(n, i) -> tuple[int, ...]:
     """e_i of Z^n: alpha_i, omega_i or omega_i^vee in simple-root or
@@ -32,6 +34,20 @@ def lift(quotient, coords) -> tuple[int, ...]:
     for c, g in zip(coords, quotient.generator_lifts):
         result = [a + c * b for a, b in zip(result, g)]
     return tuple(result)
+
+
+def scaled_inverse(a) -> tuple[list[list[int]], int]:
+    """(N, e) with N = e A^-1 for a nonsingular square integer matrix A and e
+    its last invariant factor, column i of N being e A^-1 applied to e_i.
+
+    U A V = S = diag(d_k) from `smith_normal_form` gives A^-1 = V S^-1 U, so
+    N = V diag(e / d_k) U, in integers.  A singular A has a zero d_k, on
+    which the division raises ZeroDivisionError."""
+    s, u, v = smith_normal_form(a)
+    d = [s[k][k] for k in range(len(s))]
+    e = d[-1] if d else 1
+    scaled_u = [[e // dk * x for x in row] for dk, row in zip(d, u)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*scaled_u)] for row in v], e
 
 
 def package_caches() -> list:

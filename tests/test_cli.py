@@ -1292,19 +1292,20 @@ GROUP_FAULTS = {
     # a basis of the sublattice twice too long: in Z/4Z the element 2 of the
     # subgroup {0, 2} gets the coordinates of 0
     "subgroup_coordinates": ("finabel", "sublattice_quotient",
-                             "lambda rows, sub_rows, smith=None, "
+                             "lambda rows, sub_rows, smith, "
                              "quotient=finabel.sublattice_quotient: "
                              "(lambda q, basis: (q, [[2 * a for a in row] for row in basis]))"
                              "(*quotient(rows, sub_rows, smith))",
                              ["report", "--group", "A3:mu2"],
                              "subgroup coordinates do not match its elements"),
     # a pairing that is not bilinear, zero at the class 3 of P/Q = Z/4Z: the
-    # annihilator of mu_2 = {0, 2} would be {0, 2, 3}, which is no subgroup
+    # annihilator of mu_2 = {0, 2} would be {0, 2, 3}, which is no subgroup,
+    # and the coordinates of the subgroup it generates list all of Z/4Z
     "generators_span": ("groupclass", "pairing",
                         "lambda lat, a, z, pairing=groupclass.pairing: "
                         "0 if tuple(a) == (3,) else pairing(lat, a, z)",
                         ["report", "--group", "PSL4"],
-                        "generators do not span the given elements"),
+                        "subgroup coordinates do not match its elements"),
     # Out(Spin_16) acting trivially on P/Q while it still swaps the two spin
     # classes of the centre: the swap (7 8) would then carry the pairing of
     # omega_7 with omega_8^vee, 1/2, onto that of omega_7 with omega_7^vee, 0

@@ -280,9 +280,11 @@ def test_lattice_quotient_errors():
         LatticeQuotient([(4097,)]).with_basis([(1,)])
     # L/M with L of lower rank, and with a vector of M outside L
     with pytest.raises(ConsistencyError, match="row lattice does not have full rank"):
-        sublattice_quotient([(1, 0), (2, 0)], [(2, 0)])
+        rows = [(1, 0), (2, 0)]
+        sublattice_quotient(rows, [(2, 0)], smith_normal_form(rows))
     with pytest.raises(ConsistencyError, match="vector lies outside the lattice"):
-        sublattice_quotient([(2, 0), (0, 2)], [(1, 0), (0, 2)])
+        rows = [(2, 0), (0, 2)]
+        sublattice_quotient(rows, [(1, 0), (0, 2)], smith_normal_form(rows))
 
 
 def test_lattice_quotient_index_matches_determinant():
@@ -421,14 +423,14 @@ def test_whole_group_has_unit_basis(factors):
 
 
 def test_subgroup_closure_matches_helper():
-    # the generators a subgroup picks from its elements span them again
+    # the basis a subgroup reads off the Smith form of its elements spans them
     g = FiniteAbelianGroup((4, 4))
     gens = [(2, 0), (0, 2)]
     sub = Subgroup(g, closure(g, gens))
-    assert sub.elements == closure(g, gens) == closure(g, sub.generators)
+    assert sub.elements == closure(g, gens) == closure(g, sub.basis)
 
 
 def test_subgroup_of_a_set_that_is_no_subgroup_fails_its_check():
-    # {0, 2, 3} in Z/4Z: its greedy generators 2 and 3 span all of Z/4Z
-    with pytest.raises(ConsistencyError, match="generators do not span the given elements"):
+    # {0, 2, 3} in Z/4Z generates all of Z/4Z, whose coordinates list 4 elements
+    with pytest.raises(ConsistencyError, match="subgroup coordinates do not match its elements"):
         Subgroup(FiniteAbelianGroup((4,)), {(0,), (2,), (3,)})

@@ -11,7 +11,12 @@ from conftest import lift, package_caches, unit
 
 import bundleaut
 from bundleaut import moduli
-from bundleaut.finabel import Subgroup, enumerate_subgroups, sublattice_quotient
+from bundleaut.finabel import (
+    Subgroup,
+    enumerate_subgroups,
+    smith_normal_form,
+    sublattice_quotient,
+)
 from bundleaut.groupclass import (
     InvalidDegree,
     _cartan_automorphisms,
@@ -297,8 +302,8 @@ def pi1_lattice_quotient(lat, mu):
     of the Cartan matrix and X_* is spanned by them and lifts of mu: the
     rank-r route that building a form ran before it checked pi_1 by duality."""
     coroots = lat.cartan
-    rows = [list(c) for c in coroots] + [list(lift(lat.center, g)) for g in mu.generators]
-    return sublattice_quotient(rows, coroots)[0].group
+    rows = [list(c) for c in coroots] + [list(lift(lat.center, g)) for g in mu.basis]
+    return sublattice_quotient(rows, coroots, smith_normal_form(rows))[0].group
 
 
 def test_fundamental_group_matches_coweight_route():

@@ -1,25 +1,20 @@
-"""e A^-1 applied to vectors, read off the Smith form of an integer matrix A:
-e A^-1 w = V diag(e / d_k) (U w) with e = d_n (`finabel.scaled_solve`), and
-the pairings that `type_lattices` reads off it, against A^-1 in exact
-rationals."""
+"""e A^-1 read off the Smith form U A V = S of an integer matrix A, as
+V diag(e / d_k) U with e = d_n (`conftest.scaled_inverse`), against A^-1 in
+exact rationals; the singular and non-integer matrices that
+`LatticeQuotient` rejects before any pairing is formed; and the pairings
+that `type_lattices` reads off the Smith coordinates, against A^-1 in
+rationals and, to the largest rank, against an integer certificate."""
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from conftest import unit
+from conftest import scaled_inverse
 
-from bundleaut.finabel import scaled_solve, smith_normal_form
+from bundleaut.finabel import LatticeQuotient, smith_normal_form
 from bundleaut.groupclass import type_lattices
-from bundleaut.rootdata import ConsistencyError, admissible_types, build_root_datum
-
-
-def inverse(a):
-    """(N, e) with N = e A^-1, column i being e A^-1 applied to e_i."""
-    n = len(a)
-    columns, e = scaled_solve(smith_normal_form(a), [unit(n, i) for i in range(n)])
-    return [list(row) for row in zip(*columns)], e
+from bundleaut.rootdata import MAX_RANK, ConsistencyError, admissible_types, build_root_datum
 
 
 def scalar(n, e):
@@ -51,19 +46,21 @@ def test_inverse_of_random_integer_matrices():
     for _ in range(500):
         n = rng.randint(1, 7)
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        try:
-            inv, e = inverse(a)
-        except ConsistencyError:
+        s, u, v = smith_normal_form(a)
+        d = [s[k][k] for k in range(n)]
+        if not all(d):  # singular
             continue
+        inv, e = scaled_inverse(a)
         assert mat_mul(a, inv) == scalar(n, e)
         assert mat_mul(inv, a) == scalar(n, e)
         assert all(type(x) is int for row in inv for x in row)
         # e is the least scale that makes A^-1 integral
         assert gcd(e, *(x for row in inv for x in row)) == 1
-        # one vector at a time, as `type_lattices` uses it: A x = e w
+        # one vector at a time, x = e A^-1 w = V diag(e / d_k) (U w): A x = e w
+        assert d[-1] == e
         w = [rng.randint(-5, 5) for _ in range(n)]
-        (x,), e_w = scaled_solve(smith_normal_form(a), [w])
-        assert e_w == e
+        uw = [e // dk * sum(c * y for c, y in zip(row, w)) for dk, row in zip(d, u)]
+        x = [sum(c * y for c, y in zip(row, uw)) for row in v]
         assert [sum(c * y for c, y in zip(row, x)) for row in a] == [e * c for c in w]
         inverted += 1
     assert inverted > 400
@@ -72,26 +69,27 @@ def test_inverse_of_random_integer_matrices():
 @pytest.mark.parametrize("t", admissible_types(16))
 def test_inverse_cartan(t):
     cartan = build_root_datum(t).cartan
-    inv, e = inverse(cartan)
+    inv, e = scaled_inverse(cartan)
     assert mat_mul(cartan, inv) == scalar(t.rank, e)
 
 
 def test_pivot_needs_a_row_swap():
-    assert inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    assert scaled_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
     # A^-1 = ((-1/6, 1/3), (1/2, 0))
-    assert inverse([[0, 2], [3, 1]]) == ([[-1, 2], [3, 0]], 6)
+    assert scaled_inverse([[0, 2], [3, 1]]) == ([[-1, 2], [3, 0]], 6)
 
 
 @pytest.mark.parametrize("a", [[[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
 def test_singular_matrix_is_rejected(a):
-    with pytest.raises(ConsistencyError, match="matrix is singular"):
-        inverse(a)
+    # `type_lattices` builds both quotients of A before it pairs them
+    with pytest.raises(ConsistencyError, match="relations do not span a full-rank lattice"):
+        LatticeQuotient(a)
 
 
 def test_non_integer_entry_is_rejected():
     for a in ([[Fraction(1, 2)]], [[1, 0], [0, Fraction(1, 2)]], [[2, -1], [-1, 2.0]]):
-        with pytest.raises(ConsistencyError, match="matrix entries must be integers"):
-            inverse(a)
+        with pytest.raises(ConsistencyError, match="relations must be integer vectors"):
+            LatticeQuotient(a)
 
 
 @pytest.mark.parametrize("t", admissible_types(16), ids=lambda t: t.label)
@@ -109,3 +107,23 @@ def test_pairings_match_a_rational_inverse(t):
         assert all(v.denominator == 1 for v in value)
         assert row == tuple(int(v) % lat.exponent for v in value)
     assert len(lat.pairings) == len(lat.chars.generator_lifts)
+
+
+def test_pairings_have_an_integer_certificate():
+    # to the largest rank: for each lift w of P/Q an integer x with A x = e w
+    # certifies e <w, z> = e z^T A^-1 w = z . x, so each stored pairing is
+    # z . x mod e, however x was found (here as V diag(e / d_k) (U w))
+    types = admissible_types(MAX_RANK)
+    assert len(types) == 318
+    for t in types:
+        lat = type_lattices(t)
+        a, e = lat.cartan, lat.exponent
+        s, u, v = smith_normal_form(a)
+        d = [s[k][k] for k in range(t.rank)]
+        for w, row in zip(lat.chars.generator_lifts, lat.pairings):
+            uw = [e // dk * sum(c * y for c, y in zip(r, w)) for dk, r in zip(d, u)]
+            x = [sum(c * y for c, y in zip(r, uw)) for r in v]
+            assert [sum(c * y for c, y in zip(r, x)) for r in a] == [e * c for c in w], t
+            assert row == tuple(sum(c * y for c, y in zip(z, x)) % e
+                                for z in lat.center.generator_lifts), t
+        assert len(lat.pairings) == len(lat.chars.generator_lifts)

@@ -5,9 +5,9 @@ from operator import mul
 
 import oracles
 import pytest
-from conftest import neg, unit
+from conftest import neg, scaled_inverse, unit
 
-from bundleaut.finabel import LatticeQuotient, scaled_solve, smith_normal_form
+from bundleaut.finabel import LatticeQuotient
 from bundleaut.groupclass import type_lattices
 from bundleaut.rootdata import (
     DynkinType,
@@ -175,8 +175,7 @@ def test_root_system_invariants(t):
     # and alpha_j = sum_k A[k][j] omega_k
     r = rd.rank
     # column i of N = e A^-1 is e A^-1 e_i
-    columns, e = scaled_solve(smith_normal_form(rd.cartan), [unit(r, i) for i in range(r)])
-    inv = [list(row) for row in zip(*columns)]
+    inv, e = scaled_inverse(rd.cartan)
     assert e == type_lattices(t).exponent
     for i in range(r):
         for j in range(r):
