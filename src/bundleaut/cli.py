@@ -20,15 +20,15 @@ output: it prints the view of the document that --format names, from
 command is `_json_text`, and each command's --format choices are its
 formats in `VIEWS`, so a format is added to a command in that table alone.
 
-`COMMANDS` is the whole grammar: `parse_args` walks argv once against the
-per-command tables derived from it at import, and the -h text is generated
-from it.  `main(argv)` may be called repeatedly in one process, as a library
-or notebook does; no call leaves state behind for the next but the
-package's caches, which hold immutable values only.  This module's own
-caches are `parse_group_spec`, by the spec text (a rejected spec is not
-cached), `_latexify`, by its input text, `_group_header`, the form's
-`group` field, and `_dict_text`, the JSON text of a dict of str and int
-values by its contents.  `build_report` copies the `group` field, and the
+`COMMANDS` is the whole grammar: `parse_args` reads argv in one pass against
+the per-command tables built from it at import, each flag exactly as the table
+names it, and the -h text is generated from it.  `main(argv)` may be called
+repeatedly in one process, as a library or notebook does; no call leaves state
+behind for the next but the package's caches, which hold immutable values
+only.  This module's own caches are `parse_group_spec`, by the spec text (a
+rejected spec is not cached), `_latexify`, by its input text, `_group_header`,
+the form's `group` field, and `_dict_text`, the JSON text of a dict of str and
+int values by its contents.  `build_report` copies the `group` field, and the
 parts of `moduli.component` that do not depend on the genus, into a fresh
 `ReportDocument`, whose `hitchin` field is the dict `moduli.hitchin_report`
 returns: the Hitchin numerology, with its Riemann-Roch check on every call.
@@ -575,57 +575,9 @@ COMMANDS = {
 
 _HELP = ("-h", "--help")
 # what `parse_args` reads of each command's entry in `COMMANDS`, built once:
-# the flags it takes, -h among them, each option and its field by flag, the
-# field defaults and the required flags
-_GRAMMARS = {
-    command: SimpleNamespace(
-        func=func,
-        flags=(*_HELP, *(o.flag for o in options)),
-        by_flag={o.flag: o for o in options},
-        dests={o.flag: o.dest for o in options},
-        defaults={o.dest: o.default for o in options},
-        required=tuple(o.flag for o in options if o.required))
-    for command, (func, _, options) in COMMANDS.items()
-}
-_VALUE = "value"  # a token read as a value or a stray word, never as an option
-
-
-def _classify(token: str, flags) -> str | tuple[str | None, str | None]:
-    """How a token reads against `flags`: `_VALUE`, `--`, or (flag, attached
-    value) with flag None for an unknown option.  A long flag may be cut to
-    any unique prefix; `-h` may carry more short flags behind it (`-hh`).  A
-    word with a space, a lone `-` and a negative number are values."""
-    if not token.startswith("-") or token == "-":
-        return _VALUE
-    if token == "--":
-        return token
-    if token in flags:
-        return token, None
-    name, eq, attached = token.partition("=")
-    if eq and name in flags:
-        return name, attached
-    if token.startswith("--"):
-        matches = [f for f in flags if f.startswith(name)]
-        attached = attached if eq else None
-    else:
-        matches = [token[:2]] if token[:2] in flags else []
-        attached = token[2:]
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], attached
-    # argparse's negative number, `-5` or `-.5` in any decimal digits, and one final newline
-    number = token.removesuffix("\n")[1:]
-    if number.replace(".", "", 1).isdecimal() and number[-1:] != "." or " " in token:
-        return _VALUE
-    return None, None
-
-
-def _check_help(flag: str, attached: str | None) -> None:
-    """-h, --help, or a bundle of short flags that are all h (-hh, -h=h); a
-    value attached to --help, or to -h as anything but more h's, is an error."""
-    if attached is not None and (flag.startswith("--") or not attached or attached.strip("h")):
-        raise UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
+# its handler, its options by flag and the field defaults
+_PARSERS = {command: (func, {o.flag: o for o in options}, {o.dest: o.default for o in options})
+            for command, (func, _, options) in COMMANDS.items()}
 
 
 def _convert(option: Option, text: str):
@@ -671,60 +623,43 @@ def _show_help(args) -> str:
 
 
 def parse_args(argv) -> SimpleNamespace:
-    """The namespace the `cmd_*` handlers read, from one walk of argv against
-    `COMMANDS`: `command`, `func` (its handler) and one field per option.
-    `--opt value` and `--opt=value` both work, the last occurrence of an
-    option wins, and a `-h` before any error returns a namespace whose
-    `func` returns the help text instead.  Anything else raises UsageError."""
-    argv = list(argv)
+    """The namespace the `cmd_*` handlers read, from one pass over argv
+    against `COMMANDS`: `command`, `func` (its handler) and one field per
+    option.  The first token is -h, --help or a command.  After the command,
+    a token that is exactly one of its flags takes the next token as its
+    value, whatever that token looks like; `--opt=value` works too, and the
+    last occurrence of an option wins.  A -h or --help before any error
+    returns a namespace whose `func` returns the help text instead.  Every
+    other token is an unrecognized argument.  Errors raise UsageError."""
+    command, *rest = argv or [None]
+    if command in _HELP:
+        return SimpleNamespace(command=None, func=_show_help)
+    if command not in _PARSERS:
+        given = "no command given" if command is None else f"invalid command: {command!r}"
+        raise UsageError(f"{given} (choose from {', '.join(COMMANDS)})")
+    func, options, values = _PARSERS[command]
+    values = dict(values)
     unknown = []
-    for i, token in enumerate(argv):
-        kind = _VALUE if token[:1] != "-" else _classify(token, _HELP)
-        if kind in (_VALUE, "--"):
-            command = token
-            break
-        flag, attached = kind
-        if flag is None:
-            unknown.append(token)
-        else:
-            _check_help(flag, attached)
-            return SimpleNamespace(command=None, func=_show_help)
-    else:
-        raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
-    grammar = _GRAMMARS.get(command)
-    if grammar is None:
-        raise UsageError(f"invalid command: {command!r} (choose from {', '.join(COMMANDS)})")
-    rest = argv[i + 1:]
-    # every token up to a `--` is read before any is used, so an ambiguous
-    # prefix is an error whatever precedes it; `_classify` reads the tokens
-    # that are neither an option's exact flag nor a value
-    cut = rest.index("--") if "--" in rest else len(rest)
-    options = grammar.by_flag
-    kinds = [(token, None) if token in options else _VALUE if token[:1] != "-"
-             else _classify(token, grammar.flags) for token in rest[:cut]]
-    values = dict(grammar.defaults)
-    tokens = zip(kinds, rest)  # up to the `--`
-    for kind, token in tokens:
-        flag, attached = (None, None) if kind is _VALUE else kind
-        if flag is None:
-            unknown.append(token)
-        elif flag in _HELP:
-            _check_help(flag, attached)
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token in options:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        elif token in _HELP:
             return SimpleNamespace(command=command, func=_show_help)
-        else:
-            if attached is None:
-                kind, attached = next(tokens, (None, None))
-                if kind is not _VALUE:
-                    raise UsageError(f"argument {flag}: expected one argument")
-            values[grammar.dests[flag]] = _convert(options[flag], attached)
-    unknown.extend(rest[cut:])  # no subcommand takes a word, so `--` and all after it are strays
+        elif not eq or flag not in options:
+            unknown.append(token)
+            continue
+        values[options[flag].dest] = _convert(options[flag], text)
     # a required option has no default, and a value given is never None
-    missing = [flag for flag in grammar.required if values[grammar.dests[flag]] is None]
+    missing = [o.flag for o in options.values() if o.required and values[o.dest] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(command=command, func=grammar.func, **values)
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv=None) -> int:

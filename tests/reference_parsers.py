@@ -1,16 +1,17 @@
-"""The command-line parsers as they were before they were read with fewer
-calls and without `re`: `parse_args` with every token classified by
-`_classify`, whose negative number is a regex; `parse_delta` with every part
-of a delta matched by a regex; and the group-spec grammar, the profile
-grammar and `latexify`'s two substitutions as regexes.  `test_cli_fuzz.py`
-compares the namespaces, the results and the error messages of
-`bundleaut.cli` with these.  Only `COMMANDS`, the handlers, the error
-classes, `_number` (which reads a spec's digits) and `_LATEX_MAP` are taken
-from the package.
+"""Second readings of the command-line grammars, which `test_cli_fuzz.py`
+compares with `bundleaut.cli`, namespaces, results and error messages alike.
+`parse_args` is a short reading of the exact-flag grammar of argv, written
+apart from the package's, which walks argv by index and tracks the options
+given in a set.  The others are the parsers as they were before they were
+read with `str` methods and without `re`: `parse_delta` with every part of a
+delta matched by a regex, and the group-spec grammar, the profile grammar and
+`latexify`'s two substitutions as regexes.  Only `COMMANDS`, the handlers,
+the error classes, `_number` (which reads a spec's digits) and `_LATEX_MAP`
+are taken from the package.
 
-One change is made to the parent's code: `parse_delta` checks each part
-against the 600-digit ceiling of a genus and a profile number before `int`,
-as the package does, so that a part `int` cannot read gives a short message.
+One change is made to the regex `parse_delta`: it checks each part against
+the 600-digit ceiling of a genus and a profile number before `int`, as the
+package does, so that a part `int` cannot read gives a short message.
 """
 
 import re
@@ -22,50 +23,7 @@ from bundleaut.groupclass import InvalidDegree
 from bundleaut.moduli import MAX_DIGITS
 from bundleaut.rootdata import DynkinType
 
-_HELP = ("-h", "--help")
-_GRAMMARS = {
-    command: SimpleNamespace(
-        func=func,
-        flags=(*_HELP, *(o.flag for o in options)),
-        by_flag={o.flag: o for o in options},
-        dests={o.flag: o.dest for o in options},
-        defaults={o.dest: o.default for o in options},
-        required=tuple(o.flag for o in options if o.required))
-    for command, (func, _, options) in COMMANDS.items()
-}
-_VALUE = "value"
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _classify(token, flags):
-    if not token.startswith("-") or token == "-":
-        return _VALUE
-    if token == "--":
-        return token
-    if token in flags:
-        return token, None
-    name, eq, attached = token.partition("=")
-    if eq and name in flags:
-        return name, attached
-    if token.startswith("--"):
-        matches = [f for f in flags if f.startswith(name)]
-        attached = attached if eq else None
-    else:
-        matches = [token[:2]] if token[:2] in flags else []
-        attached = token[2:]
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], attached
-    if _NEGATIVE.match(token) or " " in token:
-        return _VALUE
-    return None, None
-
-
-def _check_help(flag, attached):
-    if attached is not None and (flag.startswith("--") or not attached or attached.strip("h")):
-        raise UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
 
 
 def _convert(option, text):
@@ -81,53 +39,49 @@ def _convert(option, text):
 
 
 def parse_args(argv):
+    """The first token is -h, --help or a command.  After it, a token equal
+    to one of the command's flags takes the next token as its value, and
+    `<flag>=<value>` sets it too; the last value given wins.  -h or --help
+    is the help, unless a value was rejected before it.  Every other token
+    is a stray, reported after a missing required option."""
     argv = list(argv)
-    unknown = []
-    for i, token in enumerate(argv):
-        kind = _classify(token, _HELP)
-        if kind in (_VALUE, "--"):
-            command = token
-            break
-        flag, attached = kind
-        if flag is None:
-            unknown.append(token)
-        else:
-            _check_help(flag, attached)
-            return SimpleNamespace(command=None, func=_show_help)
-    else:
-        raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
-    grammar = _GRAMMARS.get(command)
-    if grammar is None:
-        raise UsageError(f"invalid command: {command!r} (choose from {', '.join(COMMANDS)})")
-    rest = argv[i + 1:]
-    cut = rest.index("--") if "--" in rest else len(rest)
-    kinds = [_classify(token, grammar.flags) for token in rest[:cut]]
-    values = dict(grammar.defaults)
-    seen = set()
-    j = 0
-    while j < cut:
-        flag, attached = (None, None) if kinds[j] == _VALUE else kinds[j]
-        if flag is None:
-            unknown.append(rest[j])
-        elif flag in _HELP:
-            _check_help(flag, attached)
+    choices = ", ".join(COMMANDS)
+    if not argv:
+        raise UsageError(f"no command given (choose from {choices})")
+    if argv[0] in ("-h", "--help"):
+        return SimpleNamespace(command=None, func=_show_help)
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"invalid command: {argv[0]!r} (choose from {choices})")
+    command = argv[0]
+    func, _, options = COMMANDS[command]
+    by_flag = {o.flag: o for o in options}
+    values = {o.dest: o.default for o in options}
+    given, strays = set(), []
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if token in ("-h", "--help"):
             return SimpleNamespace(command=command, func=_show_help)
+        if token in by_flag:
+            if i + 1 == len(argv):
+                raise UsageError(f"argument {token}: expected one argument")
+            flag, text = token, argv[i + 1]
+            i += 2
+        elif token.split("=", 1)[0] in by_flag and "=" in token:
+            flag, text = token.split("=", 1)
+            i += 1
         else:
-            if attached is None:
-                if j + 1 == cut or kinds[j + 1] != _VALUE:
-                    raise UsageError(f"argument {flag}: expected one argument")
-                j += 1
-                attached = rest[j]
-            values[grammar.dests[flag]] = _convert(grammar.by_flag[flag], attached)
-            seen.add(flag)
-        j += 1
-    unknown.extend(rest[cut:])
-    missing = [flag for flag in grammar.required if flag not in seen]
+            strays.append(token)
+            i += 1
+            continue
+        values[by_flag[flag].dest] = _convert(by_flag[flag], text)
+        given.add(flag)
+    missing = [o.flag for o in options if o.required and o.flag not in given]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(command=command, func=grammar.func, **values)
+    if strays:
+        raise UsageError(f"unrecognized arguments: {' '.join(strays)}")
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def parse_delta(text, gf):

@@ -16,9 +16,12 @@ newline, and numbers in decimal digits other than 0-9.  Every test has a
 fixed example budget and a derandomized seed, so the suite runs the same
 examples each time.
 
-The group-spec, profile and negative-number grammars and `_latexify` are
-read with `str` methods; each is compared with the regex it replaced
-(`reference_parsers.py`), whose `$` also matches before a final newline.
+The group-spec and profile grammars and `_latexify` are read with `str`
+methods; each is compared with the regex it replaced (`reference_parsers.py`),
+whose `$` also matches before a final newline.  `parse_args` is compared
+with a second reading of its exact-flag grammar on every generated argv,
+flags cut to prefixes and odd tokens included, and with argparse on the
+argv that both grammars read alike.
 """
 
 import contextlib
@@ -34,9 +37,8 @@ from hypothesis import strategies as st
 
 from bundleaut import moduli
 from bundleaut.cli import (
-    _GRAMMARS,
+    COMMANDS,
     UsageError,
-    _classify,
     _latexify,
     _type_and_token,
     main,
@@ -272,14 +274,34 @@ def reshaped_argvs(draw) -> list[str]:
     return [draw(newlined(st.just(token))) for token in out]
 
 
+def read_alike_by_argparse(argv) -> bool:
+    """Whether argparse, with no flag cut to a prefix, reads argv as the
+    exact-flag grammar does: argv has no `-...` token in a value position,
+    which argparse reads as an option, no `-h` bundle (`-hh`, `-h=x`) or
+    `--help=x`, which argparse reads as -h, no option before the command,
+    which argparse reads, and no `--`, after which argparse reads no option."""
+    if not argv or argv[0] not in COMMANDS:  # no token after it is read
+        return not argv or argv[0][:1] != "-" or argv[0] in ("-h", "--help")
+    flags = {o.flag for o in COMMANDS[argv[0]][2]}
+    value_position = False
+    for token in argv[1:]:
+        if token == "--" or token[:2] == "-h" != token or token.startswith("--help="):
+            return False
+        if value_position and token[:1] == "-":
+            return False
+        value_position = not value_position and token in flags
+    return True
+
+
 @budget(600)
 @given(reshaped_argvs())
-@example(["table", "--genus", "5", "--genus", "-3"])
-@example(["report", "--group", "A1", "-h=hh"])
+@example(["table", "--genus", "5", "--genus=-3"])
+@example(["report", "--group", "A1", "--gr", "B2", "-h"])
 def test_option_table_accepts_and_rejects_as_argparse_did(argv):
     # argparse turned an attached `--` (`--group=--`) into an empty list, a
     # value no handler can read; the table keeps the text (test_cli.py)
     assume(not any(token.startswith("--") and token.endswith("=--") for token in argv))
+    assume(read_alike_by_argparse(argv))
     assert table_outcome(argv) == reference_outcome(argv), argv
 
 
@@ -357,17 +379,22 @@ def test_parse_profile_matches_the_reference(text):
 
 
 digit_runs = st.text(st.sampled_from("0129.x") | other_digits, max_size=3)
+TABLE_FLAGS = ("-h", "--help", *(o.flag for o in COMMANDS["table"][2]))
 
 
 @budget(300)
 @given(newlined(st.builds("-{}{}".format, digit_runs, digit_runs)),
-       st.sampled_from([("-h", "--help"), _GRAMMARS["table"].flags]))
+       st.sampled_from([("-h", "--help"), TABLE_FLAGS]))
 @example("-5\n", ("-h", "--help"))
 @example("-.5", ("-h", "--help"))
 @example("-5.", ("-h", "--help"))
 @example("-٣", ("-h", "--help"))
 def test_negative_numbers_are_read_as_the_reference_reads_them(token, flags):
-    assert _classify(token, flags) == reference_parsers._classify(token, flags)
+    # the token after a flag is its value, whatever it looks like, and after
+    # -h it is not read
+    for flag in flags:
+        argv = ["table", flag, token]
+        assert outcome(parse_args, argv) == outcome(reference_parsers.parse_args, argv), argv
 
 
 @budget(400)

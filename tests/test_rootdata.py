@@ -17,6 +17,7 @@ from bundleaut.rootdata import (
     ambient_simple_roots,
     build_root_datum,
     cartan_matrix,
+    has_cartan_matrix,
 )
 
 
@@ -222,6 +223,10 @@ def test_diagram_cartan_matrix_is_that_of_the_ambient_roots(t):
     _, doubled = ambient_simple_roots(t)
     assert cartan_matrix(t) == tuple(tuple(Fraction(2 * dot(b, a), dot(a, a)) for b in doubled)
                                      for a in doubled)
+    # as the package checks it, where one root too few or too many is no match
+    assert has_cartan_matrix(doubled, cartan_matrix(t))
+    assert not has_cartan_matrix(doubled[:-1], cartan_matrix(t))
+    assert not has_cartan_matrix((*doubled, doubled[0]), cartan_matrix(t))
 
 
 @pytest.mark.parametrize("name,planes", [
