@@ -197,16 +197,13 @@ def _json_text(value, newline: str = "\n") -> str:
     non-ASCII characters kept.  The text is that of `json.dumps(value,
     ensure_ascii=False, indent=2, sort_keys=True)`, which with an indent
     runs the stdlib's pure-Python encoder (CPython 3.11); this one reads
-    only what the package emits: dicts with str keys, lists, tuples, str,
-    int, True, False and None, and a `ReportDocument`, as the object of its
-    fields by name.  Any other value, a float or a subclass of int or str
-    included, and any key that is not a str raise TypeError.  `newline` is
+    only what the commands print: a dict with str keys, a list, a tuple or a
+    `ReportDocument`, as the object of its fields by name, holding str, int,
+    None and more dicts, lists and tuples.  Any other value, a bool, a float
+    or a subclass of int or str included, a str or an int outside a
+    container, and any key that is not a str raise TypeError.  `newline` is
     the line break and indent before a nested value."""
     kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return repr(value)
     if kind is dict:
         if not value:
             return "{}"
@@ -221,10 +218,6 @@ def _json_text(value, newline: str = "\n") -> str:
              for v in value]) + newline + "]")
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if kind is ReportDocument:
         return _dict_text.__wrapped__(newline, *zip(value._fields, value))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -267,14 +267,6 @@ class Subgroup:
     def to_coords(self, element) -> tuple[int, ...]:
         return self._coords[self.ambient.reduce(element)]
 
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup)
-                and self.ambient == other.ambient
-                and self.elements == other.elements)
-
-    def __repr__(self):
-        return f"Subgroup({self.structure.symbol()} in {self.ambient.symbol()})"
-
 
 @lru_cache(maxsize=None)
 def _shared_subgroup(ambient: FiniteAbelianGroup, elements: frozenset) -> Subgroup:

@@ -199,24 +199,19 @@ def type_lattices(t: DynkinType) -> TypeLattices:
     # generators; sa[a] and sz[z], matrix columns, are the images of generators
     for name in lat.chars_action.actors:
         sa, sz = (list(zip(*act.actors[name])) for act in (lat.chars_action, lat.center_action))
-        check(all(_pair(pairings, e, sa[a], sz[z]) == p
+        check(all(pairing(lat, sa[a], sz[z]) == p
                   for a, row in enumerate(pairings) for z, p in enumerate(row)),
               lambda: f"outer element {name} does not preserve the pairing")
     return lat
 
 
-def _pair(pairings, e: int, char_coords, center_coords) -> int:
-    """e times the pairing of two classes, from the generators' table `pairings`."""
-    value = sum(a * z * p
-                for a, row in zip(char_coords, pairings) if a
-                for z, p in zip(center_coords, row) if z)
-    return value % e
-
-
 def pairing(lat: TypeLattices, char_coords, center_coords) -> int:
     """The perfect pairing (P/Q) x (P^vee/Q^vee) -> Q/Z, bilinear on the
     generators' pairings, as e times its value: an integer mod e."""
-    return _pair(lat.pairings, lat.exponent, char_coords, center_coords)
+    value = sum(a * z * p
+                for a, row in zip(char_coords, lat.pairings) if a
+                for z, p in zip(center_coords, row) if z)
+    return value % lat.exponent
 
 
 def _so_subgroup(lat: TypeLattices) -> frozenset:
@@ -329,9 +324,9 @@ class GroupForm(namedtuple("GroupForm", (
     `enumerate_forms`.  Equality is that of the tuple of its fields, and the
     hash is that of its display name, which no two forms share: the caches
     keyed by a form (`moduli.component`, the `cli` ones) hash it on every
-    lookup, and a str keeps its hash.  A form rebuilt after a cache clear,
-    or loaded from a pickle, is equal to the old one and hashes as its name
-    does in that process."""
+    lookup, and a str keeps its hash.  Its subgroups compare by identity, so
+    a form rebuilt after a cache clear, or loaded from a pickle, hashes as
+    its name does in that process but is not equal to the old one."""
 
     __slots__ = ()
 
@@ -410,7 +405,7 @@ def render_element(x) -> str:
 
 def validate_delta(gf: GroupForm, delta) -> tuple[int, ...]:
     delta = tuple(delta)
-    if len(delta) != len(gf.pi1.invariant_factors) or not gf.pi1.contains(delta):
+    if not gf.pi1.contains(delta):
         # render_element prints () as 0, the one label of a trivial pi_1; an
         # empty label rejected here is shown as it is
         label = render_element(delta) if delta else "()"

@@ -273,8 +273,13 @@ def rendered(doc, json_text):
             cli.render_report_latex(doc))
 
 
-REPORT_LABELS = [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t)
-                 for cls in gf.delta_classes for delta in cls]
+def report_labels() -> list:
+    """(form, delta) for every label of the table, on the cached forms."""
+    return [(gf, delta) for t in table_types(8) for gf in enumerate_forms(t)
+            for cls in gf.delta_classes for delta in cls]
+
+
+REPORT_LABELS = report_labels()
 
 
 def test_cached_report_matches_the_reference(fresh_caches):
@@ -321,12 +326,13 @@ def test_components_are_built_on_first_use(fresh_caches, capsys):
     assert run(capsys, "report", "--group", "PSO8", "--delta", "0,1", "--genus", "9")[0] == 0
     assert moduli.component.cache_info()[:2] == (1, 1)  # (hits, misses)
     # a cold table builds the component of each of the 143 labels once, and
-    # a report of any of them then reads it
+    # a report of any of them then reads it, given the form the table built:
+    # one built before the caches were cleared holds subgroups of its own
     moduli.component.cache_clear()
     classification_table(4, 8)
     info = moduli.component.cache_info()
     assert (info.currsize, info.misses) == (143, 143)
-    for gf, delta in REPORT_LABELS:
+    for gf, delta in report_labels():
         build_report(gf, delta, 4)
     after = moduli.component.cache_info()
     assert (after.misses, after.hits - info.hits) == (143, 143)
@@ -364,9 +370,7 @@ def test_table_max_rank_below_2_is_a_usage_error(capsys, rank):
 
 
 TOO_LONG = "9" * 5000  # more digits than `int` reads from text
-
-
-@pytest.mark.parametrize("argv,message", [
+PAST_RANK_CEILINGS = [
     (["rootdata", "--type", "A81"], "type A81 is outside the supported ranks 1 to 80"),
     (["rootdata", "--type", "A99999999999999999999"],
      "type A99999999999999999999 is outside the supported ranks 1 to 80"),
@@ -386,8 +390,12 @@ TOO_LONG = "9" * 5000  # more digits than `int` reads from text
     (["table", "--max-rank", "51"], "--max-rank 51 is outside the supported range 2 to 50"),
     (["table", "--max-rank", "99999999999999999999"],
      "--max-rank 99999999999999999999 is outside the supported range 2 to 50"),
-], ids=["A81", "A_huge", "A_5000_digits", "D81_adjoint", "SL82", "Spin163", "group_A_huge",
-        "group_B_5000_digits", "max_rank_51", "max_rank_huge"])
+]
+
+
+@pytest.mark.parametrize("argv,message", PAST_RANK_CEILINGS, ids=[
+    "A81", "A_huge", "A_5000_digits", "D81_adjoint", "SL82", "Spin163", "group_A_huge",
+    "group_B_5000_digits", "max_rank_51", "max_rank_huge"])
 def test_rank_past_the_ceiling_is_a_usage_error(capsys, argv, message):
     # the ceilings are checked before anything is built for the rank, so a
     # rank too large for an index is a message too, not an OverflowError;
@@ -1230,21 +1238,25 @@ def test_non_invertible_actor_exits_3_under_optimize():
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NOT_INVERTIBLE)
 
 
-# pi_1 of PSL_3 against the dual of its characters when the pairing is made
-# zero: then all of P/Q annihilates mu = Z(SL_3), and (P/Q)/mu^perp is trivial
+# pi_1 of PSL_3 against the dual of its characters when all of P/Q is taken
+# to annihilate mu = Z(SL_3), as a zero pairing would make it: then
+# (P/Q)/mu^perp is trivial.  A zero `pairing` itself fails the earlier check
+# that Out(G^sc) preserves the pairing (GROUP_FAULTS["zero_pairing"]).
 PI1_NOT_DUAL = "pi_1(PSL_3) = Z/3Z is not (P/Q)/Hom(Z(G), G_m) = {0}, its dual"
+WHOLE_ANNIHILATOR = ("lambda lat, mu: finabel.Subgroup.from_elements(lat.chars.group, "
+                     "lat.chars.group.elements())")
 
 
 def test_pairing_off_the_pi1_duality_exits_3(capsys, monkeypatch, fresh_caches):
-    monkeypatch.setattr(groupclass, "pairing", lambda *args: 0)
+    monkeypatch.setattr(groupclass, "_annihilator", eval(WHOLE_ANNIHILATOR))
     code, out, err = run(capsys, "report", "--group", "A2:adjoint")
     assert (code, out, err) == (3, "", f"internal consistency failure: {PI1_NOT_DUAL}\n")
 
 
 def test_pi1_duality_check_exits_3_under_optimize():
     script = ("import sys\n"
-              "from bundleaut import cli, groupclass\n"
-              "groupclass.pairing = lambda *args: 0\n"
+              "from bundleaut import cli, finabel, groupclass\n"
+              f"groupclass._annihilator = {WHOLE_ANNIHILATOR}\n"
               "sys.exit(cli.main(['report', '--group', 'A2:adjoint']))\n")
     proc = run_process("-O", "-c", script)
     assert (proc.returncode, proc.stdout) == (3, "")
@@ -1340,14 +1352,21 @@ GROUP_FAULTS = {
                              "(*quotient(rows, sub_rows, smith))",
                              ["report", "--group", "A3:mu2"],
                              "subgroup coordinates do not match its elements"),
-    # a pairing that is not bilinear, zero at the class 3 of P/Q = Z/4Z: the
-    # annihilator of mu_2 = {0, 2} would be {0, 2, 3}, which is no subgroup,
-    # and the coordinates of the subgroup it generates list all of Z/4Z
-    "generators_span": ("groupclass", "pairing",
-                        "lambda lat, a, z, pairing=groupclass.pairing: "
-                        "0 if tuple(a) == (3,) else pairing(lat, a, z)",
+    # the class 3 of P/Q = Z/4Z put into every annihilator, as a pairing
+    # that is not bilinear, zero at 3, would give: the annihilator of
+    # mu_2 = {0, 2} would be {0, 2, 3}, which is no subgroup, and the
+    # coordinates of the subgroup it generates list all of Z/4Z
+    "generators_span": ("groupclass", "_annihilator",
+                        "lambda lat, mu, annihilator=groupclass._annihilator: "
+                        "finabel.Subgroup.from_elements(lat.chars.group, "
+                        "[*annihilator(lat, mu).elements, (3,)])",
                         ["report", "--group", "PSL4"],
                         "subgroup coordinates do not match its elements"),
+    # a pairing made zero: `type_lattices` reads the generators' pairings
+    # back through `pairing`, and the identity of Out(SL_3) already fails
+    "zero_pairing": ("groupclass", "pairing", "lambda *args: 0",
+                     ["report", "--group", "A2:adjoint"],
+                     "outer element e does not preserve the pairing"),
     # Out(Spin_16) acting trivially on P/Q while it still swaps the two spin
     # classes of the centre: the swap (7 8) would then carry the pairing of
     # omega_7 with omega_8^vee, 1/2, onto that of omega_7 with omega_7^vee, 0
