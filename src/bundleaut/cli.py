@@ -16,9 +16,10 @@ Commands return documents, and formats are views of them.  Each handler
 `ReportDocument` for `report`, and for `table`, `delta` and `rootdata` the
 dict that their json format prints.  `main` is the only writer of command
 output: it prints the view of the document that --format names, from
-`VIEWS`, one table of views by command and format.  The json view of every
-command is `_json_text`, and each command's --format choices are its
-formats in `VIEWS`, so a format is added to a command in that table alone.
+`VIEWS`, one table of views by command and format, each a function of the
+document alone.  The json view of every command is `_json_text`, and each
+command's --format choices are its formats in `VIEWS`, so a format is added
+to a command in that table alone.
 
 `COMMANDS` is the whole grammar: `parse_args` reads argv in one pass against
 the per-command tables built from it at import, each flag exactly as the table
@@ -81,13 +82,6 @@ class UsageError(ValueError):
 # group-spec grammar
 
 
-# a matrix-group alias is a name and a size m: SL_m is of type A_{m-1},
-# Sp_m of type C_{m/2}, an orthogonal group of type D_{m/2}, and Spin_m and
-# SO_m of type B_{(m-1)/2} for odd m
-_MATRIX_TOKENS = {"spin": "sc", "semispin": "semispin", "pso": "adjoint", "so": "so",
-                  "psl": "adjoint", "sl": "sc", "psp": "adjoint", "sp": "sc"}
-
-
 def _supported(t: DynkinType) -> DynkinType:
     """t, if `rootdata` and `report` take its rank; checked before anything
     is built for it."""
@@ -129,16 +123,16 @@ def _type_and_token(spec: str) -> tuple[DynkinType, str]:
     if text[:2] == "sl" and _digits(size.removesuffix("/")) and _digits(order):
         return DynkinType("A", _number(size.removesuffix("/")) - 1), f"mu{_number(order)}"
     name = text.rstrip("0123456789")
-    if name not in _MATRIX_TOKENS or name == text:
+    # a `<name><size>` alias, size a n + b for the rank n in `CLASSICAL_NAMES`
+    aliases = [(family, a, b, token)
+               for family, ((a, b), prefixes) in groupclass.CLASSICAL_NAMES.items()
+               for token, prefix in prefixes.items() if prefix.lower() == name]
+    if not aliases or name == text:
         raise UsageError(f"cannot parse group spec {spec!r}")
     size = _number(text[len(name):])
-    if name in ("sl", "psl"):
-        return DynkinType("A", size - 1), _MATRIX_TOKENS[name]
-    if size % 2 == 0:
-        family = "C" if name in ("sp", "psp") else "D"
-        return DynkinType(family, size // 2), _MATRIX_TOKENS[name]
-    if name in ("spin", "so"):
-        return DynkinType("B", (size - 1) // 2), _MATRIX_TOKENS[name]
+    for family, a, b, token in aliases:
+        if (size - b) % a == 0:
+            return DynkinType(family, (size - b) // a), token
     raise UsageError(f"group spec {spec!r}: no {name} group in odd dimension {size}")
 
 
@@ -307,14 +301,10 @@ def build_report(gf: GroupForm, delta, genus: int) -> ReportDocument:
     )
 
 
-def _styled(text: str, colored: bool) -> str:
-    return f"\x1b[1m{text}\x1b[0m" if colored else text
-
-
-def render_report_text(doc: ReportDocument, colored: bool) -> str:
+def render_report_text(doc: ReportDocument) -> str:
     g = doc.group
     lines = [
-        _styled(f"{g['name']}  (type {g['family']})", colored),
+        f"{g['name']}  (type {g['family']})",
         f"  Hom(Z(G), G_m) = {g['center_chars']}",
         f"  pi_1(G)        = {g['pi1']}",
         f"  Out(G)         = {g['out']}",
@@ -323,12 +313,12 @@ def render_report_text(doc: ReportDocument, colored: bool) -> str:
         lines.append(f"  warning: {w}")
     if doc.presentation is not None:
         delta = groupclass.render_element(doc.delta)
-        lines.append(_styled(f"component delta = {delta}   [{doc.delta_class}]", colored))
+        lines.append(f"component delta = {delta}   [{doc.delta_class}]")
         lines.append(f"  Aut = {doc.presentation}   (genus {doc.genus})")
         for name, desc in sorted(doc.actions.items()):
             lines.append(f"  action of {name}: {desc}")
     h = doc.hitchin
-    lines.append(_styled(f"Hitchin base (genus {doc.genus})", colored))
+    lines.append(f"Hitchin base (genus {doc.genus})")
     lines.append(
         f"  dim G = {h['dim_group']}, weights = {h['weights']}, "
         f"h = {h['coxeter_number']}")
@@ -484,9 +474,9 @@ def cmd_rootdata(args) -> dict:
     }
 
 
-def render_rootdata_text(doc: dict, colored: bool) -> str:
+def render_rootdata_text(doc: dict) -> str:
     return "\n".join([
-        _styled(f"type {doc['type']}", colored),
+        f"type {doc['type']}",
         f"  rank {doc['rank']}, ambient dimension {doc['ambient_dim']}, "
         f"{doc['num_roots']} roots, {doc['num_hyperplanes']} hyperplanes",
         "  simple roots:",
@@ -507,21 +497,15 @@ def render_rootdata_text(doc: dict, colored: bool) -> str:
 # prints the one that --format names, and a command's --format choices are
 # its formats here, in this order
 VIEWS = {
-    "report": {"text": lambda doc: render_report_text(doc, _color_enabled()),
-               "json": _json_text, "latex": render_report_latex},
+    "report": {"text": render_report_text, "json": _json_text, "latex": render_report_latex},
     "table": {"text": render_table_text, "json": _json_text, "latex": render_table_latex},
     "delta": {"text": render_delta_text, "json": _json_text},
-    "rootdata": {"text": lambda doc: render_rootdata_text(doc, _color_enabled()),
-                 "json": _json_text},
+    "rootdata": {"text": render_rootdata_text, "json": _json_text},
 }
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _color_enabled() -> bool:
-    return os.environ.get("BUNDLEAUT_COLOR") == "1"
 
 
 class Option(namedtuple("Option", (

@@ -53,7 +53,8 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     ties), which makes the output deterministic for a fixed input.  An
     entry of absolute value 1 is such a pivot, so the scan stops at the
     first one, and a unit pivot divides everything, so it skips the
-    divisibility scan.
+    divisibility scan.  Each pass of a step shrinks the pivot's size, which
+    may stay equal once, after a row fold; a pass that does not fails a check.
     """
     s = [list(row) for row in m]
     nrows = len(s)
@@ -83,6 +84,7 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             row[i], row[j] = row[j], row[i]
 
     for t in range(min(nrows, ncols)):
+        bound = None
         while True:
             pivot = None
             best = None
@@ -97,6 +99,9 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     break
             if pivot is None:
                 break
+            check(bound is None or best < bound,
+                  lambda: f"step {t + 1} of a Smith form does not shrink its pivot {best}")
+            bound = best
             if pivot != (t, t):
                 if pivot[0] != t:
                     swap_rows(t, pivot[0])
@@ -125,7 +130,8 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
             s[t] = [a + b for a, b in zip(s[t], s[culprit])]
             u[t] = [a + b for a, b in zip(u[t], u[culprit])]
-        if t < min(nrows, ncols) and s[t][t] < 0:
+            bound += 1
+        if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
     return s, u, v

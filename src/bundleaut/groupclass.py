@@ -27,8 +27,9 @@ centre, the element sets of its subgroups and the coordinates and quotients
 of those a form uses, comes from `finabel` as built, shared by the types
 with the same centre (a whole group is already in its unit basis).
 `_names` gives a form its display name and the spec tokens that select it
-('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), and `form_by_name` looks a
-token up among the records.
+('sc', 'adjoint', 'so', 'semispin', 'mu<k>'), a classical form's name read
+from `CLASSICAL_NAMES`, through which `cli` reads an alias back, and
+`form_by_name` looks a token up among the records.
 pi_1(G) = mu is cross-checked by duality: the pairing is perfect, so
 (P/Q)/mu^perp, with mu^perp found through the pairing, must have the
 invariant factors of mu (`Subgroup.quotient`, one Smith form of at most two
@@ -221,12 +222,25 @@ def _so_subgroup(lat: TypeLattices) -> frozenset:
     return closure(lat.center.group, [omega1])
 
 
+# the classical families: the matrix size a n + b of rank n, as (a, b), and
+# the name prefix of the form that each spec token selects, in the order a
+# display name is chosen; `cli` reads a `<name><size>` alias back through it
+CLASSICAL_NAMES = {
+    "A": ((1, 1), {"sc": "SL", "adjoint": "PSL"}),
+    "B": ((2, 1), {"sc": "Spin", "so": "SO"}),
+    "C": ((2, 0), {"sc": "Sp", "adjoint": "PSp"}),
+    "D": ((2, 0), {"sc": "Spin", "so": "SO", "adjoint": "PSO", "semispin": "SemiSpin"}),
+}
+
+
 def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozenset[str]]:
     """The display name of G^sc/mu and the spec tokens that select it, from
     r = |mu|, the order `total` of the center and, in type D, whether mu is
     the kernel of the vector representation.  In type D an order-2 mu other
     than that kernel exists for even rank only, and triality folds these
-    semispin classes of D_4 into SO_8, so SO_8 carries 'semispin' too."""
+    semispin classes of D_4 into SO_8, so SO_8 carries 'semispin' too.  A
+    classical form is named by its first token in `CLASSICAL_NAMES`, and
+    SL_m/mu_r by none."""
     n = t.rank
     tokens = set()
     if r == 1:
@@ -240,23 +254,11 @@ def _names(t: DynkinType, r: int, total: int, is_so: bool) -> tuple[str, frozens
     if t.family == "D" and r == 2 and (n == 4 or not is_so):
         tokens.add("semispin")
     tokens = frozenset(tokens)
-    if t.family == "A":
-        m = n + 1
-        if r == 1:
-            return f"SL_{m}", tokens
-        if r == m:
-            return f"PSL_{m}", tokens
-        return f"SL_{m}/mu_{r}", tokens
-    if t.family == "B":
-        return (f"Spin_{2 * n + 1}" if r == 1 else f"SO_{2 * n + 1}"), tokens
-    if t.family == "C":
-        return (f"Sp_{2 * n}" if r == 1 else f"PSp_{2 * n}"), tokens
-    if t.family == "D":
-        if r == 1:
-            return f"Spin_{2 * n}", tokens
-        if r == 4:
-            return f"PSO_{2 * n}", tokens
-        return (f"SO_{2 * n}" if is_so else f"SemiSpin_{2 * n}"), tokens
+    if t.family in CLASSICAL_NAMES:
+        (a, b), prefixes = CLASSICAL_NAMES[t.family]
+        m = a * n + b
+        prefix = next((p for token, p in prefixes.items() if token in tokens), None)
+        return (f"{prefix}_{m}" if prefix else f"SL_{m}/mu_{r}"), tokens
     if t.family == "E":
         if total == 1:
             return f"E{n}", tokens

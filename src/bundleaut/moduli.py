@@ -32,7 +32,7 @@ from functools import lru_cache
 from . import groupclass, weyl
 from .finabel import AbelianAction, render_runs
 from .groupclass import GroupForm, OutGroup, render_element
-from .rootdata import DEFAULT_MAX_RANK, DynkinType, _unit, admissible_types, build_root_datum, check
+from .rootdata import DynkinType, _unit, admissible_types, build_root_datum, check
 
 MIN_GENUS_PRESENTATION = 4
 # the command line's ceiling, in digits, on a genus, on each number of a delta
@@ -143,7 +143,7 @@ def component(gf: GroupForm, delta: tuple[int, ...]) -> Component:
     )
 
 
-def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
+def table_types(max_rank: int) -> list[DynkinType]:
     """Classification-table order: A, B, C, then D_4, even D, odd D, then
     the exceptional types."""
     types = admissible_types(max_rank)
@@ -156,7 +156,7 @@ def table_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
     return ordered
 
 
-def classification_table(genus: int, max_rank: int = DEFAULT_MAX_RANK) -> list[dict]:
+def classification_table(genus: int, max_rank: int) -> list[dict]:
     """One row per (form, delta-class), in classification order, read from
     the `component` of each label in the class: the rows of `table --format
     json`, each a dict of the caller's own."""
@@ -198,7 +198,7 @@ def hitchin_report(gf: GroupForm, genus: int) -> dict:
     m, n, _ = weyl.orbit_counts(t)
     degrees = weyl.invariant_degrees(t)
     dim_center = 0  # almost-simple throughout
-    closed_form = dim_group * (genus - 1) + dim_center
+    closed_form = dim_group * (genus - 1)
     via_rr = riemann_roch_basis_dim(degrees, t.rank, genus)
     check(via_rr == closed_form, "Riemann-Roch sum disagrees with dim G(g-1)")
     return {
@@ -210,7 +210,7 @@ def hitchin_report(gf: GroupForm, genus: int) -> dict:
         "weights": list(degrees),
         "coxeter_number": degrees[-1],
         "fiber_dim": dim_group * (genus - 1),
-        "higgs_stack_dim": 2 * dim_group * (genus - 1) + dim_center,
+        "higgs_stack_dim": 2 * dim_group * (genus - 1),
         "m_ab_components": m,
         "n_extra_components": n,
     }

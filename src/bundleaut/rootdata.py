@@ -299,7 +299,7 @@ def build_root_datum(t: DynkinType) -> RootDatum:
         reflections=tuple(reflections), pairings=tuple(pairings[k] for k in order))
 
 
-def admissible_types(max_rank: int = DEFAULT_MAX_RANK) -> list[DynkinType]:
+def admissible_types(max_rank: int) -> list[DynkinType]:
     """All admissible types up to the rank bound, in classification order.
 
     The A family is bounded by SL_n matrix size (n <= max_rank, so rank

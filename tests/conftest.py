@@ -6,9 +6,19 @@ that no result cached by an earlier test can skip the check, and no result
 built under the patch outlives the test.  The caches are found by walking
 the loaded `bundleaut` modules for objects with `cache_clear`, so a cache
 added later is covered without a change here.
+
+Every test, from setup to teardown, and the collection of every test
+module, whose imports build forms too, run under a timer of `LIMIT_S`
+seconds that interrupts the main thread: a hang stops the run, which exits
+2, instead of holding it.  The limit is above the largest subprocess
+timeout a test sets, 300 s.  A thread timer leaves `SIGALRM` and
+`ITIMER_REAL` to the tests that use them (`tests/test_fault_sweep.py`).
 """
 
+import _thread
+import contextlib
 import sys
+import threading
 
 import pytest
 
@@ -72,3 +82,28 @@ def fresh_caches():
     yield
     for cache in caches + package_caches():
         cache.cache_clear()
+
+
+LIMIT_S = 360
+
+
+@contextlib.contextmanager
+def _time_limit():
+    timer = threading.Timer(LIMIT_S, _thread.interrupt_main)
+    timer.start()
+    try:
+        yield
+    finally:
+        timer.cancel()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    with _time_limit():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    with _time_limit():
+        return (yield)

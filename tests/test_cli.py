@@ -1,7 +1,9 @@
 """CLI behaviors: parsing, formats, exit codes, round-trips, determinism."""
 
+import ast
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -29,7 +31,6 @@ from bundleaut.rootdata import DEFAULT_MAX_RANK, DynkinType
 from test_acceptance import GOLDEN, _norm
 from test_moduli import reference_actions, reference_presentation
 from test_snapshot import OTHER_PYTHONS, PYENV_VERSIONS, snapshot_commands
-from test_snapshot import argv as snapshot_argv
 import workloads
 
 
@@ -166,7 +167,7 @@ def test_rejected_delta_is_printed_as_the_valid_values_are(capsys, delta, label)
                    "valid values: (0,0), (0,1), (1,0), (1,1)\n")
 
 
-@pytest.mark.parametrize("gf", [gf for t in table_types() for gf in enumerate_forms(t)],
+@pytest.mark.parametrize("gf", [gf for t in table_types(8) for gf in enumerate_forms(t)],
                          ids=lambda gf: gf.display_name)
 def test_listed_delta_values_parse_back(gf):
     """Every value the "valid values" list offers is itself a valid --delta."""
@@ -268,9 +269,8 @@ def reference_report(gf, delta, genus):
 
 
 def rendered(doc, json_text):
-    """The report in every format, colored text included."""
-    return (json_text, cli.render_report_text(doc, False), cli.render_report_text(doc, True),
-            cli.render_report_latex(doc))
+    """The report in every format."""
+    return json_text, cli.render_report_text(doc), cli.render_report_latex(doc)
 
 
 def report_labels() -> list:
@@ -682,10 +682,9 @@ def assert_golden_table(out):
     assert [_norm(line) for line in out.splitlines()] == golden
 
 
-def test_cached_parser_leaks_no_state(capsys, monkeypatch):
+def test_cached_parser_leaks_no_state(capsys):
     # main may run many times in one process; a call must behave as the
     # same argv run alone, whatever ran before it
-    monkeypatch.delenv("BUNDLEAUT_COLOR", raising=False)
     first = ["report", "--group", "E7_ad", "--genus", "7", "--format", "json",
              "--delta", "1"]
     sequence = [
@@ -951,7 +950,7 @@ def test_callers_give_every_option_by_its_exact_flag(capsys):
     assert len(usage) == 8
     argvs = [argv for w in workloads.WORKLOADS for seed in (1, 2, 3)
              for argv in workloads.commands(w, seed)]
-    for argv in [*argvs, *map(snapshot_argv, snapshot_commands()), *usage]:
+    for argv in [*argvs, *map(str.split, snapshot_commands()), *usage]:
         command, *rest = argv
         flags = {o.flag for o in cli.COMMANDS[command][2]}
         assert len(rest) % 2 == 0 and set(rest[::2]) <= flags, argv
@@ -1301,6 +1300,12 @@ CARTAN_FAULTS = {
                              ["rootdata", "--type", "A2"],
                              "the ambient simple roots of A2 do not give the Cartan matrix "
                              "of its Dynkin diagram"),
+    # a zero simple root passes 2 (a, a) = 2 (a, a) and is caught by its
+    # norm alone; in a higher rank its neighbours' rows already fail
+    "ambient_zero_root": ("cli", "ambient_simple_roots", "lambda t: (2, ((0, 0),))",
+                          ["rootdata", "--type", "A1"],
+                          "the ambient simple roots of A1 do not give the Cartan matrix "
+                          "of its Dynkin diagram"),
 }
 
 
@@ -1399,13 +1404,51 @@ def test_group_checks_exit_3_under_optimize(fault):
     assert proc.stderr == f"internal consistency failure: {message}\n"
 
 
-def test_color_toggle(capsys, monkeypatch):
-    monkeypatch.setenv("BUNDLEAUT_COLOR", "1")
-    _, colored, _ = run(capsys, "rootdata", "--type", "A1")
-    assert "\x1b[1m" in colored
-    monkeypatch.delenv("BUNDLEAUT_COLOR")
-    _, plain, _ = run(capsys, "rootdata", "--type", "A1")
-    assert "\x1b[" not in plain
+# Single-operator faults in `smith_normal_form`'s loop, each of which made
+# every command loop for ever before each pass had to shrink the pivot: the
+# operator, its occurrence in the function's source, counted in source
+# order, the operator put in its place, the expression the edit makes, and
+# the failed check's message on `report --group PSO_8 --delta 1,1`.
+SMITH_FAULTS = {
+    "pivot_column": ("NotEq", 3, "Eq", "pivot[1] == t", "step 1", 1),
+    "row_op_sign": ("Sub", 1, "Add", "a + q * b", "step 1", 1),
+    "row_quotient": ("FloorDiv", 1, "Mult", "s[i][t] * s[t][t]", "step 3", 2),
+    "column_quotient": ("FloorDiv", 2, "Mult", "s[t][j] * s[t][t]", "step 3", 2),
+}
+
+
+def smith_fault_source(op, occurrence, new, expression) -> str:
+    """The source of `smith_normal_form` with the given occurrence of the
+    operator `op`, among its operations and one-operator comparisons in
+    source order, made `new`."""
+    tree = ast.parse(inspect.getsource(finabel.smith_normal_form))
+    sites = sorted((node for node in ast.walk(tree)
+                    if type(getattr(node, "op", None)).__name__ == op
+                    or [type(o).__name__ for o in getattr(node, "ops", ())] == [op]),
+                   key=lambda node: (node.lineno, node.col_offset))
+    site = sites[occurrence - 1]
+    if isinstance(site, ast.Compare):
+        site.ops = [getattr(ast, new)()]
+    else:
+        site.op = getattr(ast, new)()
+    assert ast.unparse(site) == expression
+    return ast.unparse(tree)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("fault", SMITH_FAULTS)
+def test_smith_faults_exit_3(fault, flags):
+    # in a child with a timeout, as a regression of the check would hang
+    *edit, step, pivot = SMITH_FAULTS[fault]
+    script = ("import sys\n"
+              "from bundleaut import cli, finabel, groupclass\n"
+              f"exec({smith_fault_source(*edit)!r}, vars(finabel))\n"
+              "groupclass.smith_normal_form = finabel.smith_normal_form\n"
+              "sys.exit(cli.main(['report', '--group', 'PSO_8', '--delta', '1,1']))\n")
+    proc = run_process(*flags, "-c", script, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"internal consistency failure: {step} of a Smith form does not "
+                           f"shrink its pivot {pivot}\n")
 
 
 # ((2, -3), (-3, 2)) is a generalized Cartan matrix of hyperbolic type: the

@@ -6,8 +6,7 @@ calls.  One child process installs a `sys.settrace` tracer, imports
 `bundleaut.cli` with every cache empty, and runs through `cli.main`, with
 stdout and stderr captured, each argv of the test suite's own lists:
 
-- the `snapshot_commands()` of `tests/test_snapshot.py`, with
-  `BUNDLEAUT_COLOR=1` where the snapshot sets it;
+- the `snapshot_commands()` of `tests/test_snapshot.py`;
 - the usage errors of `tests/test_cli.py`: `PAST_DIGIT_CEILINGS`,
   `UNPRINTABLE_INPUTS`, `NON_ASCII_NUMBERS`, `PAST_RANK_CEILINGS` and the
   argv of `EDGE_ARGVS`;
@@ -49,8 +48,7 @@ from test_cli import (
     PAST_RANK_CEILINGS,
     UNPRINTABLE_INPUTS,
 )
-from test_snapshot import COLOR, snapshot_commands
-from test_snapshot import argv as snapshot_argv
+from test_snapshot import snapshot_commands
 
 # what the lists above leave unreached: a trivial pi_1 given a delta, json at
 # a genus without a presentation, a genus the Hitchin numerology rejects, a
@@ -140,11 +138,7 @@ commands = json.load(sys.stdin)
 sys.settrace(trace)
 from bundleaut import cli
 
-for colored, argv in commands:
-    if colored:
-        os.environ["BUNDLEAUT_COLOR"] = "1"
-    else:
-        os.environ.pop("BUNDLEAUT_COLOR", None)
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
 sys.settrace(None)
@@ -152,13 +146,12 @@ print(json.dumps({name: sorted(lines) for name, lines in reached.items()}))
 """
 
 
-def commands() -> list[tuple[bool, list[str]]]:
-    """(colored, argv) for every command the child runs."""
-    argvs = [argv for argv, _ in (PAST_DIGIT_CEILINGS + UNPRINTABLE_INPUTS + NON_ASCII_NUMBERS
-                                  + PAST_RANK_CEILINGS)]
-    argvs += [argv for argv, _, _ in EDGE_ARGVS] + MORE_ARGVS
-    return ([(command.startswith(COLOR), snapshot_argv(command))
-             for command in snapshot_commands()] + [(False, argv) for argv in argvs])
+def commands() -> list[list[str]]:
+    """The argv of every command the child runs."""
+    argvs = [command.split() for command in snapshot_commands()]
+    argvs += [argv for argv, _ in (PAST_DIGIT_CEILINGS + UNPRINTABLE_INPUTS + NON_ASCII_NUMBERS
+                                   + PAST_RANK_CEILINGS)]
+    return argvs + [argv for argv, _, _ in EDGE_ARGVS] + MORE_ARGVS
 
 
 def reached_lines() -> dict[str, set[int]]:

@@ -63,7 +63,7 @@ def test_presentation_requires_genus_four():
     # the genus bound is the table's and the report's; a component has no genus
     gf = by_name("A1", "sc")
     with pytest.raises(GenusOutOfRange):
-        classification_table(genus=3)
+        classification_table(genus=3, max_rank=8)
     assert cli.build_report(gf, (), 3).presentation is None
     with pytest.raises(InvalidDegree):
         out_stabilizer(by_name("E6", "adjoint"), (3,))
@@ -147,7 +147,7 @@ def test_classification_table_rows():
 
 def test_table_requires_genus_four():
     with pytest.raises(GenusOutOfRange):
-        classification_table(genus=3)
+        classification_table(genus=3, max_rank=8)
 
 
 def test_table_rank_bound_is_configurable():

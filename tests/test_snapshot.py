@@ -8,9 +8,7 @@ document that its json format prints, and prints nothing itself.
 - `rootdata` for the 30 admissible types of rank <= 8, in text and json;
 - `report` for every (form, delta) label in text, json and latex at genus 4,
   plus one genus-3 report, which prints the Hitchin numerology only;
-- `delta` for two profiles, in text and json;
-- one `report` and one `rootdata` in colored text: a command that starts
-  with `BUNDLEAUT_COLOR=1` runs with that variable set.
+- `delta` for two profiles, in text and json.
 
 A change that should not alter output leaves every line as it is.  After a
 deliberate output change, regenerate the file and review its diff:
@@ -33,7 +31,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 from bundleaut import cli
 from bundleaut.groupclass import enumerate_forms
@@ -42,7 +39,6 @@ from bundleaut.rootdata import admissible_types
 
 DIGESTS = Path(__file__).resolve().parent / "snapshot.sha256"
 FORMATS = ("text", "json", "latex")
-COLOR = "BUNDLEAUT_COLOR=1"
 KINDS = ("table", "rootdata", "report", "delta")
 
 
@@ -63,21 +59,13 @@ def snapshot_commands() -> list[str]:
     cmds.append("report --group E7_ad --genus 3")
     cmds += [f"delta --profile {profile} --format {fmt}"
              for profile in ("4:0,3:1", "2:0") for fmt in ("text", "json")]
-    cmds += [f"{COLOR} report --group PSO_8 --delta 1,1 --format text",
-             f"{COLOR} rootdata --type G2 --format text"]
     return cmds
-
-
-def argv(command: str) -> list[str]:
-    """The argv of a snapshot command, without its `BUNDLEAUT_COLOR=1`."""
-    return command.removeprefix(COLOR).split()
 
 
 def digest(command: str) -> str:
     out = io.StringIO()
-    env = {"BUNDLEAUT_COLOR": "1"} if command.startswith(COLOR) else {}
-    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
-        code = cli.main(argv(command))
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split())
     assert code == 0, f"{command}: exit {code}"
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
@@ -100,7 +88,6 @@ def changed_commands() -> list[str]:
 if __name__ == "__main__":  # before pytest is imported, so that it needs none
     if sys.argv[1:] not in (["--write"], ["--check"]):
         sys.exit("usage: PYTHONPATH=src python tests/test_snapshot.py --write | --check")
-    os.environ.pop("BUNDLEAUT_COLOR", None)
     if sys.argv[1] == "--write":
         DIGESTS.write_text("".join(f"{digest(cmd)}  {cmd}\n" for cmd in snapshot_commands()),
                            encoding="utf-8")
@@ -115,18 +102,13 @@ PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "v
 OTHER_PYTHONS = ("3.10.13", "3.12.1", "3.13.0")  # requires-python is >= 3.10
 
 
-@pytest.fixture(autouse=True)
-def _plain_output(monkeypatch):
-    monkeypatch.delenv("BUNDLEAUT_COLOR", raising=False)
-
-
 def test_command_list_matches_recorded():
     assert snapshot_commands() == list(recorded())
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_output_digests_unchanged(kind):
-    expected = {cmd: sha for cmd, sha in recorded().items() if argv(cmd)[0] == kind}
+    expected = {cmd: sha for cmd, sha in recorded().items() if cmd.split()[0] == kind}
     assert expected
     changed = [cmd for cmd, sha in expected.items() if digest(cmd) != sha]
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
@@ -138,7 +120,7 @@ def test_commands_return_the_document_their_json_prints(capsys, kind):
     # it returns; the json view, whatever --format the command names, is
     # that of the same argv with `--format json` put last, as the last wins
     for command in snapshot_commands():
-        words = argv(command)
+        words = command.split()
         if words[0] != kind:
             continue
         args = cli.parse_args(words)
